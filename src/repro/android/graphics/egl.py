@@ -150,8 +150,14 @@ class VendorGlLibrary:
         self._allocations.setdefault(process.pid, {})[resource.res_id] = alloc
 
     def release_memory(self, process, resource: GlResource) -> None:
-        per_pid = self._allocations.get(process.pid, {})
+        per_pid = self._allocations.get(process.pid)
+        if per_pid is None:
+            return
         alloc = per_pid.pop(resource.res_id, None)
+        if not per_pid:
+            # The pid's last allocation: drop its table, so the map
+            # only ever holds processes that still own GPU memory.
+            del self._allocations[process.pid]
         if alloc is not None:
             self.kernel.pmem.free(process, alloc)
 

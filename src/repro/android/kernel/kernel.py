@@ -106,8 +106,10 @@ class Kernel:
         self.wakelocks.release_all(pid)
         if self.binder is not None:
             self.binder.release_process(process)
-        for ns in self._namespaces:
-            ns.unbind_real(pid)
+        # A namespace lives as long as a process is bound in it: the
+        # exit of its last one (the app migrated away) drops it.
+        self._namespaces = [ns for ns in self._namespaces
+                            if not (ns.unbind_real(pid) and not len(ns))]
         del self._processes[pid]
         self.tracer.emit("kernel", "process-exit", pid=pid, exit_code=exit_code)
 
@@ -144,7 +146,9 @@ class Kernel:
         """Drop a namespace (rollback of a failed restore).
 
         Any processes still bound inside it must be killed first;
-        killing them already unbinds their pids from every namespace.
+        killing them already unbinds their pids from every namespace,
+        and killing the last one already drops a namespace that had
+        bindings, so this only matters for one that never had any.
         """
         try:
             self._namespaces.remove(ns)

@@ -37,10 +37,13 @@ class PIDNamespace:
         self._virt_to_real[virtual_pid] = real_pid
         self._real_to_virt[real_pid] = virtual_pid
 
-    def unbind_real(self, real_pid: int) -> None:
+    def unbind_real(self, real_pid: int) -> bool:
+        """Forget ``real_pid``; True when it was bound here."""
         virtual = self._real_to_virt.pop(real_pid, None)
-        if virtual is not None:
-            self._virt_to_real.pop(virtual, None)
+        if virtual is None:
+            return False
+        self._virt_to_real.pop(virtual, None)
+        return True
 
     def to_real(self, virtual_pid: int) -> int:
         try:

@@ -4,6 +4,7 @@ from repro.android.storage.apk import ApkFile
 from repro.android.storage.filesystem import (
     DeviceStorage,
     FileEntry,
+    FileSet,
     FsError,
     TreeSignature,
     content_hash_for,
@@ -21,7 +22,7 @@ from repro.android.storage.sync import (
 )
 
 __all__ = [
-    "ApkFile", "DeviceStorage", "FileEntry", "FsError", "TreeSignature",
+    "ApkFile", "DeviceStorage", "FileEntry", "FileSet", "FsError", "TreeSignature",
     "content_hash_for",
     "COMMON_BYTES", "DEVICE_BYTES", "populate_system_partition",
     "system_partition_bytes", "DEFAULT_COMPRESSION_RATIO", "RsyncEngine",

@@ -8,13 +8,20 @@ hard-linkable on the guest) and 123 MB is device specific (GPU vendor
 libs, SoC blobs, device overlays).
 
 File sizes are drawn from a seeded stream so the set is deterministic.
+Each set is one immutable :class:`FileSet` mounted at its prefix.
 """
 
 from __future__ import annotations
 
-from typing import List
+from array import array
+from typing import Iterator, List
 
-from repro.android.storage.filesystem import DeviceStorage
+from repro.android.storage.filesystem import (
+    ComputedColumn,
+    DeviceStorage,
+    FileSet,
+    PackedHashes,
+)
 from repro.sim import units
 from repro.sim.rng import RngFactory
 
@@ -37,24 +44,50 @@ def _spread(total: int, count: int, rng) -> List[int]:
     return sizes
 
 
+class _NumberedPaths(ComputedColumn):
+    """``template % i`` for ``i < count``: a path column computed on
+    read instead of stored.  Sorted, as the number is zero-padded."""
+
+    __slots__ = ("_template", "_count")
+
+    def __init__(self, template: str, count: int) -> None:
+        self._template = template
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def _item(self, i: int) -> str:
+        return self._template % i
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self._template.__mod__, range(self._count))
+
+
+def _file_set(path_template: str, token_template: str, count: int,
+              total: int, rng) -> FileSet:
+    return FileSet(
+        _NumberedPaths(path_template, count),
+        array("q", _spread(total, count, rng)),
+        PackedHashes.of_tokens(token_template % i for i in range(count)))
+
+
 def populate_system_partition(storage: DeviceStorage, android_version: str,
                               device_name: str,
                               rng_factory: RngFactory | None = None) -> None:
-    """Create the device's /system framework + vendor files."""
+    """Mount the device's /system framework + vendor file sets."""
     factory = rng_factory or RngFactory()
+    version = android_version.replace("%", "%%")
+    device = device_name.replace("%", "%%")
     common_rng = factory.stream("framework", android_version)
     device_rng = factory.stream("framework", android_version, device_name)
 
-    for i, size in enumerate(_spread(COMMON_BYTES, COMMON_FILE_COUNT,
-                                     common_rng)):
-        token = f"android-{android_version}/common/{i}"
-        storage.add_file(f"{FRAMEWORK_PREFIX}/common-{i:04d}.jar", size, token)
-
-    for i, size in enumerate(_spread(DEVICE_BYTES, DEVICE_FILE_COUNT,
-                                     device_rng)):
-        token = f"android-{android_version}/{device_name}/vendor/{i}"
-        storage.add_file(f"{VENDOR_PREFIX}/{device_name}-{i:04d}.so", size,
-                         token)
+    storage.mount(FRAMEWORK_PREFIX, _file_set(
+        "/common-%04d.jar", f"android-{version}/common/%d",
+        COMMON_FILE_COUNT, COMMON_BYTES, common_rng))
+    storage.mount(VENDOR_PREFIX, _file_set(
+        f"/{device}-%04d.so", f"android-{version}/{device}/vendor/%d",
+        DEVICE_FILE_COUNT, DEVICE_BYTES, device_rng))
 
 
 def system_partition_bytes(storage: DeviceStorage) -> int:

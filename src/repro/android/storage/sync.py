@@ -11,10 +11,20 @@ the rest.  The paper's measured numbers (§4: 215 MB constant data,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from array import array
+from dataclasses import dataclass
+from itertools import islice
+from typing import Dict, List, Optional, Tuple
 
-from repro.android.storage.filesystem import DeviceStorage, FileEntry
+from repro.android.storage.filesystem import (
+    DeviceStorage,
+    FileEntry,
+    LINK_STRIDE,
+    NO_LINK,
+    FileSet,
+    TreeSignature,
+    link_code,
+)
 
 
 #: Compression achieved on framework binaries over the wire.  Chosen so
@@ -61,16 +71,58 @@ class RsyncEngine:
         is re-hashed or re-walked.  This is what keeps the
         per-migration ``verify_app`` pass from re-hashing every
         unchanged app tree.
+
+        A source tree made only of mounted :class:`FileSet` objects (the
+        frameworks) is mirrored into an empty target by mounting derived
+        sets that share the source's columns; anything else goes file by
+        file.
         """
         result = SyncResult()
         source_sig = source.tree_signature(source_prefix)
-        target_sig = target.tree_signature(target_prefix.rstrip("/"))
-        if (source_sig.digest == target_sig.digest
-                and source_sig.file_count):
+        if not source_sig.file_count:
+            return result
+        target_root = target_prefix.rstrip("/")
+        target_sig = target.tree_signature(target_root)
+        if source_sig.digest == target_sig.digest:
             result.files_considered = source_sig.file_count
             result.files_already_synced = source_sig.file_count
             result.bytes_total = source_sig.total_bytes
             return result
+        mounted = source.mounted_sets(source_prefix)
+        if mounted is not None and not target_sig.file_count:
+            self._mirror_sets(mounted, source_prefix, source_sig, target,
+                              target_root, link_dest_prefix, result)
+        else:
+            self._sync_files(source, source_prefix, target, target_root,
+                             link_dest_prefix, result)
+        result.bytes_compressed = int(result.bytes_delta
+                                      * self.compression_ratio)
+        return result
+
+    def _mirror_sets(self, mounted: List[Tuple[str, FileSet]],
+                     source_prefix: str, source_sig: TreeSignature,
+                     target: DeviceStorage, target_root: str,
+                     link_dest_prefix: Optional[str],
+                     result: SyncResult) -> None:
+        """Mount one derived set per source set; hard-link targets and
+        linked sizes are resolved in one pass against the link pool."""
+        pool = (((), {}) if link_dest_prefix is None
+                else _link_pool(target, link_dest_prefix))
+        mirrors = []
+        for mount, file_set in mounted:
+            mirror = _mirror(file_set, pool, result)
+            mirrors.append((target_root + mount[len(source_prefix):],
+                            mirror))
+        for target_mount, mirror in mirrors:
+            target.mount(target_mount, mirror)
+        if all(mirror.sizes is file_set.sizes
+               for (_, mirror), (_, file_set) in zip(mirrors, mounted)):
+            target.seed_signature(target_root, source_sig)
+
+    def _sync_files(self, source: DeviceStorage, source_prefix: str,
+                    target: DeviceStorage, target_root: str,
+                    link_dest_prefix: Optional[str],
+                    result: SyncResult) -> None:
         link_pool: Dict[str, FileEntry] = {}
         if link_dest_prefix is not None:
             link_pool = target.by_hash_under(link_dest_prefix)
@@ -79,7 +131,7 @@ class RsyncEngine:
             result.files_considered += 1
             result.bytes_total += entry.size
             relative = entry.path[len(source_prefix):]
-            dest_path = target_prefix.rstrip("/") + relative
+            dest_path = target_root + relative
 
             if (target.exists(dest_path)
                     and target.get(dest_path).same_content(entry)):
@@ -101,10 +153,6 @@ class RsyncEngine:
             result.files_copied += 1
             result.bytes_delta += entry.size
 
-        result.bytes_compressed = int(result.bytes_delta
-                                      * self.compression_ratio)
-        return result
-
     def verify(self, source: DeviceStorage, source_prefix: str,
                target: DeviceStorage, target_prefix: str) -> List[str]:
         """Paths under source that differ from (or are absent on) target."""
@@ -119,3 +167,66 @@ class RsyncEngine:
                     or not target.get(dest_path).same_content(entry)):
                 stale.append(entry.path)
         return stale
+
+
+#: A ``--link-dest`` pool: the ``(base, file_set)`` runs of the pool tree
+#: in path order (an overlay run becomes a small set of full paths with
+#: base ""), and a map from content hash to ``link_code(run, position)``
+#: of the last file with it.
+LinkPool = Tuple[Tuple[Tuple[str, FileSet], ...], Dict[str, int]]
+
+
+def _link_pool(target: DeviceStorage, prefix: str) -> LinkPool:
+    runs = []
+    index: Dict[str, int] = {}
+    for mount, run, lo, hi in target.runs(prefix):
+        if mount is None:
+            entries = [target.get(path) for path in run]
+            run = FileSet(run, [e.size for e in entries],
+                          [e.content_hash for e in entries],
+                          mtimes=[e.mtime for e in entries])
+            mount = ""
+        base = link_code(len(runs), 0)
+        index.update(zip(islice(run.hashes, lo, hi),
+                         range(base + lo, base + hi)))
+        runs.append((mount, run))
+    return tuple(runs), index
+
+
+def _mirror(file_set: FileSet, pool: LinkPool,
+            result: SyncResult) -> FileSet:
+    """``file_set`` as mirrored into an empty target: files whose content
+    is in ``pool`` become hard links, the rest are copies."""
+    runs, index = pool
+    codes = list(map(index.get, file_set.hashes))
+    sizes, mtimes = file_set.sizes, file_set.mtimes
+    linked = linked_bytes = 0
+    for i, code in enumerate(codes):
+        if code is None:
+            continue
+        linked += 1
+        linked_bytes += file_set.sizes[i]
+        run, position = divmod(code, LINK_STRIDE)
+        pool_set = runs[run][1]
+        link_size = pool_set.sizes[position]
+        if link_size != file_set.sizes[i]:
+            if sizes is file_set.sizes:
+                sizes = list(sizes)
+            sizes[i] = link_size
+        link_mtime = pool_set.mtime(position)
+        if link_mtime != file_set.mtime(i):
+            if mtimes is file_set.mtimes:
+                mtimes = [0.0] * len(codes) if mtimes is None else list(mtimes)
+            mtimes[i] = link_mtime
+    total = sum(file_set.sizes)
+    result.files_considered += len(codes)
+    result.bytes_total += total
+    result.files_linked += linked
+    result.bytes_linked += linked_bytes
+    result.files_copied += len(codes) - linked
+    result.bytes_delta += total - linked_bytes
+    if not linked:
+        return file_set.mirror(sizes, None, (), mtimes)
+    links = array("q", [NO_LINK if code is None else code for code in codes])
+    link_targets = tuple((base, run.paths) for base, run in runs)
+    return file_set.mirror(sizes, links, link_targets, mtimes)

@@ -160,7 +160,11 @@ def region_payloads(blob: bytes) -> Dict[Tuple[int, str], bytes]:
     the per-region offset/length table — NUL bytes inside payloads are
     preserved verbatim.
     """
-    metadata, payload = _verify_and_split(blob)
+    return _slice_payloads(*_verify_and_split(blob))
+
+
+def _slice_payloads(metadata: Dict[str, Any],
+                    payload: bytes) -> Dict[Tuple[int, str], bytes]:
     out: Dict[Tuple[int, str], bytes] = {}
     for proc in metadata["processes"]:
         for region in proc["regions"]:
@@ -183,14 +187,14 @@ def verify_against_image(blob: bytes, image: CheckpointImage) -> None:
     page checksums before injecting them — and the frame's payload
     slices must reproduce each region's payload byte-for-byte.
     """
-    metadata = verify_and_decode(blob)
+    metadata, payload = _verify_and_split(blob)   # checksum + decode once
     if metadata["package"] != image.package:
         raise WireError(
             f"frame is for {metadata['package']!r}, not {image.package!r}")
     wire_digests = {
         (proc["virtual_pid"], region["name"]): region["digest"]
         for proc in metadata["processes"] for region in proc["regions"]}
-    payloads = region_payloads(blob)
+    payloads = _slice_payloads(metadata, payload)
     for proc in image.processes:
         for region in proc.regions:
             key = (proc.virtual_pid, region.name)

@@ -169,6 +169,68 @@ class TestCorruptionDetection:
             verify_against_image(blob, image)
 
 
+class TestVerifyAgainstImage:
+    """The guest-side check decodes each frame once and keeps every
+    check ``verify_and_decode`` and ``region_payloads`` make."""
+
+    def test_frame_checksummed_and_decoded_once(self, image, monkeypatch):
+        import repro.core.cria.wire as wire
+
+        blob = serialize_image(image)
+        calls = {"sha256": 0, "loads": 0}
+        real_sha256, real_loads = wire.hashlib.sha256, wire.json.loads
+
+        def sha256(*args):
+            # Region digests hash too; count only whole-frame checksums.
+            if args and len(args[0]) == len(blob) - 32:
+                calls["sha256"] += 1
+            return real_sha256(*args)
+
+        def loads(*args, **kwargs):
+            calls["loads"] += 1
+            return real_loads(*args, **kwargs)
+
+        monkeypatch.setattr(wire.hashlib, "sha256", sha256)
+        monkeypatch.setattr(wire.json, "loads", loads)
+        verify_against_image(blob, image)
+        assert calls == {"sha256": 1, "loads": 1}
+
+    def test_flipped_bit_detected(self, image):
+        blob = bytearray(serialize_image(image))
+        blob[len(blob) // 2] ^= 0xFF
+        with pytest.raises(WireError, match="checksum"):
+            verify_against_image(bytes(blob), image)
+
+    def test_truncation_detected(self, image):
+        blob = serialize_image(image)
+        with pytest.raises(WireError):
+            verify_against_image(blob[: len(blob) // 2], image)
+
+    def test_bad_magic_detected(self, image):
+        import hashlib
+        blob = bytearray(serialize_image(image)[:-32])
+        blob[:8] = b"NOTFLUX1"
+        blob = bytes(blob) + hashlib.sha256(bytes(blob)).digest()
+        with pytest.raises(WireError, match="magic"):
+            verify_against_image(blob, image)
+
+    def test_out_of_bounds_slice_detected(self):
+        import hashlib
+        import struct
+        image = _nul_heavy_image()
+        blob = serialize_image(image)
+        header = struct.Struct(">8sII")
+        magic, meta_len, payload_len = header.unpack_from(blob)
+        meta = json.loads(blob[header.size:header.size + meta_len])
+        meta["processes"][0]["regions"][0]["length"] = 10 ** 6
+        raw = json.dumps(meta, separators=(",", ":")).encode()
+        body = header.pack(magic, len(raw), payload_len) + raw \
+            + blob[header.size + meta_len:-32]
+        with pytest.raises(WireError, match="outside payload"):
+            verify_against_image(body + hashlib.sha256(body).digest(),
+                                 image)
+
+
 class TestMigrationUsesWire:
     def test_migration_still_green_with_verification(self, device_pair):
         home, guest = device_pair

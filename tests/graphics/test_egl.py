@@ -46,6 +46,19 @@ class TestVendorLibrary:
         context.destroy()
         assert kernel.pmem.allocations_of(process.pid) == []
 
+    def test_allocation_table_forgets_a_pid_with_nothing_left(
+            self, kernel, process):
+        vendor = VendorGlLibrary("Adreno 320", kernel)
+        gl = GenericGlLibrary(vendor)
+        gl.egl_initialize(process)
+        context = gl.egl_create_context(process)
+        first = context.create_resource("texture", 4096)
+        context.create_resource("buffer", 1024)
+        context.delete_resource(first.res_id)
+        assert list(vendor._allocations) == [process.pid]
+        context.destroy()
+        assert vendor._allocations == {}
+
     def test_unload_refused_with_live_context(self, gl, process):
         gl.egl_initialize(process)
         gl.egl_create_context(process)

@@ -73,12 +73,20 @@ class TestPingPong:
 
     def test_pid_namespaces_do_not_collide(self):
         """Each restore creates a fresh namespace binding the same
-        virtual pid; six hops means three namespaces per device."""
+        virtual pid; the one left when the app migrates away is dropped
+        with its last process, so after six hops only the namespace of
+        the app's current restore (on ``a``) remains."""
         a, b, thread = self._setup()
         devices = (a, b)
         for hop in range(HOPS):
             devices[hop % 2].migration_service.migrate(
                 devices[(hop + 1) % 2], DEMO_PACKAGE)
-        flux_namespaces = [ns for ns in a.kernel.namespaces()
-                           if ns.name.startswith("flux:")]
-        assert len(flux_namespaces) == HOPS // 2
+            target = devices[(hop + 1) % 2]
+            flux_namespaces = [ns for ns in target.kernel.namespaces()
+                               if ns.name.startswith("flux:")]
+            assert len(flux_namespaces) == 1
+            assert set(flux_namespaces[0].bindings().values()) <= {
+                p.pid for p in target.app_processes(DEMO_PACKAGE)}
+        assert [ns.name for ns in a.kernel.namespaces()] == [
+            f"flux:{DEMO_PACKAGE}"]
+        assert b.kernel.namespaces() == []

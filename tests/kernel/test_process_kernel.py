@@ -119,6 +119,25 @@ class TestPIDNamespace:
         kernel.kill_process(process.pid)
         assert len(ns) == 0
 
+    def test_exit_of_last_bound_process_drops_namespace(self):
+        kernel = Kernel(SimClock())
+        first, second = kernel.create_process("a"), kernel.create_process("b")
+        ns = kernel.create_pid_namespace("flux")
+        ns.bind(1, first.pid)
+        ns.bind(2, second.pid)
+        kernel.kill_process(first.pid)
+        assert kernel.namespaces() == [ns]
+        kernel.kill_process(second.pid)
+        assert kernel.namespaces() == []
+
+    def test_unrelated_exit_keeps_a_namespace_being_filled(self):
+        """A restore creates its namespace before binding anything."""
+        kernel = Kernel(SimClock())
+        other = kernel.create_process("other")
+        ns = kernel.create_pid_namespace("flux")
+        kernel.kill_process(other.pid)
+        assert kernel.namespaces() == [ns]
+
     def test_same_virtual_pid_in_two_namespaces(self):
         """The whole point: identical virtual pids may coexist."""
         ns1, ns2 = PIDNamespace(), PIDNamespace()
