@@ -66,6 +66,12 @@ class Activity:
     def attach_window(self, window) -> None:
         self.window = window
 
+    def close(self) -> None:
+        """World teardown: detach the view tree and the thread edge."""
+        if self.view_root is not None:
+            self.view_root.destroy()
+        self.thread = None
+
     def get_system_service(self, name: str):
         return self.thread.context.get_system_service(name)
 

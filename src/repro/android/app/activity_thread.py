@@ -28,9 +28,8 @@ class AppRuntimeError(Exception):
 class AppService:
     """A background (non-UI) app component, paper §2."""
 
-    def __init__(self, name: str, thread: "ActivityThread") -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.thread = thread
         self.running = False
         self.start_count = 0
 
@@ -45,9 +44,8 @@ class AppService:
 class ContentProvider:
     """Shared-data component reached via short-lived Binder connections."""
 
-    def __init__(self, authority: str, thread: "ActivityThread") -> None:
+    def __init__(self, authority: str) -> None:
         self.authority = authority
-        self.thread = thread
         self._rows: Dict[str, Dict[str, Any]] = {}
 
     def insert(self, key: str, row: Dict[str, Any]) -> None:
@@ -95,6 +93,13 @@ class AppContext:
             manager = manager_cls(proxy)
         self._managers[key] = manager
         return manager
+
+    def close(self) -> None:
+        """World teardown: cut the managers' and this context's edges
+        back to the thread."""
+        for manager in self._managers.values():
+            manager.detach_thread()
+        self._thread = None
 
     def reset_service_cache(self) -> None:
         """Drop cached managers (rarely needed; managers are app state)."""
@@ -264,6 +269,16 @@ class ActivityThread:
             activity.attach_window(window)
             activity.thread = self
 
+    def close(self) -> None:
+        """World teardown: cut every edge from this app back into its
+        device (activities, the context's managers, the framework).
+        The app-thread node's edge to this thread is cut by the Binder
+        driver.  Activity state stays readable."""
+        for activity in self.activities.values():
+            activity.close()
+        self.context.close()
+        self.framework = None
+
     # -- broadcasts ---------------------------------------------------------------
 
     def register_receiver(self, callback, actions) -> str:
@@ -296,7 +311,7 @@ class ActivityThread:
                           intent: Optional[Intent] = None) -> AppService:
         service = self.app_services.get(name)
         if service is None:
-            service = AppService(name, self)
+            service = AppService(name)
             self.app_services[name] = service
         service.on_start_command(intent)
         return service
@@ -309,7 +324,7 @@ class ActivityThread:
         return True
 
     def publish_provider(self, authority: str) -> ContentProvider:
-        provider = ContentProvider(authority, self)
+        provider = ContentProvider(authority)
         self.providers[authority] = provider
         return provider
 

@@ -27,6 +27,12 @@ class SystemServiceManager:
     def __getattr__(self, name: str):
         return getattr(self._proxy, name)
 
+    def detach_thread(self) -> None:
+        """World teardown hook; only managers that hold their thread
+        have an edge to cut.  Defined here so ``__getattr__`` never
+        forwards it to the proxy.  (Not ``close``: that name is app
+        API, e.g. ``CameraManager.close``.)"""
+
     def rebind_remotes(self, fixup, recorder) -> None:
         """Point the proxy at the guest device after restore.
 
@@ -109,6 +115,9 @@ class SensorManager(SystemServiceManager):
             raise ManagerError("no sensor connection")
         self._connection.disableSensor(sensor_handle)
         self._listeners.pop(sensor_handle, None)
+
+    def detach_thread(self) -> None:
+        self._thread = None
 
     def rebind_remotes(self, fixup, recorder) -> None:
         super().rebind_remotes(fixup, recorder)

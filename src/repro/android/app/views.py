@@ -92,6 +92,14 @@ class ViewGroup(View):
         for child in self.children:
             yield from child.iter_tree()
 
+    def detach_tree(self) -> None:
+        """Cut every ``parent`` edge below this group; the children
+        lists stay, so the tree is still walkable from the top."""
+        for child in self.children:
+            child.parent = None
+            if isinstance(child, ViewGroup):
+                child.detach_tree()
+
 
 class GLSurfaceView(View):
     """A view with its own EGL context for direct GL rendering.
@@ -187,6 +195,7 @@ class ViewRoot:
 
     def destroy(self) -> None:
         self.destroyed = True
+        self.content.detach_tree()
 
     def view_count(self) -> int:
         return sum(1 for _ in self.content.iter_tree())

@@ -277,9 +277,23 @@ class BinderDriver:
             if node.alive:
                 node.alive = False
                 node.notify_death()
+            # A dead node serves nothing; dropping its service (often
+            # the exited app's ActivityThread, which holds the node)
+            # frees both by reference counting.
+            node.service = None
         if (self._context_manager is not None
                 and self._context_manager.owner.pid == process.pid):
             self._context_manager = None
+
+    def close(self) -> None:
+        """World teardown: cut every live node's edges back into the
+        world (its service and death recipients) and the driver's edge
+        to its kernel.  Refs, nodes and counters stay readable."""
+        for state in self._states.values():
+            for node in state.owned_nodes:
+                node.service = None
+                node.death_recipients = []
+        self.kernel = None
 
     # -- CRIA checkpoint support ----------------------------------------------
 

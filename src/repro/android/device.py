@@ -331,12 +331,25 @@ class Device:
     def app_processes(self, package: str) -> List[Any]:
         return self.kernel.processes_of_package(package)
 
-    def terminate_app(self, package: str) -> None:
-        """Kill the app's processes and detach it (post-migration cleanup)."""
-        self._threads.pop(package, None)
+    def terminate_app(self, package: str) -> Optional[ActivityThread]:
+        """Kill the app's processes and detach it (post-migration cleanup).
+
+        Returns the detached thread.  It is left open, because after a
+        migration or a rollback the same thread (the app's heap) lives
+        on another device; use :meth:`discard_app` when it dies here.
+        """
+        thread = self._threads.pop(package, None)
         self.activity_service.detach_application(package)
         for process in self.kernel.processes_of_package(package):
             self.kernel.kill_process(process.pid)
+        return thread
+
+    def discard_app(self, package: str) -> None:
+        """Terminate the app and close its thread, whose heap dies here
+        (a refused migration, or a guest copy the user discarded)."""
+        thread = self.terminate_app(package)
+        if thread is not None and thread.framework is self.framework:
+            thread.close()
 
     def adopt_thread(self, package: str, thread: ActivityThread) -> None:
         """Register a restored (migrated-in) app thread with this device."""
@@ -345,6 +358,34 @@ class Device:
 
     def running_packages(self) -> List[str]:
         return sorted(self._threads)
+
+    # -- teardown ---------------------------------------------------------------
+
+    def close(self) -> None:
+        """Tear the device down once its results are exported.
+
+        Ownership is a tree rooted here; every edge that points back
+        up it (a child's ``device``, a node's ``service``, a metric's
+        ``_registry``) is cut, so once its world also closes the clock
+        (whose pending timers hold callbacks into the device), the
+        whole device is freed by reference counting instead of waiting
+        for the cyclic collector.  Exported data stays readable;
+        nothing else may be called afterwards.  Idempotent.  DESIGN.md,
+        "World ownership and teardown", lists the edges.
+        """
+        for thread in self._threads.values():
+            thread.close()
+        for service in self.services.values():
+            service.close()
+        self._service_ctx.close()
+        self.kernel.close()
+        self.vendor_gl.close()
+        self.metrics.close()
+        self.call_log.close()
+        for child in (self.framework, self.input_dispatcher, self.launcher,
+                      self.pairing_service, self.migration_service,
+                      self.consistency):
+            child.device = None
 
     def __repr__(self) -> str:
         return f"Device({self.name!r}, {self.profile.model})"

@@ -138,6 +138,12 @@ class VendorGlLibrary:
         if context in self._live_contexts:
             self._live_contexts.remove(context)
 
+    def close(self) -> None:
+        """World teardown: cut each live context's edge back to this
+        library (the list holds the contexts, each context its vendor)."""
+        for context in self._live_contexts:
+            context.vendor = None
+
     def live_context_count(self, pid: Optional[int] = None) -> int:
         contexts = [c for c in self._live_contexts if not c.destroyed]
         if pid is not None:

@@ -51,6 +51,13 @@ class AlarmDriver(Driver):
             raise DriverError(f"alarm {alarm_id} not set")
         alarm.handle.cancel()
 
+    def close(self) -> None:
+        """World teardown: drop every pending alarm.  Its callback
+        holds the service that set it, which reaches this driver (the
+        timer itself goes when the world closes the clock)."""
+        self._alarms.clear()
+        super().close()
+
     def pending(self) -> int:
         return len(self._alarms)
 

@@ -26,6 +26,10 @@ class Driver:
     def __init__(self, kernel) -> None:
         self.kernel = kernel
 
+    def close(self) -> None:
+        """World teardown: cut the back-pointer to the owning kernel."""
+        self.kernel = None
+
     def open(self, process, **kwargs: Any) -> DeviceFile:
         """Open the device for ``process``; returns an uninstalled DeviceFile."""
         return DeviceFile(self.name)

@@ -107,7 +107,10 @@ class UnixSocket(FileObject):
         return None
 
     def close(self) -> None:
+        # A closed end never sends, so it drops its edge to the peer
+        # (the peer keeps its own, to see that this end is closed).
         self.closed = True
+        self.peer = None
 
     def describe(self) -> Dict[str, Any]:
         return {"kind": self.kind, "channel_id": self.channel_id,

@@ -80,6 +80,14 @@ class Kernel:
     def drivers(self) -> List[Driver]:
         return list(self._drivers.values())
 
+    def close(self) -> None:
+        """World teardown: cut every driver's edge back to this kernel,
+        Binder's included.  Processes and namespaces stay readable."""
+        for driver in self._drivers.values():
+            driver.close()
+        if self.binder is not None:
+            self.binder.close()
+
     # -- processes ---------------------------------------------------------
 
     def create_process(self, name: str, uid: int = 10000,

@@ -30,6 +30,11 @@ class ServiceContext:
     broadcast: Optional[Callable[[Any], None]] = None
     broadcast_sticky: Optional[Callable[[Any], None]] = None
 
+    def close(self) -> None:
+        """World teardown: the broadcast hooks are the ActivityManager's
+        bound methods, and it holds this context."""
+        self.broadcast = self.broadcast_sticky = None
+
     def send_broadcast(self, intent) -> None:
         if self.broadcast is not None:
             self.broadcast(intent)
@@ -107,6 +112,10 @@ class SystemService(CallerAwareBinder):
         if package not in self._app_state:
             return {}
         return {k: v for k, v in self._app_state[package].items()}
+
+    def close(self) -> None:
+        """World teardown hook for services that hold objects pointing
+        back at them; the rest have nothing to cut."""
 
     def trace(self, event: str, **detail: Any) -> None:
         self.ctx.tracer.emit(f"service:{self.SERVICE_KEY}", event, **detail)

@@ -108,6 +108,12 @@ class SensorService(SystemService):
     def new_app_state(self) -> Dict[str, Any]:
         return {"connections": []}
 
+    def close(self) -> None:
+        for connection in self.connections:
+            connection.service = None
+            if connection.service_socket is not None:
+                connection.service_socket.close()
+
     # -- AIDL interface ------------------------------------------------------
 
     def getSensorList(self, caller) -> List[Sensor]:

@@ -76,7 +76,7 @@ class ConsistencyManager:
         # Either way the guest's running instance is discarded and the
         # home copy becomes authoritative.
         if guest.thread_of(package) is not None:
-            guest.terminate_app(package)
+            guest.discard_app(package)
         guest.recorder.forget_app(package)
         self.mark_returned(package)
 

@@ -1,7 +1,7 @@
 """The migration lifecycle as an explicit, abortable stage pipeline.
 
 The paper's Figure 13 names five stages; here each is a :class:`Stage`
-object declaring its forward action (``run``) and its compensating
+object declaring its forward action (``steps``) and its compensating
 action (``rollback``), driven by a :class:`StagePipeline` that
 guarantees atomicity: a fault at any stage — an injected link drop
 mid-transfer, a failed restore on the guest, a genuine bug — rolls back
@@ -105,41 +105,13 @@ class Stage:
     synchronous compensation and must be idempotent: the pipeline calls
     it on the faulted stage first, then on completed stages in reverse
     order.
-
-    Legacy stages (tests, experiments) that define only a synchronous
-    ``run`` are bridged automatically: the default :meth:`steps` runs
-    the override as one atomic step, and the default :meth:`run` drives
-    :meth:`steps` inline — so either entry point works for either style.
     """
 
     name: str = "?"
 
-    def run(self, ctx: MigrationContext) -> None:
-        """Synchronous forward action (drives :meth:`steps` inline)."""
-        drive_sync(self.steps(ctx), ctx.home.clock)
-
     def steps(self, ctx: MigrationContext):
         """Yield-point generator form of the forward action."""
-        override = self._run_override()
-        if override is None:
-            raise NotImplementedError
-        override(ctx)
-        return
-        yield  # pragma: no cover -- marks this as a generator function
-
-    def _run_override(self):
-        """A ``run`` defined on the instance or a subclass, else None.
-
-        Instance-level assignment (``stage.run = fn``) takes priority;
-        both forms are called with the context only.
-        """
-        run = self.__dict__.get("run")
-        if run is not None:
-            return run
-        cls_run = type(self).run
-        if cls_run is not Stage.run:
-            return cls_run.__get__(self, type(self))
-        return None
+        raise NotImplementedError
 
     def rollback(self, ctx: MigrationContext) -> None:
         """Undo this stage's effects; default is stateless (no-op)."""
@@ -473,7 +445,7 @@ class StagePipeline:
     """Drives stages in order; on a fault, compensates in reverse.
 
     Atomicity contract: after a fault at stage *k*, stage *k*'s own
-    rollback runs first (clearing any partial effects its ``run`` left),
+    rollback runs first (clearing any partial effects its ``steps`` left),
     then stages *k-1 … 0* roll back in reverse order.  Rollback actions
     are best-effort and exception-isolated — a failing compensation is
     traced, never masks the original fault, and never blocks the

@@ -234,6 +234,13 @@ class ScenarioWorld:
                                           events=self.events)
                            for name in self.devices}
 
+    def close(self) -> None:
+        """Tear the world down once its results are exported: close
+        every device, then the world's clock (see Device.close)."""
+        for device in self.devices.values():
+            device.close()
+        self.clock.close()
+
     def resource(self, device_name: str) -> Resource:
         return self._resources[device_name]
 
@@ -257,6 +264,13 @@ class ScenarioWorld:
 def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Boot the world, run every session to completion, collect results."""
     world = ScenarioWorld(spec)
+    try:
+        return _run_world(world, spec)
+    finally:
+        world.close()
+
+
+def _run_world(world: ScenarioWorld, spec: ScenarioSpec) -> ScenarioResult:
     ordered = sorted(spec.sessions, key=lambda s: s.canonical_key)
 
     # Install every session's app on its home device up front (idempotent
@@ -497,7 +511,7 @@ def _session(world: ScenarioWorld, outcome: SessionOutcome):
             outcome.report = failed
             outcome.refusal = error.reason
             outcome.refusal_detail = error.detail
-            home.terminate_app(spec.package)
+            home.discard_app(spec.package)
         else:
             outcome.status = "migrated"
             outcome.report = report

@@ -151,6 +151,21 @@ class SimClock:
         self._prune_head()
         return self._timers[0].deadline if self._timers else None
 
+    def close(self) -> None:
+        """Drop every pending timer and its callback.
+
+        Called by whoever owns the clock once its world is finished:
+        a pending callback (a battery check, a kernel alarm, a parked
+        session) holds the object that scheduled it, which holds the
+        clock, so the heap is the clock's only edge back into the
+        world.  Time itself stays readable.
+        """
+        for timer in self._timers:
+            timer.cancelled = timer.popped = True
+            timer.callback = None
+        self._timers = []
+        self._cancelled = 0
+
     def _prune_head(self) -> None:
         """Pop cancelled entries off the top of the heap."""
         while self._timers and self._timers[0].cancelled:

@@ -279,6 +279,17 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
+    def close(self) -> None:
+        """Cut every metric's back-pointer to this registry.
+
+        ``_registry`` is read on every sample, so it stays a strong
+        reference while the world runs; at teardown the metrics stop
+        sampling and the registry is freed by reference counting.
+        Values and snapshots stay readable.
+        """
+        for metric in self._metrics.values():
+            metric._registry = None
+
     # -- timeline samples -----------------------------------------------------
 
     def _record_sample(self, key: str, value: float) -> None:

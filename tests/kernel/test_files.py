@@ -76,6 +76,16 @@ class TestUnixSocket:
         with pytest.raises(FdError):
             service.send(b"x")
 
+    def test_close_drops_the_peer_edge(self):
+        # The pair is a two-object cycle until one end closes.
+        service, client = UnixSocket.pair()
+        client.close()
+        assert client.peer is None
+        with pytest.raises(FdError):
+            client.send(b"x")
+        with pytest.raises(FdError):
+            service.send(b"x")
+
     def test_describe_carries_channel_identity(self):
         service, client = UnixSocket.pair("sensor")
         assert service.describe()["channel_id"] == client.describe()["channel_id"]

@@ -23,6 +23,7 @@ from repro.core.migration.stages import (
     default_stages,
 )
 from repro.sim import units
+from repro.sim.scheduler import Charge
 from tests.conftest import DEMO_PACKAGE, launch_demo
 
 
@@ -187,8 +188,9 @@ class TestRestoreFaultRollback:
 class _Boom(Stage):
     name = "boom"
 
-    def run(self, ctx):
+    def steps(self, ctx):
         raise RuntimeError("kaboom")
+        yield  # pragma: no cover -- marks this as a generator function
 
 
 class _Flaky(Stage):
@@ -197,8 +199,9 @@ class _Flaky(Stage):
     def __init__(self):
         self.rolled_back = False
 
-    def run(self, ctx):
-        pass
+    def steps(self, ctx):
+        return
+        yield  # pragma: no cover -- marks this as a generator function
 
     def rollback(self, ctx):
         self.rolled_back = True
@@ -234,7 +237,7 @@ class TestPipelineMechanics:
         def witness(name):
             stage = Stage()
             stage.name = name
-            stage.run = lambda c: None
+            stage.steps = lambda c: iter(())
             stage.rollback = lambda c: order.append(name)
             return stage
 
@@ -250,11 +253,11 @@ class TestPipelineMechanics:
         slow = Stage()
         slow.name = "slow"
 
-        def run(c):
-            home.clock.advance(2.5)
+        def steps(c):
+            yield Charge(2.5)
             raise RuntimeError("late fault")
 
-        slow.run = run
+        slow.steps = steps
         with pytest.raises(RuntimeError):
             StagePipeline([slow]).run(ctx)
         assert ctx.report.stages["slow"] == pytest.approx(2.5)

@@ -203,3 +203,24 @@ class TestTimerHousekeeping:
         assert len(clock._timers) == 1
         assert clock.pending_timers() == 1
         assert clock.next_deadline() == 10_000.0
+
+
+class TestClose:
+    def test_close_drops_pending_timers(self):
+        clock = SimClock()
+        fired = []
+        handle = clock.call_after(1.0, lambda: fired.append("x"))
+        clock.advance(0.5)
+        clock.close()
+        assert clock.pending_timers() == 0
+        assert clock.next_deadline() is None
+        assert handle.cancelled and handle._timer.callback is None
+        clock.advance(2.0)
+        assert fired == [] and clock.now == 2.5
+
+    def test_cancel_after_close_is_a_noop(self):
+        clock = SimClock()
+        handle = clock.call_after(1.0, lambda: None)
+        clock.close()
+        handle.cancel()
+        assert clock.pending_timers() == 0
