@@ -6,9 +6,9 @@ pairs, and records the schema-5 payload in ``BENCH_sweep.json`` at the
 repo root via :mod:`repro.experiments.bench`.
 
 Absolute walls are **non-gating** here: each device pair is an
-independent simulation, but the process executor's gain depends on the
+independent simulation, but the process pool's gain depends on the
 machine's core count.  What *is* gated here is
-correctness — every executor's sweep must stay bit-identical to the
+correctness — the pooled sweep must stay bit-identical to the
 serial one (reports *and* aggregated metrics) even while we time it.
 The ``sim`` section and the multi-core ``process_speedup >= 1.0``
 floor are gated separately by ``flux-sim bench-check``.
@@ -29,8 +29,7 @@ class TestSweepWallClock:
 
         # Gating: determinism.  A pooled run must reproduce the serial
         # run exactly, whatever the interleaving did.
-        parallel = run_sweep(use_cache=False, workers=bench.WORKERS,
-                             executor="process")
+        parallel = run_sweep(use_cache=False, workers=bench.WORKERS)
         assert sweep.reports.keys() == parallel.reports.keys()
         for key, report in sweep.reports.items():
             other = parallel.reports[key]

@@ -53,7 +53,7 @@ from repro.android.hardware.profiles import ALL_PROFILES, profile_by_name
 from repro.apps import TOP_APPS, app_by_title
 from repro.core.cria.errors import MigrationError
 from repro.core.extensions import FluxExtensions
-from repro.experiments.harness import format_table
+from repro.experiments.harness import format_table, parse_workers
 from repro.sim import SimClock, units
 from repro.sim.rng import RngFactory
 
@@ -128,55 +128,71 @@ def _merged_events(home, guest):
     return merge_streams(home.events.export(), guest.events.export())
 
 
-def _write_events(path: str, home, guest) -> None:
+def _write_outputs(args, kind: str, fingerprint: dict, *, metrics=None,
+                   events=None, timeline=None, timeline_meta=None,
+                   trace=None, profile=None) -> None:
+    """Write the planes a command built to the ``--*-out`` paths given.
+
+    Each plane goes to its own flag's path (``--metrics-out``,
+    ``--events-out``, ``--timeline-out``, ``--trace-out``) when the
+    command has that flag and it was given, and every plane goes into
+    the ``--bundle-out`` run bundle, whose fingerprint is
+    ``collect_fingerprint(kind, **fingerprint)``.
+    """
+    import json
+
     from repro.sim.events import write_jsonl
-    count = write_jsonl(path, _merged_events(home, guest))
-    print(f"wrote {count} events to {path} (flux-sim explain {path})")
-
-
-def _migrate_fingerprint(args, package: str):
-    from repro.sim.bundle import collect_fingerprint
-    return collect_fingerprint(
-        "migrate",
-        workload=[package],
-        pairs=[f"{args.home}->{args.guest}"],
-        seed=args.seed,
-        extra={
-            "extensions": args.extensions or "",
-            "drop_link_after_bytes": args.drop_link_after_bytes,
-            "fail_restore_after": args.fail_restore_after,
-        })
+    from repro.sim.timeline import write_timeline
+    path = getattr(args, "metrics_out", None)
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(metrics, handle, indent=1)
+        print(f"wrote metrics to {path}")
+    path = getattr(args, "events_out", None)
+    if path:
+        count = write_jsonl(path, events)
+        print(f"wrote {count} events to {path} (flux-sim explain {path})")
+    path = getattr(args, "timeline_out", None)
+    if path:
+        count = write_timeline(path, timeline, meta=timeline_meta)
+        print(f"wrote {count} timeline series to {path}")
+    path = getattr(args, "trace_out", None)
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(trace, handle, indent=1)
+        print(f"wrote Chrome trace to {path}")
+    if args.bundle_out:
+        from repro.sim.bundle import collect_fingerprint, write_bundle
+        write_bundle(args.bundle_out, kind=kind,
+                     fingerprint=collect_fingerprint(kind, **fingerprint),
+                     metrics=metrics, events=events, timeline=timeline,
+                     trace=trace, profile=profile)
+        print(f"wrote run bundle to {args.bundle_out} "
+              f"(flux-sim diff {args.bundle_out} OTHER)")
 
 
 def _write_migrate_outputs(args, home, guest, report) -> None:
-    """The migrate artifacts (--trace/metrics/events/bundle-out), shared
-    by the success and the fault/refusal exits — a failed run's bundle
-    is the one a post-mortem needs most."""
+    """The migrate artifacts, shared by the success and the
+    fault/refusal exits — a failed run's bundle is the one a
+    post-mortem needs most."""
+    from repro.sim.timeline import merge_timelines
     merged_events = _merged_events(home, guest)
-    if args.trace_out:
-        home.tracer.write_chrome_trace(args.trace_out, metrics=home.metrics,
-                                       events=merged_events)
-        print(f"wrote Chrome trace to {args.trace_out}")
-    if args.metrics_out:
-        _write_migrate_metrics(args.metrics_out, home, guest, report)
-        print(f"wrote metrics to {args.metrics_out}")
-    if args.events_out:
-        _write_events(args.events_out, home, guest)
-    if args.bundle_out:
-        from repro.sim.bundle import write_bundle
-        from repro.sim.timeline import merge_timelines
-        write_bundle(
-            args.bundle_out,
-            kind="migrate",
-            fingerprint=_migrate_fingerprint(args, report.package),
-            metrics=_migrate_metrics_document(home, guest, report),
-            events=merged_events,
-            timeline=merge_timelines(home.timeline.export(),
-                                     guest.timeline.export()),
-            trace=home.tracer.chrome_trace(metrics=home.metrics,
-                                           events=merged_events))
-        print(f"wrote run bundle to {args.bundle_out} "
-              f"(flux-sim diff {args.bundle_out} OTHER)")
+    _write_outputs(
+        args, "migrate",
+        dict(workload=[report.package],
+             pairs=[f"{args.home}->{args.guest}"],
+             seed=args.seed,
+             extra={
+                 "extensions": args.extensions or "",
+                 "drop_link_after_bytes": args.drop_link_after_bytes,
+                 "fail_restore_after": args.fail_restore_after,
+             }),
+        metrics=_migrate_metrics_document(home, guest, report),
+        events=merged_events,
+        timeline=merge_timelines(home.timeline.export(),
+                                 guest.timeline.export()),
+        trace=home.tracer.chrome_trace(metrics=home.metrics,
+                                       events=merged_events))
 
 
 def cmd_migrate(args) -> int:
@@ -285,13 +301,6 @@ def _migrate_metrics_document(home, guest, report) -> dict:
     }
 
 
-def _write_migrate_metrics(path: str, home, guest, report) -> None:
-    import json
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_migrate_metrics_document(home, guest, report), handle,
-                  indent=1)
-
-
 def cmd_interface(args) -> int:
     from repro.android.aidl.parser import parse
     from repro.android.aidl.printer import print_interface
@@ -309,20 +318,23 @@ def cmd_interface(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import os
-
+    from repro.android.hardware.profiles import PAPER_DEVICE_PAIRS
+    from repro.apps.catalog import MIGRATABLE_APPS
     from repro.experiments import fig12, fig13, fig14, fig15
     from repro.experiments.harness import (
-        SWEEP_EXECUTOR_ENV,
-        SWEEP_WORKERS_ENV,
+        pair_label,
+        resolve_workers,
+        run_sweep,
+        sweep_metrics_document,
+        sweep_timeline_series,
+        sweep_workers,
     )
-    if args.workers is not None:
-        # The figure modules call run_sweep() themselves; the env knob
-        # is how their shared sweep picks up the parallelism.  Results
-        # are bit-identical to the serial run either way.
-        os.environ[SWEEP_WORKERS_ENV] = str(args.workers)
-    if args.executor is not None:
-        os.environ[SWEEP_EXECUTOR_ENV] = args.executor
+    workers = resolve_workers(sweep_workers(args.workers),
+                              len(PAPER_DEVICE_PAIRS))
+    # The figure modules call run_sweep() with the same cache key, so
+    # they render this (possibly parallel) sweep.  Results are
+    # bit-identical to the serial run either way.
+    sweep = run_sweep(workers=workers)
     print(fig12.render())
     print()
     print(fig13.render())
@@ -330,25 +342,6 @@ def cmd_sweep(args) -> int:
     print(fig14.render())
     print()
     print(fig15.render())
-    if args.metrics_out:
-        import json
-
-        from repro.experiments.harness import (
-            run_sweep,
-            sweep_metrics_document,
-        )
-        document = sweep_metrics_document(run_sweep())
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=1)
-        print(f"\nwrote sweep metrics to {args.metrics_out} "
-              f"({len(document['rollup'])} counter series, "
-              f"{len(document['apps'])} apps)")
-    if args.events_out:
-        from repro.experiments.harness import run_sweep
-        from repro.sim.events import write_jsonl
-        count = write_jsonl(args.events_out, run_sweep().merged_events())
-        print(f"wrote {count} events to {args.events_out} "
-              f"(flux-sim explain {args.events_out})")
     profile_report = None
     if args.profile_out:
         from repro.experiments.profiling import top_offenders, write_profile
@@ -357,36 +350,17 @@ def cmd_sweep(args) -> int:
         print(f"\nwrote per-pair cProfile report to {args.profile_out}")
         if offenders:
             print("top offenders: " + ", ".join(offenders))
-    if args.bundle_out:
-        from repro.android.hardware.profiles import PAPER_DEVICE_PAIRS
-        from repro.apps.catalog import MIGRATABLE_APPS
-        from repro.experiments.harness import (
-            _resolve_executor,
-            _resolve_workers,
-            pair_label,
-            run_sweep,
-            sweep_metrics_document,
-            sweep_timeline_series,
-        )
-        from repro.sim.bundle import collect_fingerprint, write_bundle
-        sweep = run_sweep()
-        workers = _resolve_workers(args.workers, len(PAPER_DEVICE_PAIRS))
-        fingerprint = collect_fingerprint(
-            "sweep",
-            workload=[a.package for a in MIGRATABLE_APPS],
-            pairs=[pair_label(h, g) for h, g in PAPER_DEVICE_PAIRS],
-            seed=0,
-            executor=_resolve_executor(args.executor, workers),
-            workers=workers)
-        write_bundle(args.bundle_out,
-                     kind="sweep",
-                     fingerprint=fingerprint,
-                     metrics=sweep_metrics_document(sweep),
-                     events=sweep.merged_events(),
-                     timeline=sweep_timeline_series(sweep),
-                     profile=profile_report)
-        print(f"\nwrote run bundle to {args.bundle_out} "
-              f"(flux-sim diff {args.bundle_out} OTHER)")
+    _write_outputs(
+        args, "sweep",
+        dict(workload=[a.package for a in MIGRATABLE_APPS],
+             pairs=[pair_label(h, g) for h, g in PAPER_DEVICE_PAIRS],
+             seed=0,
+             executor="process" if workers > 1 else "serial",
+             workers=workers),
+        metrics=sweep_metrics_document(sweep),
+        events=sweep.merged_events(),
+        timeline=sweep_timeline_series(sweep),
+        profile=profile_report)
     return 0
 
 
@@ -591,63 +565,30 @@ def cmd_scenario(args) -> int:
         detail = outcome.refusal_detail or (
             outcome.refusal.value if outcome.refusal else "")
         print(f"  {outcome.spec.package}: {outcome.status} ({detail})")
-    if args.metrics_out:
-        import json
-
-        from repro.experiments.scenario import scenario_metrics_document
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(scenario_metrics_document(spec, result), handle,
-                      indent=1)
-        print(f"wrote metrics to {args.metrics_out}")
-    if args.events_out:
-        from repro.sim.events import write_jsonl
-        count = write_jsonl(args.events_out, result.events)
-        print(f"wrote {count} events to {args.events_out} "
-              f"(flux-sim explain {args.events_out})")
-    if args.timeline_out:
-        from repro.sim.timeline import write_timeline
-        count = write_timeline(args.timeline_out, result.timeline,
-                               meta={"devices": [n for n, _ in spec.devices],
-                                     "seed": spec.seed})
-        print(f"wrote {count} timeline series to {args.timeline_out}")
-    if args.trace_out:
-        import json
-
-        from repro.experiments.scenario import scenario_trace_document
-        document = scenario_trace_document(result)
-        with open(args.trace_out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=1)
-        print(f"wrote Chrome trace to {args.trace_out} "
-              f"(chrome://tracing / Perfetto)")
-    if args.bundle_out:
-        from repro.experiments.scenario import (
-            scenario_metrics_document,
-            scenario_trace_document,
-        )
-        from repro.sim.bundle import collect_fingerprint, write_bundle
-        fingerprint = collect_fingerprint(
-            "scenario",
-            workload=[s.package for s in sessions],
-            pairs=[f"{s.home}->{s.guest}" for s in
-                   sorted(sessions, key=lambda s: s.canonical_key)],
-            seed=args.seed,
-            extra={
-                "admission": args.admission,
-                "devices": [f"{name}={profile.name}"
-                            for name, profile in devices],
-                "sessions": sorted(
-                    f"{s.home}:{s.guest}:{s.package}@{s.start:g}"
-                    for s in sessions),
-            })
-        write_bundle(args.bundle_out,
-                     kind="scenario",
-                     fingerprint=fingerprint,
-                     metrics=scenario_metrics_document(spec, result),
-                     events=result.events,
-                     timeline=result.timeline,
-                     trace=scenario_trace_document(result))
-        print(f"wrote run bundle to {args.bundle_out} "
-              f"(flux-sim diff {args.bundle_out} OTHER)")
+    from repro.experiments.scenario import (
+        scenario_metrics_document,
+        scenario_trace_document,
+    )
+    _write_outputs(
+        args, "scenario",
+        dict(workload=[s.package for s in sessions],
+             pairs=[f"{s.home}->{s.guest}" for s in
+                    sorted(sessions, key=lambda s: s.canonical_key)],
+             seed=args.seed,
+             extra={
+                 "admission": args.admission,
+                 "devices": [f"{name}={profile.name}"
+                             for name, profile in devices],
+                 "sessions": sorted(
+                     f"{s.home}:{s.guest}:{s.package}@{s.start:g}"
+                     for s in sessions),
+             }),
+        metrics=scenario_metrics_document(spec, result),
+        events=result.events,
+        timeline=result.timeline,
+        timeline_meta={"devices": [n for n, _ in spec.devices],
+                       "seed": spec.seed},
+        trace=scenario_trace_document(result))
     return 0 if not failures else 1
 
 
@@ -689,58 +630,35 @@ def cmd_fleet(args) -> int:
                          admission=args.admission,
                          shed_depth=args.shed_depth)
         result = run_fleet(spec, shard=shard, shard_count=shard_count,
-                           workers=args.workers, executor=args.executor)
+                           workers=args.workers)
     except FleetError as error:
         raise SystemExit(str(error))
 
     print(render_fleet(result))
     shard_label = (f"{shard[0]}/{shard[1]}" if shard is not None else None)
-    document = fleet_metrics_document(spec, result, shard=shard_label)
-    if args.metrics_out:
-        import json
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=1)
-        print(f"wrote metrics to {args.metrics_out}")
-    if args.events_out:
-        from repro.sim.events import write_jsonl
-        count = write_jsonl(args.events_out, result.events)
-        print(f"wrote {count} events to {args.events_out} "
-              f"(flux-sim explain {args.events_out})")
-    if args.timeline_out:
-        from repro.sim.timeline import write_timeline
-        count = write_timeline(args.timeline_out, result.timeline,
-                               meta={"sites": result.sites,
-                                     "seed": spec.seed})
-        print(f"wrote {count} timeline series to {args.timeline_out}")
-    if args.bundle_out:
-        from repro.sim.bundle import collect_fingerprint, write_bundle
-        # Executor/workers/shard-count are deliberately absent from the
-        # fingerprint: a full fleet run's bundle must be byte-identical
-        # however it was parallelized.  A *partial* run (--shard K/N)
-        # covers different sites, so it does record its shard.
-        extra = {
-            "policy": spec.policy,
-            "devices": spec.devices,
-            "arrivals": spec.arrivals,
-            "site_size": spec.site_size,
-            "admission": spec.admission,
-        }
-        if shard_label is not None:
-            extra["shard"] = shard_label
-        fingerprint = collect_fingerprint(
-            "fleet",
-            workload=sorted({row["package"] for row in result.rows}),
-            pairs=result.sites,
-            seed=spec.seed,
-            extra=extra)
-        write_bundle(args.bundle_out,
-                     kind="fleet",
-                     fingerprint=fingerprint,
-                     metrics=document,
-                     events=result.events,
-                     timeline=result.timeline)
-        print(f"wrote run bundle to {args.bundle_out} "
-              f"(flux-sim diff {args.bundle_out} OTHER)")
+    # Workers/shard-count are deliberately absent from the fingerprint:
+    # a full fleet run's bundle must be byte-identical however it was
+    # parallelized.  A *partial* run (--shard K/N) covers different
+    # sites, so it does record its shard.
+    extra = {
+        "policy": spec.policy,
+        "devices": spec.devices,
+        "arrivals": spec.arrivals,
+        "site_size": spec.site_size,
+        "admission": spec.admission,
+    }
+    if shard_label is not None:
+        extra["shard"] = shard_label
+    _write_outputs(
+        args, "fleet",
+        dict(workload=sorted({row["package"] for row in result.rows}),
+             pairs=result.sites,
+             seed=spec.seed,
+             extra=extra),
+        metrics=fleet_metrics_document(spec, result, shard=shard_label),
+        events=result.events,
+        timeline=result.timeline,
+        timeline_meta={"sites": result.sites, "seed": spec.seed})
     return 0
 
 
@@ -812,14 +730,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="the paper's full migration sweep")
     sweep.add_argument("--workers", default=None, metavar="N",
-                       help="run device pairs on N workers, or 'auto' "
+                       type=parse_workers,
+                       help="run device pairs on N processes, or 'auto' "
                             "for one per core (results identical to "
+                            "serial; default FLUX_SWEEP_WORKERS, else "
                             "serial)")
-    sweep.add_argument("--executor", default=None,
-                       choices=("serial", "thread", "process"),
-                       help="how parallel pairs run: 'process' (default "
-                            "when --workers > 1; true multi-core), "
-                            "'thread' (GIL-bound), or 'serial'")
     sweep.add_argument("--profile-out", metavar="PATH", default=None,
                        help="run each pair serially under cProfile and "
                             "write a deterministic-ordered per-pair "
@@ -960,12 +875,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="projected queue depth that sheds a demand "
                             "under --admission shed (default 4)")
     fleet.add_argument("--workers", default=None, metavar="N",
-                       help="run sites on N workers, or 'auto' for one "
-                            "per core (results identical to serial)")
-    fleet.add_argument("--executor", default=None,
-                       choices=("serial", "thread", "process"),
-                       help="how parallel sites run (default: process "
-                            "when --workers > 1, else serial)")
+                       type=parse_workers,
+                       help="run sites on N processes, or 'auto' for one "
+                            "per core (results identical to serial; "
+                            "default serial)")
     fleet.add_argument("--shard", default=None, metavar="K/N",
                        help="K/N runs only sites with index %% N == K "
                             "(a partial fleet for distributed runs); a "

@@ -16,9 +16,9 @@ pairs and drops the single-shot thread and per-pair walls.
   background load, so it is reported but never compared against the
   baseline.  The one wall-derived quantity that *does* gate is
   ``process_speedup``, the median of the pairs' serial/process ratios —
-  on a multi-core machine (``cpu_count >= 2``) the process executor must
-  not be slower than serial, or the whole point of the executor layer
-  has regressed.  One shot of each is not enough on a shared host: a
+  on a multi-core machine (``cpu_count >= 2``) the process-pool sweep
+  must not be slower than serial, or the whole point of the process
+  fan-out has regressed.  One shot of each is not enough on a shared host: a
   single pair can fall below 1.0 from jitter alone, which the median
   absorbs (contention lasting the whole measurement it cannot).
   Single-core machines skip that gate: there a process pool only adds
@@ -104,14 +104,13 @@ def measure_sweep(
     process: List[float] = []
     sweep = None
     for index in range(SPEEDUP_PAIRS):
-        for executor in (("serial", "process") if index % 2 == 0
-                         else ("process", "serial")):
+        for mode in (("serial", "process") if index % 2 == 0
+                     else ("process", "serial")):
             start = time.perf_counter()
-            result = run_sweep(use_cache=False, executor=executor,
-                               workers=1 if executor == "serial"
-                               else workers)
+            result = run_sweep(use_cache=False,
+                               workers=1 if mode == "serial" else workers)
             elapsed = time.perf_counter() - start
-            if executor == "serial":
+            if mode == "serial":
                 sweep = result
                 serial.append(elapsed)
             else:

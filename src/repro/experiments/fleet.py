@@ -6,7 +6,7 @@ population: ``--devices N`` surfaces (profiles cycling through
 partitioned into *sites* of ``site_size`` devices.  Each site is a
 sealed scenario world — its own virtual clock, its own shared-WiFi
 :class:`~repro.android.net.link.Medium`, its own admission resources —
-exactly the sealed-simulation shape the sweep's executor layer already
+exactly the sealed-simulation shape the sweep's process fan-out already
 exploits, which is what makes fleet runs shardable.
 
 Per site, a seeded arrival process (exponential interarrivals on the
@@ -23,15 +23,13 @@ overloaded surfaces are shed at compile time instead of queued.
 
 Determinism contract: population, demands, and placements are pure
 functions of the :class:`FleetSpec`; sites are independent simulations
-merged in site order regardless of executor or shard grouping.  The
-same spec therefore produces byte-identical fleet documents across
-runs, ``--shard`` counts, and serial vs process executors.
+merged in site order regardless of worker count or shard grouping.
+The same spec therefore produces byte-identical fleet documents across
+runs, ``--shard`` counts, and serial vs process runs.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -47,7 +45,7 @@ from repro.core.migration.placement import (
     predict_migration_seconds,
     recorded_needs,
 )
-from repro.experiments.harness import FORWARDED_ENV, _mp_context, format_table
+from repro.experiments.harness import fan_out, format_table, resolve_workers
 from repro.experiments.scenario import ScenarioSpec, SessionSpec, run_scenario
 from repro.sim.metrics import merge_snapshots, rollup_counters
 from repro.sim.rng import RngFactory, derive_seed
@@ -362,54 +360,6 @@ def run_site(spec: FleetSpec, site: Site) -> SiteOutcome:
                             if makespan > 0 else 0.0))
 
 
-# -- executor layer ----------------------------------------------------------
-
-
-def _site_worker(spec: FleetSpec, site: Site,
-                 env: Dict[str, Optional[str]]) -> SiteOutcome:
-    """Process-pool entry point: re-apply the parent's telemetry env
-    (spawn-safe, like the sweep's ``_pair_worker``), run one site."""
-    for key, value in env.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
-    return run_site(spec, site)
-
-
-def _resolve_workers(workers: Union[int, str, None], site_count: int) -> int:
-    if workers is None:
-        workers = 1
-    if workers == "auto":
-        workers = os.cpu_count() or 1
-    try:
-        workers = int(workers)
-    except ValueError:
-        workers = 1
-    return max(1, min(workers, max(site_count, 1)))
-
-
-def _run_sites(spec: FleetSpec, sites: Sequence[Site], workers: int,
-               executor: str,
-               start_method: Optional[str] = None) -> List[SiteOutcome]:
-    """Run sites on the chosen executor; results in given site order."""
-    if executor == "serial" or workers <= 1:
-        return [run_site(spec, site) for site in sites]
-    if executor == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_site, spec, site) for site in sites]
-            return [f.result() for f in futures]
-    if executor != "process":
-        raise FleetError(f"unknown executor {executor!r}; choose from "
-                         f"('serial', 'thread', 'process')")
-    env = {key: os.environ.get(key) for key in FORWARDED_ENV}
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=_mp_context(start_method)) as pool:
-        futures = [pool.submit(_site_worker, spec, site, env)
-                   for site in sites]
-        return [f.result() for f in futures]
-
-
 # -- merging / reporting -----------------------------------------------------
 
 
@@ -448,7 +398,7 @@ def fleet_slo(rows: Sequence[Dict]) -> Dict:
 
 def merge_site_outcomes(spec: FleetSpec, sites: Sequence[Site],
                         outcomes: Sequence[SiteOutcome]) -> FleetResult:
-    """Fold per-site outcomes (any executor's, any shard grouping's)
+    """Fold per-site outcomes (serial or pooled, any shard grouping's)
     into one FleetResult — always in the given site order, which
     callers keep in global site-index order; that is the whole
     shard-merge determinism story."""
@@ -489,41 +439,36 @@ def run_fleet(spec: FleetSpec,
               shard: Optional[Tuple[int, int]] = None,
               shard_count: Optional[int] = None,
               workers: Union[int, str, None] = None,
-              executor: Optional[str] = None,
               start_method: Optional[str] = None) -> FleetResult:
     """Run a fleet (or one shard of it) and merge in site order.
 
     ``shard=(k, n)`` runs only sites ``i % n == k`` — a *partial* fleet
     for distributed runs; ``shard_count=n`` runs all ``n`` shard groups
-    (each group a separate executor batch) and reassembles the outcomes
-    in global site order, which is byte-identical to the unsharded run.
+    (each group one :func:`~repro.experiments.harness.fan_out` batch)
+    and reassembles the outcomes in global site order, which is
+    byte-identical to the unsharded run.  ``workers`` > 1 runs a group's
+    sites on that many processes; the default is serial.
     """
     if shard is not None and shard_count is not None:
         raise FleetError("pass shard=(k, n) or shard_count=n, not both")
     sites = build_sites(spec)
-    if executor is None:
-        executor = "serial" if _resolve_workers(workers, 1) <= 1 \
-            else "process"
     if shard is not None:
         k, n = shard
         if n < 1 or not 0 <= k < n:
             raise FleetError(f"bad shard {k}/{n}: need 0 <= K < N")
-        selected = [site for site in sites if site.index % n == k]
-        workers_n = _resolve_workers(workers, len(selected))
-        outcomes = _run_sites(spec, selected, workers_n, executor,
-                              start_method)
-        return merge_site_outcomes(spec, selected, outcomes)
+        sites = [site for site in sites if site.index % n == k]
     groups = ([sites] if not shard_count else
               [[site for site in sites if site.index % shard_count == g]
                for g in range(shard_count)])
     by_index: Dict[int, SiteOutcome] = {}
     for group in groups:
-        if not group:
-            continue
-        workers_n = _resolve_workers(workers, len(group))
-        for site, outcome in zip(group, _run_sites(spec, group, workers_n,
-                                                   executor, start_method)):
-            by_index[site.index] = outcome
+        # run_site is read from the module here, at call time, so a
+        # patched fleet.run_site (perfbench's SiteHook) is what runs.
+        outcomes = fan_out(run_site, [(spec, site) for site in group],
+                           resolve_workers(workers, len(group)),
+                           start_method)
+        by_index.update((site.index, outcome)
+                        for site, outcome in zip(group, outcomes))
     ordered = [by_index[site.index] for site in sites]
     return merge_site_outcomes(spec, sites, ordered)
 

@@ -10,18 +10,19 @@ from __future__ import annotations
 import multiprocessing
 import os
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple, TypeVar, Union)
 
-from repro.android.device import METRICS_ENV, Device
+from repro.android.device import Device
 from repro.android.hardware.profiles import PAPER_DEVICE_PAIRS, DeviceProfile
 from repro.apps.catalog import MIGRATABLE_APPS, TOP_APPS
 from repro.apps.common import AppSpec
 from repro.core.cria.errors import MigrationError, MigrationRefusal
 from repro.core.migration.migration import MigrationReport
 from repro.sim import SimClock
-from repro.sim.events import EVENTS_CAP_ENV, EVENTS_ENV, merge_streams
+from repro.sim.events import merge_streams
 from repro.sim.metrics import (
     empty_snapshot,
     merge_snapshots,
@@ -29,7 +30,9 @@ from repro.sim.metrics import (
     snapshot_by_label,
 )
 from repro.sim.rng import RngFactory
-from repro.sim.timeline import TIMELINE_ENV, merge_timelines
+from repro.sim.timeline import merge_timelines
+
+T = TypeVar("T")
 
 
 def pair_label(home: DeviceProfile, guest: DeviceProfile) -> str:
@@ -204,75 +207,39 @@ _SWEEP_CACHE_MAX = 8
 #: Accepts an integer or ``auto`` (= ``os.cpu_count()``).
 SWEEP_WORKERS_ENV = "FLUX_SWEEP_WORKERS"
 
-#: Environment knob for the default executor: serial | thread | process.
-SWEEP_EXECUTOR_ENV = "FLUX_SWEEP_EXECUTOR"
-
-SWEEP_EXECUTORS = ("serial", "thread", "process")
-
-#: Env knobs forwarded verbatim into process-pool workers, so a child
-#: simulation sees exactly the parent's telemetry configuration even
-#: under the ``spawn`` start method (fresh interpreter, fresh environ).
-FORWARDED_ENV = (METRICS_ENV, EVENTS_ENV, EVENTS_CAP_ENV, TIMELINE_ENV,
-                 SWEEP_WORKERS_ENV, SWEEP_EXECUTOR_ENV)
-
 
 def clear_sweep_cache() -> None:
     """Drop every cached sweep (tests; replaces ad-hoc dict pokes)."""
     _SWEEP_CACHE.clear()
 
 
-def _resolve_workers(workers: Union[int, str, None],
-                     pair_count: int) -> int:
-    if workers is None:
-        workers = os.environ.get(SWEEP_WORKERS_ENV, "1") or "1"
+def parse_workers(raw: str) -> Union[int, str]:
+    """A worker count as typed: ``"auto"`` or an integer.
+
+    Raises ``ValueError`` on anything else, so a typo fails loudly
+    instead of running serial.
+    """
+    return raw if raw == "auto" else int(raw)
+
+
+def sweep_workers(workers: Union[int, str, None]) -> Union[int, str]:
+    """``workers``, or ``FLUX_SWEEP_WORKERS`` when it is ``None``."""
+    if workers is not None:
+        return workers
+    raw = os.environ.get(SWEEP_WORKERS_ENV) or "1"
+    try:
+        return parse_workers(raw)
+    except ValueError:
+        raise ValueError(f"{SWEEP_WORKERS_ENV}={raw!r}: expected an "
+                         "integer or 'auto'") from None
+
+
+def resolve_workers(workers: Union[int, str, None], task_count: int) -> int:
+    """Processes to run ``task_count`` tasks on: ``None`` is serial,
+    ``"auto"`` one per core, and never more than there are tasks."""
     if workers == "auto":
         workers = os.cpu_count() or 1
-    try:
-        workers = int(workers)
-    except ValueError:
-        workers = 1
-    return max(1, min(workers, pair_count))
-
-
-def _resolve_executor(executor: Optional[str], workers: int) -> str:
-    """Executor choice: explicit arg > env knob > workers-based default.
-
-    The default for a parallel sweep is ``process``: each device pair is
-    a sealed, GIL-bound pure-Python simulation, so threads only add
-    lock contention while processes scale with cores.  ``thread`` stays
-    selectable (``--executor thread`` or the env knob), and the executor
-    tests hold it byte-identical to the other two; no measurement uses
-    it.
-    """
-    if executor is None:
-        executor = os.environ.get(SWEEP_EXECUTOR_ENV, "") or None
-    if executor is None:
-        executor = "process" if workers > 1 else "serial"
-    if executor not in SWEEP_EXECUTORS:
-        raise ValueError(
-            f"unknown sweep executor {executor!r}; "
-            f"choose from {SWEEP_EXECUTORS}")
-    return executor
-
-
-def _pair_worker(home_profile: DeviceProfile, guest_profile: DeviceProfile,
-                 apps: Sequence[AppSpec], seed: int, include_failures: bool,
-                 env: Dict[str, Optional[str]]) -> PairOutcome:
-    """Process-pool entry point: apply the parent's env knobs, run a pair.
-
-    Module-level (hence picklable by reference) and spawn-safe: a
-    spawned child starts with a fresh interpreter, so the telemetry
-    knobs the parent resolved (``FLUX_METRICS``, ``FLUX_EVENTS``,
-    ``FLUX_EVENTS_CAP``) are re-applied here before any Device exists —
-    child simulations are byte-identical to the serial ones.
-    """
-    for key, value in env.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
-    return run_pair(home_profile, guest_profile, apps, seed=seed,
-                    include_failures=include_failures)
+    return max(1, min(int(workers or 1), task_count))
 
 
 def _mp_context(start_method: Optional[str]):
@@ -282,40 +249,34 @@ def _mp_context(start_method: Optional[str]):
     return multiprocessing.get_context(start_method)
 
 
-def _run_pairs(pairs: Sequence[Tuple[DeviceProfile, DeviceProfile]],
-               apps: Sequence[AppSpec], seed: int, include_failures: bool,
-               workers: int, executor: str,
-               start_method: Optional[str] = None) -> List[PairOutcome]:
-    """Run every pair on the chosen executor, results in pair order."""
-    if executor == "serial" or workers <= 1:
-        return [run_pair(home_profile, guest_profile, apps, seed=seed,
-                         include_failures=include_failures)
-                for home_profile, guest_profile in pairs]
-    if executor == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_pair, home_profile, guest_profile,
-                                   apps, seed=seed,
-                                   include_failures=include_failures)
-                       for home_profile, guest_profile in pairs]
-            return [f.result() for f in futures]
-    # process: true multi-core execution.  Everything that crosses the
-    # boundary (profiles, app specs, PairOutcome with its reports,
-    # metrics snapshots and event streams) pickles round-trip exactly —
-    # tests/experiments/test_pickle_protocol.py pins that contract.
-    env = {key: os.environ.get(key) for key in FORWARDED_ENV}
+def fan_out(fn: Callable[..., T], tasks: Sequence[Tuple], workers: int,
+            start_method: Optional[str] = None) -> List[T]:
+    """``[fn(*task) for task in tasks]``, on a process pool when
+    ``workers > 1``; results come back in task order either way.
+
+    With ``workers <= 1`` this is a plain loop in the caller's process.
+    Otherwise ``fn`` (by import path), every task and every result is
+    pickled — tests/experiments/test_pickle_protocol.py pins that a
+    ``PairOutcome`` round-trips exactly.  A child sees the
+    parent's ``os.environ`` as it stands when the pool starts, under
+    ``fork`` and ``spawn`` alike, so the telemetry knobs need no
+    forwarding.  ``start_method`` forces a multiprocessing start method
+    (tests pin ``spawn`` safety); the default prefers ``fork`` where
+    available for its lower startup cost.
+    """
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=_mp_context(start_method)) as pool:
-        futures = [pool.submit(_pair_worker, home_profile, guest_profile,
-                               apps, seed, include_failures, env)
-                   for home_profile, guest_profile in pairs]
-        return [f.result() for f in futures]
+        futures = [pool.submit(fn, *task) for task in tasks]
+        return [future.result() for future in futures]
 
 
 def merge_pair_outcomes(
         pairs: Sequence[Tuple[DeviceProfile, DeviceProfile]],
         apps: Sequence[AppSpec],
         pair_results: Sequence[PairOutcome]) -> SweepResult:
-    """Fold per-pair outcomes (any executor's) into one SweepResult.
+    """Fold per-pair outcomes (serial or pooled) into one SweepResult.
 
     Merging happens in pair order regardless of completion order, which
     is half of the parallel-equals-serial determinism story (the other
@@ -351,7 +312,6 @@ def run_sweep(apps: Sequence[AppSpec] = MIGRATABLE_APPS,
               seed: int = 0, include_failures: bool = False,
               use_cache: bool = True,
               workers: Union[int, str, None] = None,
-              executor: Optional[str] = None,
               start_method: Optional[str] = None) -> SweepResult:
     """The full sweep: every app across every device pair.
 
@@ -363,16 +323,10 @@ def run_sweep(apps: Sequence[AppSpec] = MIGRATABLE_APPS,
     freshly booted devices), so the parallel sweep is bit-identical to
     the serial one; results are merged in pair order regardless of
     completion order.  ``workers="auto"`` uses every core; the default
-    comes from ``FLUX_SWEEP_WORKERS``, else serial.
-
-    ``executor`` picks how concurrent pairs run: ``"thread"`` (shared
-    GIL — concurrency without parallelism) or ``"process"`` (a
-    spawn-safe :class:`ProcessPoolExecutor`; the default for parallel
-    runs, and the only mode that scales with cores for this pure-Python
-    workload).  Defaults to ``FLUX_SWEEP_EXECUTOR``.  ``start_method``
-    forces a multiprocessing start method (tests pin ``spawn`` safety);
-    the default prefers ``fork`` where available for its lower startup
-    cost.
+    comes from ``FLUX_SWEEP_WORKERS``, else serial.  Parallel pairs run
+    on processes (see :func:`fan_out`, which ``start_method`` is passed
+    to): each pair is GIL-bound pure Python, so only processes scale
+    with cores.
     """
     key = (tuple(a.package for a in apps),
            tuple((h.name, g.name) for h, g in pairs),
@@ -383,10 +337,10 @@ def run_sweep(apps: Sequence[AppSpec] = MIGRATABLE_APPS,
             _SWEEP_CACHE.move_to_end(key)
             return cached
 
-    workers = _resolve_workers(workers, len(pairs))
-    executor = _resolve_executor(executor, workers)
-    pair_results = _run_pairs(pairs, apps, seed, include_failures,
-                              workers, executor, start_method)
+    pair_results = fan_out(
+        run_pair,
+        [(home, guest, apps, seed, include_failures) for home, guest in pairs],
+        resolve_workers(sweep_workers(workers), len(pairs)), start_method)
     result = merge_pair_outcomes(pairs, apps, pair_results)
     if use_cache:
         _SWEEP_CACHE[key] = result

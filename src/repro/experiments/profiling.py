@@ -1,6 +1,6 @@
 """Per-pair cProfile reports for the sweep (``flux-sim sweep --profile-out``).
 
-The executor layer makes the sweep scale across cores, but the serial
+The process fan-out makes the sweep scale across cores, but the serial
 per-pair cost is what every worker pays; this module is the measuring
 plane for the serial hot-path work.  Each device pair runs under its own
 :class:`cProfile.Profile` (serially — profiling a process pool would

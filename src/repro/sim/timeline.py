@@ -9,7 +9,7 @@ sessions in flight.
 Samples are taken *on event edges of the virtual clock* — a submit, a
 completion, an enqueue, a grant — never by wall-clock polling, so the
 series is a pure function of the simulation and reproduces bit-for-bit
-across runs and executors.  The determinism contract matches the other
+across runs and worker counts.  The determinism contract matches the other
 two planes:
 
 * sampling **reads ``clock.now`` and never advances it**, and never

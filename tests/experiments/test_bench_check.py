@@ -238,12 +238,13 @@ class TestMeasureSweep:
                  3: (0.3, 0.2), 4: (0.3, 0.2)}
         clock = [0.0]
 
-        def fake_sweep(use_cache, executor, workers):
+        def fake_sweep(use_cache, workers):
+            mode = "serial" if workers == 1 else "process"
             pair = len(calls) // 2
-            calls.append(executor)
+            calls.append(mode)
             serial, process = walls[pair]
-            clock[0] += serial if executor == "serial" else process
-            return executor
+            clock[0] += serial if mode == "serial" else process
+            return mode
 
         monkeypatch.setattr(bench, "run_sweep", fake_sweep)
         monkeypatch.setattr(bench.time, "perf_counter", lambda: clock[0])

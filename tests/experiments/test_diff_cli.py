@@ -2,7 +2,7 @@
 
 The determinism contract says a run bundle is a pure function of the
 configuration, so ``diff(A, A')`` over two same-config runs must be
-*empty* (exit 0) for every bundle kind and executor — and a perturbed
+*empty* (exit 0) for every bundle kind and worker count — and a perturbed
 run (link fault, halved link rate) must exit 2 with the top suspect
 naming the stage or session that actually regressed.
 """
@@ -15,6 +15,7 @@ from repro.cli import (
     _migrate_metrics_document,
     main,
 )
+from repro.experiments.harness import clear_sweep_cache
 from repro.sim.bundle import RunBundle, collect_fingerprint, write_bundle
 from repro.sim.diffing import (
     EXIT_IDENTICAL,
@@ -46,26 +47,22 @@ class TestReflexivity:
         assert main(["diff", a, b]) == EXIT_IDENTICAL
 
     def test_sweep_bundles_serial_vs_process_diff_empty(
-            self, capsys, tmp_path, monkeypatch):
-        # cmd_sweep exports the executor knobs into os.environ for the
-        # figure modules.  delenv(raising=False) on an absent variable
-        # records nothing to undo, so setenv first: teardown then
-        # restores the original absence even after main() sets them.
-        for knob in ("FLUX_SWEEP_WORKERS", "FLUX_SWEEP_EXECUTOR"):
-            monkeypatch.setenv(knob, "")
-            monkeypatch.delenv(knob)
+            self, capsys, tmp_path):
         serial = str(tmp_path / "serial")
         process = str(tmp_path / "process.tar.gz")
-        assert main(["sweep", "--bundle-out", serial]) == 0
-        assert main(["sweep", "--workers", "2", "--executor", "process",
+        clear_sweep_cache()
+        assert main(["sweep", "--workers", "1",
+                     "--bundle-out", serial]) == 0
+        clear_sweep_cache()     # the pooled run must not reuse it
+        assert main(["sweep", "--workers", "2",
                      "--bundle-out", process]) == 0
         assert main(["diff", serial, process]) == EXIT_IDENTICAL
         document = _diff(serial, process)
-        # The planes are byte-equal; only the declared executor differs.
+        # The planes are byte-equal; only the declared worker count and
+        # the path it selects differ (the sweep leaves os.environ alone).
         assert document["verdict"] == "identical"
         differing = set(document["fingerprint"]["differences"])
-        assert "executor" in differing
-        assert differing <= {"executor", "workers", "env"}
+        assert differing == {"executor", "workers"}
 
 
 def _api_migrate_bundle(path, link_factory=None):

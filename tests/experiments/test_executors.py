@@ -1,9 +1,9 @@
-"""The sweep executor layer: selection, determinism, and the LRU cache.
+"""The sweep's fan-out: path selection, determinism, and the LRU cache.
 
 The headline contract: ``run_sweep`` produces byte-identical results —
 sorted-key JSON of the reports, merged metrics, and merged events — no
-matter which executor ran it (serial, thread pool, process pool) or
-which multiprocessing start method launched the workers.
+matter how many workers ran it (serial in-process, or a process pool)
+or which multiprocessing start method launched the workers.
 """
 
 import dataclasses
@@ -17,15 +17,15 @@ from repro.android.hardware.profiles import (NEXUS_4, NEXUS_7_2012,
 from repro.apps import app_by_title
 from repro.experiments import harness
 from repro.experiments.harness import (
-    SWEEP_EXECUTOR_ENV,
+    SWEEP_WORKERS_ENV,
     SweepResult,
-    _resolve_executor,
-    _resolve_workers,
     clear_sweep_cache,
+    fan_out,
+    resolve_workers,
     run_sweep,
 )
 
-#: A small sweep (2 pairs x 2 apps) keeps the executor matrix fast.
+#: A small sweep (2 pairs x 2 apps) keeps the fan-out matrix fast.
 PAIRS = [(NEXUS_4, NEXUS_7_2013), (NEXUS_7_2012, NEXUS_4)]
 APPS = [app_by_title("ZEDGE"), app_by_title("eBay")]
 
@@ -53,21 +53,16 @@ def _sweep(**kwargs) -> SweepResult:
 class TestByteIdentity:
     @pytest.fixture(scope="class")
     def serial_bytes(self):
-        return _fingerprint(_sweep(executor="serial"))
-
-    def test_thread_matches_serial(self, serial_bytes):
-        assert _fingerprint(_sweep(executor="thread",
-                                   workers=2)) == serial_bytes
+        return _fingerprint(_sweep(workers=1))
 
     def test_process_matches_serial(self, serial_bytes):
-        assert _fingerprint(_sweep(executor="process",
-                                   workers=2)) == serial_bytes
+        assert _fingerprint(_sweep(workers=2)) == serial_bytes
 
     def test_spawned_process_matches_serial(self, serial_bytes):
         # spawn children start from a fresh interpreter: this is the
-        # strictest test of the picklable-outcome + env-forwarding
-        # contract (fork inherits everything for free, spawn does not).
-        assert _fingerprint(_sweep(executor="process", workers=2,
+        # strictest test of the picklable-outcome contract (fork
+        # inherits every loaded module, spawn re-imports them).
+        assert _fingerprint(_sweep(workers=2,
                                    start_method="spawn")) == serial_bytes
 
     def test_auto_workers_matches_serial(self, serial_bytes):
@@ -77,54 +72,42 @@ class TestByteIdentity:
 class TestExecutorSelection:
     def test_workers_auto_means_cpu_count(self):
         expected = min(os.cpu_count() or 1, 4)
-        assert _resolve_workers("auto", 4) == expected
+        assert resolve_workers("auto", 4) == expected
 
     def test_explicit_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SWEEP_EXECUTOR_ENV, "thread")
-        assert _resolve_executor("process", workers=2) == "process"
+        # An explicit worker count never reads FLUX_SWEEP_WORKERS.
+        monkeypatch.setenv(SWEEP_WORKERS_ENV, "nonsense")
+        assert _sweep(workers=1).reports
 
-    def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv(SWEEP_EXECUTOR_ENV, "thread")
-        assert _resolve_executor(None, workers=2) == "thread"
-
-    def test_default_is_process_when_parallel(self, monkeypatch):
-        monkeypatch.delenv(SWEEP_EXECUTOR_ENV, raising=False)
-        assert _resolve_executor(None, workers=2) == "process"
-        assert _resolve_executor(None, workers=1) == "serial"
-
-    def test_unknown_executor_raises(self):
-        with pytest.raises(ValueError, match="unknown sweep executor"):
-            _resolve_executor("greenlet", workers=2)
+    def test_default_is_process_when_parallel(self):
+        # workers alone picks the path: one worker is a plain loop in
+        # this process, more run in child processes.
+        tasks = [(), (), ()]
+        assert fan_out(os.getpid, tasks, 1) == [os.getpid()] * 3
+        assert os.getpid() not in fan_out(os.getpid, tasks, 2)
 
     def test_env_knob_drives_run_sweep(self, monkeypatch):
-        monkeypatch.setenv(SWEEP_EXECUTOR_ENV, "nonsense")
-        with pytest.raises(ValueError):
-            _sweep(workers=2)
+        monkeypatch.setenv(SWEEP_WORKERS_ENV, "nonsense")
+        with pytest.raises(ValueError, match=SWEEP_WORKERS_ENV):
+            _sweep()
 
 
-class TestEnvForwarding:
-    def test_forwarded_set_covers_telemetry_knobs(self):
-        assert "FLUX_METRICS" in harness.FORWARDED_ENV
-        assert "FLUX_EVENTS" in harness.FORWARDED_ENV
-        assert "FLUX_EVENTS_CAP" in harness.FORWARDED_ENV
-        assert "FLUX_TIMELINE" in harness.FORWARDED_ENV
+class TestEnvInheritance:
+    """Pool workers see the parent's telemetry knobs as they stand when
+    the pool starts, under ``spawn`` too — nothing forwards them."""
 
-    def test_pair_worker_applies_env(self, monkeypatch):
-        monkeypatch.setenv("FLUX_EVENTS", "stale")
-        home, guest = PAIRS[0]
-        outcome = harness._pair_worker(
-            home, guest, [APPS[0]], 0, False,
-            {"FLUX_EVENTS": "0"})
-        assert os.environ["FLUX_EVENTS"] == "0"
-        assert outcome.events == []     # knob took effect pre-simulation
-
-    def test_pair_worker_unsets_absent_env(self, monkeypatch):
+    def test_spawned_workers_see_parent_env(self, monkeypatch):
         monkeypatch.setenv("FLUX_EVENTS", "0")
-        home, guest = PAIRS[0]
-        outcome = harness._pair_worker(
-            home, guest, [APPS[0]], 0, False, {"FLUX_EVENTS": None})
-        assert "FLUX_EVENTS" not in os.environ
-        assert outcome.events            # default: events on
+        serial = _sweep(workers=1)
+        spawned = _sweep(workers=2, start_method="spawn")
+        assert all(events == [] for events in spawned.pair_events.values())
+        assert _fingerprint(spawned) == _fingerprint(serial)
+
+    def test_spawned_workers_see_unset_env(self, monkeypatch):
+        monkeypatch.setenv("FLUX_EVENTS", "0")
+        monkeypatch.delenv("FLUX_EVENTS")
+        spawned = _sweep(workers=2, start_method="spawn")
+        assert all(spawned.pair_events.values())  # default: events on
 
 
 class TestSweepCacheLRU:

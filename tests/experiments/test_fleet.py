@@ -106,11 +106,15 @@ class TestDeterminism:
             assert sharded == unsharded
 
     def test_process_executor_is_byte_identical(self):
-        serial = _document_json(PINNED, run_fleet(PINNED,
-                                                  executor="serial"))
-        process = _document_json(
-            PINNED, run_fleet(PINNED, workers=2, executor="process"))
+        serial = _document_json(PINNED, run_fleet(PINNED, workers=1))
+        process = _document_json(PINNED, run_fleet(PINNED, workers=2))
         assert serial == process
+
+    def test_spawned_process_is_byte_identical(self):
+        serial = _document_json(PINNED, run_fleet(PINNED))
+        spawned = _document_json(
+            PINNED, run_fleet(PINNED, workers=2, start_method="spawn"))
+        assert serial == spawned
 
     def test_partial_shards_cover_the_fleet_exactly(self):
         full = run_fleet(PINNED)

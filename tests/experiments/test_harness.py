@@ -80,20 +80,23 @@ class TestParallelSweep:
         assert serial.refusals.keys() == parallel.refusals.keys()
 
     def test_workers_clamped_to_pair_count(self):
-        from repro.experiments.harness import _resolve_workers
-        assert _resolve_workers(16, 4) == 4
-        assert _resolve_workers(0, 4) == 1
-        assert _resolve_workers(None, 4) == 1   # env unset -> serial
+        from repro.experiments.harness import resolve_workers
+        assert resolve_workers(16, 4) == 4
+        assert resolve_workers(0, 4) == 1
+        assert resolve_workers(None, 4) == 1
 
     def test_env_knob_sets_default(self, monkeypatch):
         from repro.experiments.harness import (
             SWEEP_WORKERS_ENV,
-            _resolve_workers,
+            sweep_workers,
         )
+        monkeypatch.delenv(SWEEP_WORKERS_ENV, raising=False)
+        assert sweep_workers(None) == 1   # env unset -> serial
         monkeypatch.setenv(SWEEP_WORKERS_ENV, "3")
-        assert _resolve_workers(None, 4) == 3
+        assert sweep_workers(None) == 3
         monkeypatch.setenv(SWEEP_WORKERS_ENV, "not-a-number")
-        assert _resolve_workers(None, 4) == 1
+        with pytest.raises(ValueError, match=SWEEP_WORKERS_ENV):
+            sweep_workers(None)
         apps = [app_by_title("ZEDGE")]
         pairs = [(NEXUS_4, NEXUS_7_2013)]
         monkeypatch.setenv(SWEEP_WORKERS_ENV, "2")

@@ -54,6 +54,15 @@ class TestMigrate:
         assert "adapted" in out   # GPS -> network fallback noted
 
 
+class TestWorkersFlag:
+    @pytest.mark.parametrize("command", ["sweep", "fleet"])
+    def test_malformed_workers_fails_at_parse_time(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--workers", "abc"])
+        assert exit_info.value.code == 2
+        assert "argument --workers" in capsys.readouterr().err
+
+
 class TestPair:
     def test_pairing_numbers(self, capsys):
         assert main(["pair", "--home", "nexus7",
