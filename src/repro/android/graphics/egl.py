@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.android.kernel.memory import MemoryRegion, RegionKind
 
@@ -53,7 +53,7 @@ class EGLContext:
         self._check_alive()
         resource = GlResource(next(self._res_ids), kind, size)
         self.resources[resource.res_id] = resource
-        self.vendor.charge_memory(self.process, resource)
+        self.vendor.charge_memory(self, resource)
         return resource
 
     def delete_resource(self, res_id: int) -> None:
@@ -61,7 +61,7 @@ class EGLContext:
         resource = self.resources.pop(res_id, None)
         if resource is None:
             raise GlError(f"no GL resource {res_id}")
-        self.vendor.release_memory(self.process, resource)
+        self.vendor.release_memory(self, resource)
 
     def resource_bytes(self) -> int:
         return sum(r.size for r in self.resources.values())
@@ -98,7 +98,10 @@ class VendorGlLibrary:
         self.library_state_size = library_state_size
         self._loaded_into: Dict[int, object] = {}   # pid -> process
         self._live_contexts: List[EGLContext] = []
-        self._allocations: Dict[int, Dict[int, object]] = {}  # pid -> res_id -> pmem alloc
+        #: pid -> (context_id, res_id) -> pmem alloc.  Resource ids are
+        #: numbered per context, and one process may hold several
+        #: contexts (a game's HardwareRenderer and its GLSurfaceView).
+        self._allocations: Dict[int, Dict[Tuple[int, int], object]] = {}
 
     # -- load / unload ---------------------------------------------------------
 
@@ -150,16 +153,21 @@ class VendorGlLibrary:
             contexts = [c for c in contexts if c.process.pid == pid]
         return len(contexts)
 
-    def charge_memory(self, process, resource: GlResource) -> None:
+    def charge_memory(self, context: EGLContext,
+                      resource: GlResource) -> None:
+        process = context.process
         alloc = self.kernel.pmem.allocate(process, resource.size,
                                           purpose=f"gl-{resource.kind}")
-        self._allocations.setdefault(process.pid, {})[resource.res_id] = alloc
+        self._allocations.setdefault(process.pid, {})[
+            context.context_id, resource.res_id] = alloc
 
-    def release_memory(self, process, resource: GlResource) -> None:
+    def release_memory(self, context: EGLContext,
+                       resource: GlResource) -> None:
+        process = context.process
         per_pid = self._allocations.get(process.pid)
         if per_pid is None:
             return
-        alloc = per_pid.pop(resource.res_id, None)
+        alloc = per_pid.pop((context.context_id, resource.res_id), None)
         if not per_pid:
             # The pid's last allocation: drop its table, so the map
             # only ever holds processes that still own GPU memory.

@@ -410,10 +410,11 @@ def merge_site_outcomes(spec: FleetSpec, sites: Sequence[Site],
     medium_utilization: Dict[str, float] = {}
     for outcome in outcomes:
         rows.extend(outcome.rows)
+        # Tagged in place: a copy per event would hold the epoch's
+        # events twice while the merge runs.
         for event in outcome.events:
-            tagged = dict(event)
-            tagged["site"] = outcome.site
-            events.append(tagged)
+            event["site"] = outcome.site
+        events.extend(outcome.events)
         for key, samples in outcome.timeline.items():
             name, labels = split_series_key(key)
             labels["site"] = outcome.site

@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: Set to ``0`` to disable event collection device-wide (the
 #: determinism regression tests assert byte-identity either way).
@@ -71,18 +71,6 @@ class CausalEvent:
     span: Optional[str] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready dict; key set is fixed so JSONL lines are uniform."""
-        return {
-            "seq": self.seq,
-            "t": self.time,
-            "device": self.device,
-            "kind": self.kind,
-            "txn": self.txn,
-            "span": self.span,
-            "attrs": dict(self.attrs),
-        }
-
     def __str__(self) -> str:
         extras = " ".join(f"{k}={v}" for k, v in sorted(self.attrs.items()))
         txn = f" txn={self.txn}" if self.txn is not None else ""
@@ -102,6 +90,14 @@ class FlightRecorder:
     no-op, the transaction stack and context still work (they are pure
     bookkeeping, cheap and deterministic), and ``export`` is empty —
     instrumented code never needs an ``if``.
+
+    Storage is flat (DESIGN.md, "Telemetry storage"): the ring holds
+    one tuple per event, ``(time, kind, txn, span, keys, *values)``.
+    ``keys`` names the attrs in order and is interned per recorder, so
+    events emitted from one call site share one key tuple.  ``seq``
+    is not stored: it follows from the position in the ring, and
+    ``device`` from the recorder.  :meth:`export`, :meth:`events` and
+    iteration build the dicts and :class:`CausalEvent` objects.
     """
 
     def __init__(self, clock=None, device: str = "",
@@ -114,7 +110,9 @@ class FlightRecorder:
         self.capacity = capacity
         self._tracer = tracer
         self.enabled = enabled
-        self._buffer: deque = deque(maxlen=capacity)
+        self._ring: deque = deque(maxlen=capacity)
+        #: Attr-name tuples seen so far, each mapped to itself.
+        self._keys: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         #: Total events ever emitted (including evicted ones); the next
         #: event gets ``seq = emitted + 1``.
         self.emitted = 0
@@ -150,59 +148,69 @@ class FlightRecorder:
 
     # -- emission ------------------------------------------------------------
 
-    def emit(self, kind: str, txn: Any = _UNSET,
-             **attrs: Any) -> Optional[CausalEvent]:
-        """Record one event; returns it (or ``None`` when disabled).
+    def emit(self, kind: str, txn: Any = _UNSET, **attrs: Any) -> None:
+        """Record one event (a no-op when disabled).
 
         ``txn`` defaults to the innermost open Binder transaction;
-        pass an explicit id (or ``None``) to override.
+        pass an explicit id (or ``None``) to override.  Context labels
+        come first in the attrs, and an explicit attr of the same name
+        wins.
         """
         if not self.enabled:
-            return None
+            return
         self.emitted += 1
-        span_path = None
-        if self._tracer is not None:
-            # Cached on the tracer and invalidated on span open/close —
-            # emitting thousands of events inside one stage span no
-            # longer re-joins the span names per event.
-            span_path = self._tracer.open_span_path
-        merged = {**self._context, **attrs} if self._context else attrs
-        event = CausalEvent(
-            seq=self.emitted,
-            time=self._clock.now if self._clock is not None else 0.0,
-            device=self.device,
-            kind=kind,
-            txn=self.current_txn if txn is _UNSET else txn,
-            span=span_path,
-            attrs=merged,
-        )
-        self._buffer.append(event)
-        return event
+        if self._context:
+            attrs = {**self._context, **attrs}
+        keys = tuple(attrs)
+        self._ring.append((
+            self._clock.now if self._clock is not None else 0.0,
+            kind,
+            self.current_txn if txn is _UNSET else txn,
+            # Cached on the tracer and invalidated on span open/close.
+            self._tracer.open_span_path if self._tracer is not None
+            else None,
+            self._keys.setdefault(keys, keys),
+            *attrs.values()))
 
     # -- inspection ----------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._buffer)
+    def _numbered(self):
+        """``(seq, record)`` for each retained event, oldest first."""
+        return enumerate(self._ring, self.emitted - len(self._ring) + 1)
 
-    def __iter__(self):
-        return iter(self._buffer)
+    def _event(self, seq: int, record: tuple) -> CausalEvent:
+        time, kind, txn, span, keys = record[:5]
+        return CausalEvent(seq, time, self.device, kind, txn, span,
+                           dict(zip(keys, record[5:])))
+
+    def __len__(self) -> int:
+        return len(self._ring)
+
+    def __iter__(self) -> Iterator[CausalEvent]:
+        return (self._event(seq, record) for seq, record in self._numbered())
 
     @property
     def evicted(self) -> int:
         """Events pushed out of the ring to keep memory bounded."""
-        return self.emitted - len(self._buffer)
+        return self.emitted - len(self._ring)
 
     def events(self, kind: Optional[str] = None) -> List[CausalEvent]:
-        if kind is None:
-            return list(self._buffer)
-        return [e for e in self._buffer if e.kind == kind]
+        return [self._event(seq, record) for seq, record in self._numbered()
+                if kind is None or record[1] == kind]
 
     def export(self) -> List[Dict[str, Any]]:
-        """The retained events as JSON-ready dicts, in emission order."""
-        return [e.to_dict() for e in self._buffer]
+        """The retained events as JSON-ready dicts, in emission order.
+
+        The key set is fixed, so JSONL lines are uniform.
+        """
+        device = self.device
+        return [{"seq": seq, "t": record[0], "device": device,
+                 "kind": record[1], "txn": record[2], "span": record[3],
+                 "attrs": dict(zip(record[4], record[5:]))}
+                for seq, record in self._numbered()]
 
     def clear(self) -> None:
-        self._buffer.clear()
+        self._ring.clear()
 
 
 def merge_streams(*streams: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:

@@ -32,6 +32,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.sim.timeline import append_sample, sample_pairs
+
 
 class MetricsError(Exception):
     """Metric type conflicts, bad buckets, malformed snapshots."""
@@ -232,7 +234,8 @@ class MetricsRegistry:
         self.enabled = enabled
         self._timeline = (clock is not None) if timeline is None else timeline
         self._metrics: Dict[Tuple[str, str, LabelItems], _Metric] = {}
-        self._samples: Dict[str, List[Tuple[float, float]]] = {}
+        #: Flat ``[t0, v0, t1, v1, ...]`` counter tracks per metric key.
+        self._samples: Dict[str, List[float]] = {}
         self._null_counter = _NullCounter(None, "null", "counter", ())
         self._null_gauge = _NullGauge(None, "null", "gauge", ())
         self._null_histogram = _NullHistogram(None, "null", "histogram", (),
@@ -295,12 +298,8 @@ class MetricsRegistry:
     def _record_sample(self, key: str, value: float) -> None:
         if not self._timeline or self._clock is None:
             return
-        now = self._clock.now
-        series = self._samples.setdefault(key, [])
-        if series and series[-1][0] == now:
-            series[-1] = (now, value)
-        else:
-            series.append((now, value))
+        append_sample(self._samples.setdefault(key, []), self._clock.now,
+                      value)
 
     def chrome_counter_events(self) -> List[Dict[str, Any]]:
         """Timeline samples as Chrome-trace counter ("C"-phase) events.
@@ -311,7 +310,7 @@ class MetricsRegistry:
         """
         events: List[Dict[str, Any]] = []
         for key in sorted(self._samples):
-            for time, value in self._samples[key]:
+            for time, value in sample_pairs(self._samples[key]):
                 events.append({
                     "name": key, "cat": "metric", "ph": "C",
                     "pid": 1, "tid": 1,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 #: Set to ``0`` to disable the time-series plane process-wide.
 TIMELINE_ENV = "FLUX_TIMELINE"
@@ -70,6 +70,26 @@ def split_series_key(key: str) -> Tuple[str, Dict[str, str]]:
     return base, labels
 
 
+def append_sample(series: List[float], time: float, value: float) -> None:
+    """Add ``(time, value)`` to a flat ``[t0, v0, t1, v1, ...]`` series.
+
+    A sample at the series' last timestamp replaces that sample's
+    value (last write wins), so an instant's flurry of edges keeps one
+    point.  The timeline and the metrics registry's counter tracks both
+    store their samples this way, two list slots per sample.
+    """
+    if series and series[-2] == time:
+        series[-1] = value
+    else:
+        series.append(time)
+        series.append(value)
+
+
+def sample_pairs(series: List[float]) -> Iterator[Tuple[float, float]]:
+    """The ``(time, value)`` samples of a flat series, in order."""
+    return zip(series[::2], series[1::2])
+
+
 class Timeline:
     """A deterministic, edge-sampled time-series store.
 
@@ -84,7 +104,8 @@ class Timeline:
     def __init__(self, clock=None, enabled: bool = True) -> None:
         self._clock = clock
         self.enabled = enabled
-        self._series: Dict[str, List[Tuple[float, float]]] = {}
+        #: Flat ``[t0, v0, t1, v1, ...]`` series (:func:`append_sample`).
+        self._series: Dict[str, List[float]] = {}
 
     def sample(self, name: str, value: float, **labels: Any) -> None:
         """Record ``(clock.now, value)`` on the edge that is happening.
@@ -94,22 +115,19 @@ class Timeline:
         """
         if not self.enabled:
             return
-        now = self._clock.now if self._clock is not None else 0.0
-        series = self._series.setdefault(series_key(name, labels), [])
-        if series and series[-1][0] == now:
-            series[-1] = (now, float(value))
-        else:
-            series.append((now, float(value)))
+        append_sample(self._series.setdefault(series_key(name, labels), []),
+                      self._clock.now if self._clock is not None else 0.0,
+                      float(value))
 
     def __len__(self) -> int:
         return len(self._series)
 
     def series(self, key: str) -> List[Tuple[float, float]]:
-        return list(self._series.get(key, []))
+        return list(sample_pairs(self._series.get(key, [])))
 
     def export(self) -> Dict[str, List[List[float]]]:
         """JSON-ready view: sorted keys, ``[[t, value], ...]`` samples."""
-        return {key: [[t, v] for t, v in self._series[key]]
+        return {key: [[t, v] for t, v in sample_pairs(self._series[key])]
                 for key in sorted(self._series)}
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     time: float
     category: str
@@ -34,7 +34,7 @@ class TraceEvent:
         return f"[{self.time:10.4f}] {self.category}:{self.name} {extras}".rstrip()
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """A named interval on the virtual clock, possibly nested.
 

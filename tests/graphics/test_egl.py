@@ -59,6 +59,24 @@ class TestVendorLibrary:
         context.destroy()
         assert vendor._allocations == {}
 
+    def test_two_contexts_in_one_process_keep_their_allocations_apart(
+            self, kernel, process):
+        # A game holds two contexts (its HardwareRenderer and its
+        # GLSurfaceView); each numbers its resources from 1.
+        vendor = VendorGlLibrary("Adreno 320", kernel)
+        gl = GenericGlLibrary(vendor)
+        gl.egl_initialize(process)
+        first = gl.egl_create_context(process)
+        second = gl.egl_create_context(process)
+        assert first.create_resource("texture", 4096).res_id == 1
+        assert second.create_resource("texture", 8192).res_id == 1
+        assert len(vendor._allocations[process.pid]) == 2
+        assert len(kernel.pmem.allocations_of(process.pid)) == 2
+        first.destroy()
+        second.destroy()
+        assert kernel.pmem.allocations_of(process.pid) == []
+        assert vendor._allocations == {}
+
     def test_unload_refused_with_live_context(self, gl, process):
         gl.egl_initialize(process)
         gl.egl_create_context(process)

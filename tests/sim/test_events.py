@@ -29,9 +29,11 @@ def recorder(clock):
 
 class TestEmission:
     def test_seq_is_per_device_monotonic(self, recorder, clock):
-        first = recorder.emit("a")
+        recorder.emit("a")
+        first = recorder.events()[-1]
         clock.advance(1.5)
-        second = recorder.emit("b", key="value")
+        recorder.emit("b", key="value")
+        second = recorder.events()[-1]
         assert (first.seq, second.seq) == (1, 2)
         assert first.time == 0.0
         assert second.time == pytest.approx(1.5)
@@ -51,44 +53,54 @@ class TestEmission:
 
     def test_context_labels_merge_into_attrs(self, recorder):
         recorder.set_context(stage="transfer", package="com.app")
-        event = recorder.emit("link.chunk", wire_bytes=7)
+        recorder.emit("link.chunk", wire_bytes=7)
+        event = recorder.events()[-1]
         assert event.attrs == {"stage": "transfer", "package": "com.app",
                                "wire_bytes": 7}
         recorder.clear_context("stage", "package")
-        assert recorder.emit("after").attrs == {}
+        recorder.emit("after")
+        assert recorder.events()[-1].attrs == {}
 
     def test_explicit_attrs_beat_context(self, recorder):
         recorder.set_context(stage="transfer")
-        assert recorder.emit("x", stage="restore").attrs == \
-            {"stage": "restore"}
+        recorder.emit("x", stage="restore")
+        assert recorder.events()[-1].attrs == {"stage": "restore"}
 
     def test_span_path_from_attached_tracer(self, clock):
         tracer = Tracer(clock)
         recorder = FlightRecorder(clock=clock, device="home", tracer=tracer)
-        assert recorder.emit("outside").span is None
+        recorder.emit("outside")
+        assert recorder.events()[-1].span is None
         with tracer.span("migration"):
             with tracer.span("transfer"):
-                event = recorder.emit("inside")
+                recorder.emit("inside")
+        event = recorder.events()[-1]
         assert event.span == "migration/transfer"
 
 
 class TestTransactionStack:
     def test_events_inherit_innermost_txn(self, recorder):
-        assert recorder.emit("before").txn is None
+        recorder.emit("before")
+        assert recorder.events()[-1].txn is None
         recorder.push_txn(7)
-        assert recorder.emit("during").txn == 7
+        recorder.emit("during")
+        assert recorder.events()[-1].txn == 7
         recorder.push_txn(8)
         assert recorder.current_txn == 8
         assert recorder.parent_txn == 7
-        assert recorder.emit("nested").txn == 8
+        recorder.emit("nested")
+        assert recorder.events()[-1].txn == 8
         recorder.pop_txn()
         recorder.pop_txn()
-        assert recorder.emit("after").txn is None
+        recorder.emit("after")
+        assert recorder.events()[-1].txn is None
 
     def test_explicit_txn_override(self, recorder):
         recorder.push_txn(7)
-        assert recorder.emit("x", txn=None).txn is None
-        assert recorder.emit("y", txn=42).txn == 42
+        recorder.emit("x", txn=None)
+        assert recorder.events()[-1].txn is None
+        recorder.emit("y", txn=42)
+        assert recorder.events()[-1].txn == 42
         recorder.pop_txn()
 
     def test_pop_underflow_raises(self, recorder):
@@ -119,7 +131,8 @@ class TestRingBuffer:
         recorder.emit("a")
         recorder.clear()
         assert len(recorder) == 0
-        assert recorder.emit("b").seq == 2
+        recorder.emit("b")
+        assert recorder.events()[-1].seq == 2
 
 
 class TestDisabledNullObject:
