@@ -20,12 +20,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.android.kernel.process import Process
 from repro.android.binder.parcel import Parcel
-from repro.sim.events import FlightRecorder
-from repro.sim.metrics import (
-    MetricsRegistry,
-    TIME_BUCKETS_S,
-    fold_instance_label,
-)
+from repro.sim.metrics import TIME_BUCKETS_S, fold_instance_label
+from repro.sim.telemetry import Telemetry
 
 
 class BinderError(Exception):
@@ -85,8 +81,7 @@ class BinderDriver:
     SERVICE_MANAGER_HANDLE = 0
 
     def __init__(self, kernel, transaction_cost: float = 0.0,
-                 metrics: Optional[MetricsRegistry] = None,
-                 events: Optional[FlightRecorder] = None) -> None:
+                 telemetry: Optional[Telemetry] = None) -> None:
         self.kernel = kernel
         self.transaction_cost = transaction_cost
         self._states: Dict[int, ProcessBinderState] = {}
@@ -96,13 +91,11 @@ class BinderDriver:
         #: increments whether or not event logging is enabled, so ids
         #: are stable across both modes.
         self.total_transactions = 0
-        #: Telemetry sink; a disabled registry when the driver is used
-        #: standalone (unit tests), the device's registry otherwise.
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry(enabled=False))
-        #: Causal event log; a disabled recorder standalone.
-        self.events = (events if events is not None
-                       else FlightRecorder(enabled=False))
+        #: The device's planes (null ones standalone), bound once so
+        #: :meth:`transact` adds no attribute hop per call.
+        telemetry = telemetry or Telemetry.null()
+        self.metrics = telemetry.metrics
+        self.events = telemetry.events
         kernel.binder = self
 
     # -- state bookkeeping ---------------------------------------------------

@@ -9,7 +9,6 @@ share a single virtual clock so migration timelines are coherent.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Type
 
@@ -56,28 +55,9 @@ from repro.android.storage import (
 )
 from repro.core.record import CallLog, Recorder
 from repro.sim import SimClock, Tracer, units
-from repro.sim.events import (
-    DEFAULT_CAPACITY,
-    EVENTS_CAP_ENV,
-    EVENTS_ENV,
-    FlightRecorder,
-)
-from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import RngFactory
-from repro.sim.timeline import Timeline, timeline_enabled
-
-#: Set to ``0`` to disable metrics collection device-wide.  Exists for
-#: the determinism regression tests: the simulation must be
-#: byte-identical with metrics on and off.
-METRICS_ENV = "FLUX_METRICS"
-
-
-def _events_capacity() -> int:
-    try:
-        return max(1, int(os.environ.get(EVENTS_CAP_ENV,
-                                         str(DEFAULT_CAPACITY))))
-    except ValueError:
-        return DEFAULT_CAPACITY
+from repro.sim.telemetry import Telemetry
+from repro.sim.timeline import Timeline
 
 
 class DeviceError(Exception):
@@ -123,27 +103,17 @@ class Device:
         self.clock = clock or SimClock()
         self.rng_factory = rng_factory or RngFactory()
         self.tracer = Tracer(self.clock)
-        #: Per-device telemetry; reads the clock for timeline samples
-        #: but never advances it, so collection cannot perturb results.
-        self.metrics = MetricsRegistry(
-            clock=self.clock,
-            enabled=os.environ.get(METRICS_ENV, "1") != "0")
-        #: Causal event log (flight recorder): a bounded ring of
-        #: structured events with Binder-transaction causality.  Same
-        #: determinism contract as metrics — reads the clock, never
-        #: advances it; ``FLUX_EVENTS=0`` disables collection,
-        #: ``FLUX_EVENTS_CAP`` bounds per-device memory.
-        self.events = FlightRecorder(
-            clock=self.clock, device=self.name,
-            capacity=_events_capacity(), tracer=self.tracer,
-            enabled=os.environ.get(EVENTS_ENV, "1") != "0")
-        #: Edge-sampled time-series plane (link occupancy, shares, queue
-        #: depths).  A scenario world passes one shared timeline to all
-        #: its devices; a standalone device gets its own, gated by
-        #: ``FLUX_TIMELINE``.
-        self.timeline = (timeline if timeline is not None
-                         else Timeline(clock=self.clock,
-                                       enabled=timeline_enabled()))
+        #: Metrics, causal events and the time-series plane, resolved
+        #: once from the telemetry knobs (:mod:`repro.sim.telemetry`).
+        #: Every plane reads the clock but never advances it, so
+        #: collection cannot perturb results.  A scenario world passes
+        #: one shared timeline to all its devices.
+        self.telemetry = Telemetry.from_env(self.clock, self.name,
+                                            tracer=self.tracer,
+                                            timeline=timeline)
+        self.metrics = self.telemetry.metrics
+        self.events = self.telemetry.events
+        self.timeline = self.telemetry.timeline
         self.flux_enabled = flux_enabled
 
         # Kernel + binder.
@@ -152,7 +122,7 @@ class Device:
         self.binder = BinderDriver(
             self.kernel,
             transaction_cost=self.BINDER_TRANSACTION_COST / profile.cpu_factor,
-            metrics=self.metrics, events=self.events)
+            telemetry=self.telemetry)
         self.system_process = self.kernel.create_process(
             "system_server", uid=1000, package="android")
         self.service_manager = ServiceManager(self.binder, self.system_process)
@@ -163,7 +133,7 @@ class Device:
         self.call_log = CallLog()
         self.recorder = Recorder(self.registry, self.call_log, self.clock,
                                  cpu_factor=profile.cpu_factor,
-                                 metrics=self.metrics, events=self.events)
+                                 telemetry=self.telemetry)
         self.recorder.enabled = flux_enabled
 
         # Battery.
@@ -214,7 +184,7 @@ class Device:
         self.consistency = ConsistencyManager(self)
         #: Content-addressed chunk cache for pipelined transfers;
         #: persists across migrations so repeat hops transfer less.
-        self.chunk_store = ChunkStore(metrics=self.metrics)
+        self.chunk_store = ChunkStore(telemetry=self.telemetry)
 
     # -- boot --------------------------------------------------------------------
 

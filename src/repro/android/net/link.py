@@ -20,11 +20,10 @@ from typing import Dict, List, Optional
 
 from repro.sim import units
 from repro.sim.clock import SimClock, TimerHandle
-from repro.sim.events import FlightRecorder
-from repro.sim.metrics import MetricsRegistry, RATE_BUCKETS_MBPS
+from repro.sim.metrics import RATE_BUCKETS_MBPS
 from repro.sim.rng import RngFactory
 from repro.sim.scheduler import Waiter
-from repro.sim.timeline import Timeline
+from repro.sim.telemetry import Telemetry
 
 
 class LinkError(Exception):
@@ -81,16 +80,18 @@ class TransferResult:
 
 
 class Link:
-    """A point-to-point link with latency and congestion jitter."""
+    """A point-to-point link with latency and congestion jitter.
+
+    ``telemetry`` is where the link accounts its transfers; a migration
+    gives a link built without one its home device's handle.
+    """
 
     def __init__(self, bandwidth_mbps: float, latency_s: float = 0.004,
                  congestion: float = 0.85,
                  rng_factory: Optional[RngFactory] = None,
                  name: str = "wifi",
                  fault_plan: Optional[LinkFaultPlan] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 events: Optional[FlightRecorder] = None,
-                 timeline: Optional[Timeline] = None) -> None:
+                 telemetry: Optional[Telemetry] = None) -> None:
         if bandwidth_mbps <= 0:
             raise LinkError(f"bad bandwidth {bandwidth_mbps!r}")
         if not 0.0 < congestion <= 1.0:
@@ -109,12 +110,7 @@ class Link:
         self.transfers = 0
         self.retries = 0
         self.faulted = False
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry(enabled=False))
-        self.events = (events if events is not None
-                       else FlightRecorder(enabled=False))
-        self.timeline = (timeline if timeline is not None
-                         else Timeline(enabled=False))
+        self.telemetry = telemetry or Telemetry.null()
         #: When set, scheduled flow ops on this link share the medium's
         #: bandwidth fairly with every other flow on it; when None, each
         #: flow gets a private (uncontended) medium.
@@ -143,12 +139,13 @@ class Link:
         self.transfers += 1
         if fault:
             self.faulted = True
-            self.metrics.counter("link", "bytes_total").inc(payload_bytes)
-            self.metrics.counter("link", "transfers").inc()
-            self.metrics.counter("link", "faults").inc()
-            self.events.emit("link.fault", link=self.name,
-                             delivered_bytes=payload_bytes,
-                             seconds=round(seconds, 6))
+            metrics = self.telemetry.metrics
+            metrics.counter("link", "bytes_total").inc(payload_bytes)
+            metrics.counter("link", "transfers").inc()
+            metrics.counter("link", "faults").inc()
+            self.telemetry.events.emit("link.fault", link=self.name,
+                                       delivered_bytes=payload_bytes,
+                                       seconds=round(seconds, 6))
             return LinkDownError(
                 f"link {self.name!r} dropped after {payload_bytes} bytes "
                 "of the failing transfer",
@@ -167,24 +164,26 @@ class Link:
         owning device's name disambiguates identically-named links on
         different device pairs within one shared world timeline.
         """
-        if not self.timeline.enabled:
+        timeline = self.telemetry.timeline
+        if not timeline.enabled:
             return
         labels = {"link": self.name}
-        device = getattr(self.events, "device", "")
+        device = self.telemetry.events.device
         if device:
             labels["device"] = device
-        self.timeline.sample("link/busy", value, **labels)
+        timeline.sample("link/busy", value, **labels)
 
     def _account(self, payload_bytes: int, effective_mbps: float) -> None:
-        self.metrics.counter("link", "bytes_total").inc(payload_bytes)
-        self.metrics.counter("link", "transfers").inc()
+        metrics = self.telemetry.metrics
+        metrics.counter("link", "bytes_total").inc(payload_bytes)
+        metrics.counter("link", "transfers").inc()
         if effective_mbps > 0:
-            self.metrics.histogram(
+            metrics.histogram(
                 "link", "effective_mbps",
                 bounds=RATE_BUCKETS_MBPS).observe(effective_mbps)
-        self.events.emit("link.transfer", link=self.name,
-                         bytes=payload_bytes,
-                         mbps=round(effective_mbps, 3))
+        self.telemetry.events.emit("link.transfer", link=self.name,
+                                   bytes=payload_bytes,
+                                   mbps=round(effective_mbps, 3))
 
     # -- fault plumbing ------------------------------------------------------
 
@@ -196,9 +195,9 @@ class Link:
         """
         if self.faulted and plan is None:
             self.retries += 1
-            self.metrics.counter("link", "retries").inc()
-            self.events.emit("link.retry", link=self.name,
-                             retries=self.retries)
+            self.telemetry.metrics.counter("link", "retries").inc()
+            self.telemetry.events.emit("link.retry", link=self.name,
+                                       retries=self.retries)
         self.fault_plan = plan
         self.faulted = False
 
@@ -372,11 +371,10 @@ class Medium:
     EPS = 1e-9
 
     def __init__(self, clock: SimClock, name: str = "medium",
-                 timeline: Optional[Timeline] = None) -> None:
+                 telemetry: Optional[Telemetry] = None) -> None:
         self.clock = clock
         self.name = name
-        self.timeline = (timeline if timeline is not None
-                         else Timeline(enabled=False))
+        self.timeline = (telemetry or Telemetry.null()).timeline
         self._flows: List[_Flow] = []
         self._timer: Optional[TimerHandle] = None
         self._last = clock.now
@@ -488,7 +486,7 @@ class Medium:
                     key = flow.session or f"flow#{flow.seq}"
                     self.dilation_by_session[key] = (
                         self.dilation_by_session.get(key, 0.0) + dilation)
-                    flow.link.events.emit(
+                    flow.link.telemetry.events.emit(
                         "link.dilation", link=flow.link.name,
                         session=flow.session,
                         solo=round(flow.milestone, 6),
@@ -600,9 +598,7 @@ ADHOC_EFFICIENCY = 0.6
 def link_between(home_profile, guest_profile,
                  rng_factory: Optional[RngFactory] = None,
                  adhoc: bool = False,
-                 metrics: Optional[MetricsRegistry] = None,
-                 events: Optional[FlightRecorder] = None,
-                 timeline: Optional[Timeline] = None) -> Link:
+                 telemetry: Optional[Telemetry] = None) -> Link:
     """Link whose goodput is limited by the slower endpoint.
 
     ``adhoc=True`` models the paper's disconnected-operation mode (§1:
@@ -615,7 +611,6 @@ def link_between(home_profile, guest_profile,
     if adhoc:
         return Link(bandwidth_mbps=bandwidth * ADHOC_EFFICIENCY,
                     latency_s=0.002, rng_factory=rng_factory,
-                    name=f"{name}(adhoc)", metrics=metrics, events=events,
-                    timeline=timeline)
+                    name=f"{name}(adhoc)", telemetry=telemetry)
     return Link(bandwidth_mbps=bandwidth, rng_factory=rng_factory, name=name,
-                metrics=metrics, events=events, timeline=timeline)
+                telemetry=telemetry)

@@ -122,12 +122,6 @@ def cmd_pair(args) -> int:
     return 0
 
 
-def _merged_events(home, guest):
-    """Both devices' flight recorders as one causal JSONL-ready stream."""
-    from repro.sim.events import merge_streams
-    return merge_streams(home.events.export(), guest.events.export())
-
-
 def _write_outputs(args, kind: str, fingerprint: dict, *, metrics=None,
                    events=None, timeline=None, timeline_meta=None,
                    trace=None, profile=None) -> None:
@@ -175,8 +169,8 @@ def _write_migrate_outputs(args, home, guest, report) -> None:
     """The migrate artifacts, shared by the success and the
     fault/refusal exits — a failed run's bundle is the one a
     post-mortem needs most."""
-    from repro.sim.timeline import merge_timelines
-    merged_events = _merged_events(home, guest)
+    from repro.sim.telemetry import export
+    metrics, events, timeline = export([home, guest])
     _write_outputs(
         args, "migrate",
         dict(workload=[report.package],
@@ -187,12 +181,10 @@ def _write_migrate_outputs(args, home, guest, report) -> None:
                  "drop_link_after_bytes": args.drop_link_after_bytes,
                  "fail_restore_after": args.fail_restore_after,
              }),
-        metrics=_migrate_metrics_document(home, guest, report),
-        events=merged_events,
-        timeline=merge_timelines(home.timeline.export(),
-                                 guest.timeline.export()),
-        trace=home.tracer.chrome_trace(metrics=home.metrics,
-                                       events=merged_events))
+        metrics=_migrate_metrics_document(metrics, report),
+        events=events,
+        timeline=timeline,
+        trace=home.tracer.chrome_trace(metrics=home.metrics, events=events))
 
 
 def cmd_migrate(args) -> int:
@@ -275,11 +267,9 @@ def cmd_migrate(args) -> int:
     return 0
 
 
-def _migrate_metrics_document(home, guest, report) -> dict:
+def _migrate_metrics_document(merged: dict, report) -> dict:
     """One migration's merged metrics + critical path, JSON-ready."""
-    from repro.sim.metrics import merge_snapshots, rollup_counters
-    merged = merge_snapshots([home.metrics.snapshot(),
-                              guest.metrics.snapshot()])
+    from repro.sim.metrics import rollup_counters
     return {
         "schema": 1,
         "migration": {

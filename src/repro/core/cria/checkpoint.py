@@ -80,17 +80,16 @@ def checkpoint_app(device, package: str,
     device.tracer.emit("cria", "checkpoint", package=package,
                        raw_bytes=image.raw_bytes(),
                        refs=len(image.main_process.binder_refs))
-    metrics = getattr(device, "metrics", None)
-    if metrics is not None:
-        raw = image.raw_bytes()
-        metrics.counter("cria", "checkpoints", app=package).inc()
-        metrics.counter("cria", "processes_imaged",
-                        app=package).inc(len(process_images))
-        metrics.counter("cria", "image_raw_bytes", app=package).inc(raw)
-        metrics.counter("cria", "image_compressed_bytes",
-                        app=package).inc(image.compressed_bytes())
-        # 4 KB pages, the unit a real CRIU-style dumper moves.
-        metrics.counter("cria", "pages", app=package).inc(raw // 4096)
+    metrics = device.metrics
+    raw = image.raw_bytes()
+    metrics.counter("cria", "checkpoints", app=package).inc()
+    metrics.counter("cria", "processes_imaged",
+                    app=package).inc(len(process_images))
+    metrics.counter("cria", "image_raw_bytes", app=package).inc(raw)
+    metrics.counter("cria", "image_compressed_bytes",
+                    app=package).inc(image.compressed_bytes())
+    # 4 KB pages, the unit a real CRIU-style dumper moves.
+    metrics.counter("cria", "pages", app=package).inc(raw // 4096)
     return image
 
 

@@ -48,11 +48,11 @@ class RestoreFaultPlan:
 
 
 class _StepCounter:
-    def __init__(self, plan: Optional[RestoreFaultPlan],
-                 metrics=None, events=None, package: str = "") -> None:
+    def __init__(self, plan: Optional[RestoreFaultPlan], telemetry,
+                 package: str = "") -> None:
         self._plan = plan
-        self._metrics = metrics
-        self._events = events
+        self._metrics = telemetry.metrics
+        self._events = telemetry.events
         self._package = package
         self.steps = 0
 
@@ -60,20 +60,16 @@ class _StepCounter:
         """One restore sub-operation completed; fire the fault if due."""
         if (self._plan is not None
                 and self.steps >= self._plan.fail_after_steps):
-            if self._events is not None:
-                self._events.emit("cria.restore_fault", app=self._package,
-                                  steps_completed=self.steps,
-                                  next_step=label)
+            self._events.emit("cria.restore_fault", app=self._package,
+                              steps_completed=self.steps, next_step=label)
             raise RestoreFault(
                 f"injected restore fault after {self.steps} steps "
                 f"(before {label})")
         self.steps += 1
-        if self._metrics is not None:
-            self._metrics.counter("cria", "restore_sub_ops",
-                                  app=self._package, step=label).inc()
-        if self._events is not None:
-            self._events.emit("cria.restore_step", app=self._package,
-                              step=label, n=self.steps)
+        self._metrics.counter("cria", "restore_sub_ops",
+                              app=self._package, step=label).inc()
+        self._events.emit("cria.restore_step", app=self._package,
+                          step=label, n=self.steps)
 
 
 @dataclass
@@ -118,10 +114,7 @@ def restore_app(device, image: CheckpointImage,
     package = image.package
     _check_wrapper(device, image)
 
-    metrics = getattr(device, "metrics", None)
-    events = getattr(device, "events", None)
-    counter = _StepCounter(fault_plan, metrics=metrics, events=events,
-                           package=package)
+    counter = _StepCounter(fault_plan, device.telemetry, package=package)
     namespace = device.kernel.create_pid_namespace(f"flux:{package}")
 
     main_process = None
@@ -157,12 +150,11 @@ def restore_app(device, image: CheckpointImage,
         device.tracer.emit("cria", "restore-rollback", package=package,
                            processes_killed=len(created),
                            steps_completed=counter.steps)
-        if metrics is not None:
-            metrics.counter("cria", "restore_rollbacks", app=package).inc()
-        if events is not None:
-            events.emit("cria.restore_rollback", app=package,
-                        processes_killed=len(created),
-                        steps_completed=counter.steps)
+        device.metrics.counter("cria", "restore_rollbacks",
+                               app=package).inc()
+        device.events.emit("cria.restore_rollback", app=package,
+                           processes_killed=len(created),
+                           steps_completed=counter.steps)
         raise
 
     thread = image.app_payload

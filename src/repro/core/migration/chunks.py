@@ -31,7 +31,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro.core.cria.image import CheckpointImage, IMAGE_COMPRESSION_RATIO
 from repro.sim import units
-from repro.sim.metrics import MetricsRegistry
+from repro.sim.telemetry import Telemetry
 
 
 #: Raw (uncompressed) bytes per chunk.  256 KB keeps the digest table
@@ -145,7 +145,7 @@ class ChunkStore:
     """
 
     def __init__(self, capacity_bytes: Optional[int] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 telemetry: Optional[Telemetry] = None) -> None:
         if capacity_bytes is not None and capacity_bytes <= 0:
             raise ValueError(f"bad capacity {capacity_bytes!r}")
         self.capacity_bytes = capacity_bytes
@@ -154,8 +154,7 @@ class ChunkStore:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry(enabled=False))
+        self.metrics = (telemetry or Telemetry.null()).metrics
 
     def __len__(self) -> int:
         return len(self._chunks)

@@ -230,22 +230,13 @@ class MigrationService:
                 f"{guest.profile.api_level}")
 
         link = link or link_between(home.profile, guest.profile,
-                                    home.rng_factory, metrics=home.metrics,
-                                    events=home.events,
-                                    timeline=getattr(home, "timeline", None))
-        if not link.metrics.enabled:
-            # Caller-built links (fault injection, tests) inherit the
-            # home device's registry so transfer metrics are not lost.
-            link.metrics = home.metrics
-        if not link.events.enabled:
-            # Same for the causal event log: link.fault / link.transfer
-            # events land in the home device's flight recorder.
-            link.events = home.events
-        home_timeline = getattr(home, "timeline", None)
-        if (home_timeline is not None
-                and not getattr(link.timeline, "enabled", False)):
-            # And for the time-series plane: wire-occupancy samples.
-            link.timeline = home_timeline
+                                    home.rng_factory,
+                                    telemetry=home.telemetry)
+        if not link.telemetry.enabled:
+            # Caller-built links (fault injection, tests) record into
+            # the home device's planes, so transfer metrics, link.fault
+            # events and wire-occupancy samples are not lost.
+            link.telemetry = home.telemetry
         ctx = MigrationContext(
             home=home, guest=guest, package=package, link=link,
             report=report, extensions=extensions,

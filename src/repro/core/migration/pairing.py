@@ -12,13 +12,14 @@ required API level exceeds the guest's stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.android.net.link import Link, link_between
 from repro.android.storage.sync import RsyncEngine, SyncResult
 from repro.core.cria.errors import MigrationError, MigrationRefusal
 from repro.core.migration import costs
+from repro.sim.telemetry import Telemetry
 
 
 def flux_root(home_name: str) -> str:
@@ -65,6 +66,18 @@ class PairingService:
     def __init__(self, device) -> None:
         self.device = device
         self._paired_with: Dict[str, PairingReport] = {}
+        #: Pairing links record metrics and events into the device's
+        #: planes but no timeline: the pinned scenario and fleet
+        #: timelines hold no pairing wire occupancy, and adding it
+        #: would be a deliberate change to them.
+        self._link_telemetry = replace(device.telemetry,
+                                       timeline=Telemetry.null().timeline)
+
+    def _link(self, guest) -> Link:
+        """The link pairing and verification sync over when given none."""
+        home = self.device
+        return link_between(home.profile, guest.profile, home.rng_factory,
+                            telemetry=self._link_telemetry)
 
     def is_paired_with(self, guest_name: str) -> bool:
         return guest_name in self._paired_with
@@ -75,10 +88,7 @@ class PairingService:
     def pair(self, guest, link: Optional[Link] = None) -> PairingReport:
         """Pair this home device with ``guest``; returns the report."""
         home = self.device
-        link = link or link_between(home.profile, guest.profile,
-                                    home.rng_factory,
-                                    metrics=getattr(home, "metrics", None),
-                                    events=getattr(home, "events", None))
+        link = link or self._link(guest)
         started = home.clock.now
         rsync = RsyncEngine()
 
@@ -155,10 +165,7 @@ class PairingService:
         if not self.is_paired_with(guest.name):
             raise MigrationError(MigrationRefusal.NOT_PAIRED,
                                  f"{home.name} not paired with {guest.name}")
-        link = link or link_between(home.profile, guest.profile,
-                                    home.rng_factory,
-                                    metrics=getattr(home, "metrics", None),
-                                    events=getattr(home, "events", None))
+        link = link or self._link(guest)
         rsync = RsyncEngine()
         root = flux_root(home.name)
         apk_sync = rsync.sync(home.storage, f"/data/app/{package}.apk",

@@ -82,14 +82,8 @@ class MigrationContext:
 
 
 def _emit(ctx: MigrationContext, kind: str, **attrs) -> None:
-    """Emit a causal event on the home device's flight recorder.
-
-    Guarded with ``getattr`` so bare test doubles without a device-level
-    :class:`repro.sim.events.FlightRecorder` still drive the pipeline.
-    """
-    events = getattr(ctx.home, "events", None)
-    if events is not None:
-        events.emit(kind, **attrs)
+    """Emit a causal event on the home device's flight recorder."""
+    ctx.home.events.emit(kind, **attrs)
 
 
 class Stage:
@@ -477,7 +471,7 @@ class StagePipeline:
         """
         tracer = ctx.home.tracer
         completed: List[Stage] = []
-        recorders = self._recorders(ctx)
+        recorders = (ctx.home.events, ctx.guest.events)
         if ctx.session:
             # The session label rides every event both devices emit for
             # this migration, so interleaved scenario logs segment
@@ -536,17 +530,7 @@ class StagePipeline:
         self._clear_context(recorders)
 
     @staticmethod
-    def _recorders(ctx: MigrationContext) -> List[object]:
-        """Both devices' flight recorders (absent on bare test doubles)."""
-        recorders = []
-        for device in (ctx.home, ctx.guest):
-            recorder = getattr(device, "events", None)
-            if recorder is not None:
-                recorders.append(recorder)
-        return recorders
-
-    @staticmethod
-    def _clear_context(recorders: List[object]) -> None:
+    def _clear_context(recorders) -> None:
         for recorder in recorders:
             recorder.clear_context("stage", "package", "session")
 
@@ -566,10 +550,8 @@ class StagePipeline:
             {"name": span.name, "category": span.category,
              "seconds": span.duration, "self_seconds": span.self_seconds}
             for span in critical_path(dominant)]
-        metrics = getattr(ctx.home, "metrics", None)
-        if metrics is not None:
-            metrics.counter("migration", "dominant_stage",
-                            stage=dominant.name, app=ctx.package).inc()
+        ctx.home.metrics.counter("migration", "dominant_stage",
+                                 stage=dominant.name, app=ctx.package).inc()
 
     def _rollback(self, ctx: MigrationContext, faulted: Stage,
                   completed: List[Stage], reason: str) -> None:

@@ -15,8 +15,7 @@ from typing import Any, Dict, Optional
 from repro.android.aidl.registry import InterfaceRegistry
 from repro.core.record.log import CallLog, CallRecord
 from repro.core.record.rules import apply_drop_rules
-from repro.sim.events import FlightRecorder
-from repro.sim.metrics import MetricsRegistry
+from repro.sim.telemetry import Telemetry
 
 
 class RecorderError(Exception):
@@ -33,16 +32,15 @@ class Recorder:
 
     def __init__(self, registry: InterfaceRegistry, log: CallLog, clock,
                  cpu_factor: float = 1.0,
-                 metrics: Optional[MetricsRegistry] = None,
-                 events: Optional[FlightRecorder] = None) -> None:
+                 telemetry: Optional[Telemetry] = None) -> None:
         self._registry = registry
         self._log = log
         self._clock = clock
         self._cpu_factor = cpu_factor
-        self.metrics = (metrics if metrics is not None
-                        else MetricsRegistry(enabled=False))
-        self.events = (events if events is not None
-                       else FlightRecorder(enabled=False))
+        # Bound once: on_call runs on every recorded transaction.
+        telemetry = telemetry or Telemetry.null()
+        self.metrics = telemetry.metrics
+        self.events = telemetry.events
         self.enabled = True
         #: When False, drop rules are skipped and every decorated call is
         #: kept — the strawman "record everything" design the paper argues

@@ -18,8 +18,6 @@ from typing import Any, Dict, List, Optional
 from repro.android.binder.ibinder import IBinder
 from repro.android.services.aidl_sources import SERVICE_SPECS
 from repro.core.replay.proxies import lookup as lookup_proxy
-from repro.sim.events import FlightRecorder
-from repro.sim.metrics import MetricsRegistry
 
 
 DESCRIPTOR_TO_KEY: Dict[str, str] = {
@@ -70,12 +68,8 @@ class ReplaySession:
         self.home_location_service = home_location_service
         self.checkpoint_time = image.checkpoint_time
         self.report = ReplayReport(package=image.package)
-        device_metrics = getattr(device, "metrics", None)
-        self.metrics = (device_metrics if device_metrics is not None
-                        else MetricsRegistry(enabled=False))
-        device_events = getattr(device, "events", None)
-        self.events = (device_events if device_events is not None
-                       else FlightRecorder(enabled=False))
+        self.metrics = device.metrics
+        self.events = device.events
         self._home_volumes: Dict[int, int] = dict(
             image.metadata.get("stream_max_volumes", {}))
         self._pending = {ref.handle: ref for ref in restored.pending_refs}

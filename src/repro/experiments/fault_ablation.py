@@ -66,8 +66,7 @@ def _measure(config: str, extensions: FluxExtensions,
     spec.install_and_launch(home)
     home.pairing_service.pair(guest)
 
-    link = link_between(home.profile, guest.profile, home.rng_factory,
-                        metrics=home.metrics)
+    link = link_between(home.profile, guest.profile, home.rng_factory)
     link.inject_fault(LinkFaultPlan(drop_after_bytes=DROP_AFTER_BYTES))
     try:
         home.migration_service.migrate(guest, spec.package, link=link,

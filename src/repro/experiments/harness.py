@@ -22,7 +22,6 @@ from repro.apps.common import AppSpec
 from repro.core.cria.errors import MigrationError, MigrationRefusal
 from repro.core.migration.migration import MigrationReport
 from repro.sim import SimClock
-from repro.sim.events import merge_streams
 from repro.sim.metrics import (
     empty_snapshot,
     merge_snapshots,
@@ -30,7 +29,7 @@ from repro.sim.metrics import (
     snapshot_by_label,
 )
 from repro.sim.rng import RngFactory
-from repro.sim.timeline import merge_timelines
+from repro.sim.telemetry import export
 
 T = TypeVar("T")
 
@@ -149,7 +148,7 @@ class PairOutcome(NamedTuple):
     events: List[Dict]
     #: Merged home + guest edge-sampled time series (associative
     #: ``merge_timelines``); ``{}`` when ``FLUX_TIMELINE=0``.
-    timeline: Dict[str, List[List[float]]] = {}
+    timeline: Dict[str, List[List[float]]]
 
 
 def run_pair(home_profile: DeviceProfile, guest_profile: DeviceProfile,
@@ -187,11 +186,7 @@ def _run_pair(home: Device, guest: Device, apps: Sequence[AppSpec],
                 raise
             refusals[spec.package] = error.reason
             home.discard_app(spec.package)
-    metrics = merge_snapshots([home.metrics.snapshot(),
-                               guest.metrics.snapshot()])
-    events = merge_streams(home.events.export(), guest.events.export())
-    timeline = merge_timelines(home.timeline.export(),
-                               guest.timeline.export())
+    metrics, events, timeline = export([home, guest])
     return PairOutcome(reports=reports, refusals=refusals, metrics=metrics,
                        events=events, timeline=timeline)
 
@@ -297,7 +292,7 @@ def merge_pair_outcomes(
             refusals[(label, package)] = refusal
         pair_metrics[label] = outcome.metrics
         pair_events[label] = outcome.events
-        pair_timelines[label] = getattr(outcome, "timeline", {})
+        pair_timelines[label] = outcome.timeline
     return SweepResult(pair_labels=labels,
                        app_titles=[a.title for a in apps],
                        reports=reports, refusals=refusals,

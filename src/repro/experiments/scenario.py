@@ -28,7 +28,6 @@ clock; the scheduler adds no charges of its own.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -41,15 +40,10 @@ from repro.core.cria.errors import MigrationError, MigrationRefusal
 from repro.core.extensions import FluxExtensions
 from repro.core.migration.migration import MigrationReport
 from repro.sim import SimClock
-from repro.sim.events import EVENTS_ENV, FlightRecorder, merge_streams
-from repro.sim.metrics import merge_snapshots
 from repro.sim.rng import RngFactory
 from repro.sim.scheduler import Resource, Scheduler, Session
-from repro.sim.timeline import (
-    Timeline,
-    chrome_counter_events,
-    timeline_enabled,
-)
+from repro.sim.telemetry import Telemetry, export
+from repro.sim.timeline import chrome_counter_events
 
 
 class ScenarioError(Exception):
@@ -175,7 +169,6 @@ class ScenarioResult:
     metrics: Dict
     #: All devices' events causally merged (one shared clock).
     events: List[Dict]
-    per_device_metrics: Dict[str, Dict] = field(default_factory=dict)
     #: The world's edge-sampled time series (shares, queue depths,
     #: active flows, sessions in flight), exported.
     timeline: Dict[str, List[List[float]]] = field(default_factory=dict)
@@ -210,28 +203,23 @@ class ScenarioWorld:
         self.spec = spec
         self.clock = SimClock()
         self.rng_factory = RngFactory(spec.seed)
-        #: One shared time-series plane for the whole world — samples
-        #: from every device, link, resource and the scheduler land on
-        #: one coherent virtual timeline.
-        self.timeline = Timeline(clock=self.clock,
-                                 enabled=timeline_enabled())
-        #: World-level flight recorder for events that belong to no one
-        #: device (admission queueing happens *between* devices).  A
-        #: separate stream keeps per-device event sequences — and their
-        #: byte-identity contracts — untouched.
-        self.events = FlightRecorder(
-            clock=self.clock, device="world",
-            enabled=os.environ.get(EVENTS_ENV, "1") != "0")
+        #: The world's own planes.  Its timeline is shared by every
+        #: device, link, resource and the scheduler, so all samples land
+        #: on one coherent virtual timeline.  Its flight recorder holds
+        #: the events that belong to no one device (admission queueing
+        #: happens *between* devices); a separate stream keeps
+        #: per-device event sequences — and their byte-identity
+        #: contracts — untouched.
+        self.telemetry = Telemetry.from_env(self.clock, "world")
         self.devices: "OrderedDict[str, Device]" = OrderedDict(
             (name, Device(profile, self.clock, self.rng_factory, name=name,
-                          timeline=self.timeline))
+                          timeline=self.telemetry.timeline))
             for name, profile in spec.devices)
-        self.scheduler = Scheduler(self.clock, timeline=self.timeline)
-        self.medium = (Medium(self.clock, timeline=self.timeline)
+        self.scheduler = Scheduler(self.clock, telemetry=self.telemetry)
+        self.medium = (Medium(self.clock, telemetry=self.telemetry)
                        if spec.shared_medium else None)
         self._resources = {name: Resource(name, clock=self.clock,
-                                          timeline=self.timeline,
-                                          events=self.events)
+                                          telemetry=self.telemetry)
                            for name in self.devices}
 
     def close(self) -> None:
@@ -255,8 +243,7 @@ class ScenarioWorld:
         builds one (same RNG stream: streams restart per derivation),
         attached to the world's shared medium."""
         link = link_between(home.profile, guest.profile, home.rng_factory,
-                            metrics=home.metrics, events=home.events,
-                            timeline=self.timeline)
+                            telemetry=home.telemetry)
         link.medium = self.medium
         return link
 
@@ -308,20 +295,15 @@ def _run_world(world: ScenarioWorld, spec: ScenarioSpec) -> ScenarioResult:
     for outcome, handle in zip(outcomes, handles):
         _attribute_wait(world, outcome, handle)
 
-    names = list(world.devices)
-    per_device = {name: device.metrics.snapshot()
-                  for name, device in world.devices.items()}
-    metrics = merge_snapshots(per_device[name] for name in names)
-    events = merge_streams(*(device.events.export()
-                             for device in world.devices.values()),
-                           world.events.export())
+    metrics, events, timeline = export(world.devices.values(),
+                                       world.telemetry)
     finished = [o.finished for o in outcomes if o.finished is not None]
     makespan = (max(finished) - min(o.submitted for o in outcomes)
                 if finished else 0.0)
-    return ScenarioResult(device_names=names, sessions=outcomes,
+    return ScenarioResult(device_names=list(world.devices),
+                          sessions=outcomes,
                           metrics=metrics, events=events,
-                          per_device_metrics=per_device,
-                          timeline=world.timeline.export(),
+                          timeline=timeline,
                           makespan=makespan,
                           device_utilization=world.device_utilization(
                               makespan))
@@ -479,8 +461,8 @@ def _session(world: ScenarioWorld, outcome: SessionOutcome):
         # The decision that routed this demand here, on the world
         # recorder at submit time (before any queueing), keyed by the
         # same ``who`` the admission events carry.
-        world.events.emit("placement.decision", who=who,
-                          **dict(spec.placement))
+        world.telemetry.events.emit("placement.decision", who=who,
+                                    **dict(spec.placement))
     first, second = sorted((spec.home, spec.guest))
     if world.spec.admission == "refuse":
         if world.resource(first).busy or world.resource(second).busy:

@@ -32,7 +32,7 @@ driver's own per-device transaction counter, which increments whether
 or not logging is on — ids are stable across both modes.
 
 Events flow through a bounded ring buffer (a *flight recorder*): the
-``FLUX_EVENTS_CAP`` environment variable bounds per-device memory, and
+``FLUX_EVENTS_CAP`` environment variable bounds each recorder's memory, and
 when the buffer is full the oldest events are evicted first — exactly
 what a post-mortem wants, since the tail before the fault is what
 explains it.
@@ -45,13 +45,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-#: Set to ``0`` to disable event collection device-wide (the
-#: determinism regression tests assert byte-identity either way).
-EVENTS_ENV = "FLUX_EVENTS"
-
-#: Per-device ring-buffer capacity (number of retained events).
-EVENTS_CAP_ENV = "FLUX_EVENTS_CAP"
-
+#: Ring capacity when ``FLUX_EVENTS_CAP`` is unset (see
+#: :mod:`repro.sim.telemetry`, which reads the knobs).
 DEFAULT_CAPACITY = 65536
 
 

@@ -38,7 +38,7 @@ from typing import Any, Callable, Deque, Dict, Generator, List, Optional
 from collections import deque
 
 from repro.sim.clock import SimClock
-from repro.sim.timeline import Timeline
+from repro.sim.telemetry import Telemetry
 
 
 class SchedulerError(Exception):
@@ -131,7 +131,7 @@ class Resource:
 
     With a ``clock`` the resource keeps an admission ledger — per-waiter
     enqueue→grant latency in :attr:`waits`, grant count, cumulative
-    :attr:`held_seconds` — and with ``events``/``timeline`` it emits
+    :attr:`held_seconds` — and with ``telemetry`` it emits
     ``resource.enqueue``/``resource.grant`` causal events (carrying who
     was ahead and the queue depth) and samples the queue-depth series on
     every edge.  ``resource.grant`` is emitted for *every* grant,
@@ -140,13 +140,12 @@ class Resource:
     """
 
     def __init__(self, name: str, clock: Optional[SimClock] = None,
-                 timeline: Optional[Timeline] = None,
-                 events=None) -> None:
+                 telemetry: Optional[Telemetry] = None) -> None:
         self.name = name
         self._clock = clock
-        self.timeline = timeline if timeline is not None \
-            else Timeline(enabled=False)
-        self.events = events
+        telemetry = telemetry or Telemetry.null()
+        self.timeline = telemetry.timeline
+        self.events = telemetry.events
         self._holder: Optional[str] = None
         self._queue: Deque[tuple] = deque()
         self._acquired_at: float = 0.0
@@ -177,12 +176,11 @@ class Resource:
         self._acquired_at = self._now()
         self.waits[who] = self.waits.get(who, 0.0) + waited
         self.grants += 1
-        if self.events is not None:
-            attrs = {"resource": self.name, "who": who,
-                     "waited": round(waited, 6), "depth": len(self._queue)}
-            if behind is not None:
-                attrs["behind"] = behind
-            self.events.emit("resource.grant", **attrs)
+        attrs = {"resource": self.name, "who": who,
+                 "waited": round(waited, 6), "depth": len(self._queue)}
+        if behind is not None:
+            attrs["behind"] = behind
+        self.events.emit("resource.grant", **attrs)
 
     def acquire(self, who: str = "?") -> Waiter:
         """A waiter that resolves (with this resource) once held by ``who``."""
@@ -192,10 +190,9 @@ class Resource:
             waiter.resolve(self)
         else:
             self._queue.append((who, waiter, self._now(), self._holder))
-            if self.events is not None:
-                self.events.emit("resource.enqueue", resource=self.name,
-                                 who=who, holder=self._holder,
-                                 depth=len(self._queue))
+            self.events.emit("resource.enqueue", resource=self.name,
+                             who=who, holder=self._holder,
+                             depth=len(self._queue))
             self.timeline.sample("resource/queue_depth", len(self._queue),
                                  resource=self.name)
         return waiter
@@ -264,18 +261,17 @@ class Session:
 class Scheduler:
     """Drives cooperative sessions on a shared :class:`SimClock`.
 
-    An optional :class:`Timeline` receives a ``scheduler/sessions_in_flight``
-    sample on every start/finish edge.  The per-session ledger (see
+    The ``telemetry`` timeline, if any, receives a
+    ``scheduler/sessions_in_flight`` sample on every start/finish edge.  The per-session ledger (see
     :class:`Session`) is maintained unconditionally — it is plain float
     accounting on values the scheduler already reads, never advances the
     clock and never draws RNG, so it cannot perturb a simulation.
     """
 
     def __init__(self, clock: SimClock,
-                 timeline: Optional[Timeline] = None) -> None:
+                 telemetry: Optional[Telemetry] = None) -> None:
         self.clock = clock
-        self.timeline = timeline if timeline is not None \
-            else Timeline(enabled=False)
+        self.timeline = (telemetry or Telemetry.null()).timeline
         self.sessions: List[Session] = []
         self._seq = itertools.count()
         self._live = 0

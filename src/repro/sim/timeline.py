@@ -29,11 +29,7 @@ flat-key grammar the metrics registry uses.
 from __future__ import annotations
 
 import json
-import os
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
-
-#: Set to ``0`` to disable the time-series plane process-wide.
-TIMELINE_ENV = "FLUX_TIMELINE"
 
 #: On-disk document version written by :func:`write_timeline`; readers
 #: reject any other value (forward-compat contract for run bundles).
@@ -42,11 +38,6 @@ TIMELINE_SCHEMA = 1
 
 class TimelineError(Exception):
     """Malformed or unsupported timeline artifacts."""
-
-
-def timeline_enabled() -> bool:
-    """The env-gated default for new :class:`Timeline` instances."""
-    return os.environ.get(TIMELINE_ENV, "1") != "0"
 
 
 def series_key(name: str, labels: Mapping[str, Any] = ()) -> str:

@@ -1,5 +1,7 @@
 """Binder driver: nodes, handles, transactions, CRIA state capture."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.android.binder import (
@@ -14,6 +16,7 @@ from repro.android.binder import (
 )
 from repro.android.kernel import Kernel
 from repro.sim import SimClock
+from repro.sim.telemetry import Telemetry
 
 
 @pytest.fixture
@@ -230,7 +233,8 @@ class TestTransactionEvents:
 
     @pytest.fixture
     def logged_driver(self, kernel, recorder):
-        return BinderDriver(kernel, events=recorder)
+        return BinderDriver(kernel, telemetry=replace(Telemetry.null(),
+                                                      events=recorder))
 
     def test_txn_ids_are_monotonic_and_logged(self, logged_driver, recorder,
                                               system, app):
@@ -268,7 +272,8 @@ class TestTransactionEvents:
         from repro.sim.events import FlightRecorder
         recorder = FlightRecorder(clock=kernel.clock, device="d",
                                   enabled=False)
-        driver = BinderDriver(kernel, events=recorder)
+        driver = BinderDriver(kernel, telemetry=replace(Telemetry.null(),
+                                                        events=recorder))
         node = driver.create_node(system, Echo(), "echo")
         handle = driver.acquire_ref(app, node)
         driver.transact(app, handle, "ping", Parcel().write(1))

@@ -9,12 +9,7 @@ naming the stage or session that actually regressed.
 
 import pytest
 
-from repro.cli import (
-    _boot_pair,
-    _merged_events,
-    _migrate_metrics_document,
-    main,
-)
+from repro.cli import _boot_pair, _migrate_metrics_document, main
 from repro.experiments.harness import clear_sweep_cache
 from repro.sim.bundle import RunBundle, collect_fingerprint, write_bundle
 from repro.sim.diffing import (
@@ -22,6 +17,7 @@ from repro.sim.diffing import (
     EXIT_REGRESSED,
     diff_bundles,
 )
+from repro.sim.telemetry import export
 
 BIBLE = "com.sirma.mobile.bible.android"
 WITCH = "com.king.bubblewitch"
@@ -75,17 +71,16 @@ def _api_migrate_bundle(path, link_factory=None):
     home.pairing_service.pair(guest)
     link = link_factory(home, guest) if link_factory else None
     report = home.migration_service.migrate(guest, BIBLE, link=link)
-    from repro.sim.timeline import merge_timelines
+    metrics, events, timeline = export([home, guest])
     write_bundle(
         str(path),
         kind="migrate",
         fingerprint=collect_fingerprint("migrate", workload=[BIBLE],
                                         pairs=["nexus4->nexus7_2013"],
                                         seed=0),
-        metrics=_migrate_metrics_document(home, guest, report),
-        events=_merged_events(home, guest),
-        timeline=merge_timelines(home.timeline.export(),
-                                 guest.timeline.export()))
+        metrics=_migrate_metrics_document(metrics, report),
+        events=events,
+        timeline=timeline)
     return str(path)
 
 

@@ -4,10 +4,10 @@ per-pair event streams as serial ones."""
 
 import pytest
 
-from repro.android.device import EVENTS_CAP_ENV, EVENTS_ENV
 from repro.android.hardware.profiles import NEXUS_4, NEXUS_7_2013
 from repro.apps import app_by_title
 from repro.experiments.harness import run_pair, run_sweep
+from repro.sim.telemetry import EVENTS_CAP_ENV, EVENTS_ENV
 
 
 APPS = [app_by_title("ZEDGE"), app_by_title("eBay")]
@@ -92,15 +92,6 @@ class TestFlightRecorderBound:
         assert capped.metrics == uncapped.metrics
         for package, report in capped.reports.items():
             assert report.stages == uncapped.reports[package].stages
-
-    def test_bad_cap_value_falls_back_to_default(self, monkeypatch):
-        from repro.sim.events import DEFAULT_CAPACITY
-
-        monkeypatch.setenv(EVENTS_CAP_ENV, "not-a-number")
-        from repro.android.device import _events_capacity
-        assert _events_capacity() == DEFAULT_CAPACITY
-        monkeypatch.setenv(EVENTS_CAP_ENV, "0")
-        assert _events_capacity() == 1
 
 
 class TestParallelAggregation:

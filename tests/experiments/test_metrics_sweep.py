@@ -1,11 +1,11 @@
 """Metrics determinism: collection never perturbs the simulation, and
 parallel sweeps aggregate metrics identically to serial ones."""
 
-from repro.android.device import METRICS_ENV
 from repro.android.hardware.profiles import NEXUS_4, NEXUS_7_2013
 from repro.apps import app_by_title
 from repro.experiments.harness import run_pair, run_sweep
 from repro.sim.metrics import empty_snapshot, rollup_counters, subsystems_in
+from repro.sim.telemetry import METRICS_ENV
 
 
 APPS = [app_by_title("ZEDGE"), app_by_title("eBay")]

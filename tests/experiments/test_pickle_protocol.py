@@ -90,10 +90,15 @@ class TestPairOutcome:
         assert clone.refusals == outcome.refusals
         assert clone.metrics == outcome.metrics
         assert clone.events == outcome.events
+        assert clone.timeline and clone.timeline == outcome.timeline
         assert set(clone.reports) == set(outcome.reports)
         for package, report in outcome.reports.items():
             assert (dataclasses.asdict(clone.reports[package])
                     == dataclasses.asdict(report))
+
+    def test_timeline_is_a_required_field(self):
+        # No class-level default shared by every instance.
+        assert "timeline" not in PairOutcome._field_defaults
 
     def test_refusals_are_enum_members(self, outcome):
         assert outcome.refusals, "full-catalog pair had no refusals"

@@ -17,7 +17,7 @@ from repro.experiments.scenario import (
     SessionSpec,
     run_scenario,
 )
-from repro.sim.timeline import TIMELINE_ENV
+from repro.sim.telemetry import TIMELINE_ENV
 
 HOME_P, GUEST_P = PAPER_DEVICE_PAIRS[0]
 APPS = MIGRATABLE_APPS[:2]

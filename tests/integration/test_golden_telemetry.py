@@ -15,6 +15,7 @@ import hashlib
 import pytest
 
 from repro.cli import main
+from repro.experiments.harness import clear_sweep_cache
 
 #: Every telemetry knob, cleared so the pinned runs use the defaults.
 TELEMETRY_ENV = ("FLUX_METRICS", "FLUX_EVENTS", "FLUX_EVENTS_CAP",
@@ -66,3 +67,47 @@ def test_artifact_digests(command, artifacts, tmp_path, monkeypatch,
         for plane in artifacts}
     assert digests == {plane: digest
                        for plane, (_, digest) in artifacts.items()}
+
+
+#: Run bundles, pinned member by member.  ``manifest.json`` is left out:
+#: its fingerprint carries the git SHA.  The faulted migration is the
+#: one pinned run whose link is built by the caller and inherits the
+#: home device's telemetry; its ``link.fault`` event and its whole
+#: timeline exist only through that inheritance.
+FAULTED_MIGRATE = (["migrate", "--app", "Candy Crush",
+                    "--drop-link-after-bytes", "200000"], 1, {
+    "events.jsonl": "75297f55de63dec50b7320627c61254d"
+                    "b9b9eeaf270721a53a94a9c2a6a3a263",
+    "metrics.json": "04d40033294d6e8349cf8d32104c7361"
+                    "c51db469e8d0e543fb31b6ccdcdab54b",
+    "timeline.json": "b252c02e51ddf4708e1b88ec296f9399"
+                     "50f876733f9a5990a25d8827291f7e97",
+    "trace.json": "d14cf52efd36baef9e2b222a888728e3"
+                  "bc977fb3ee85ba85a3270065eea3e73e",
+})
+
+SWEEP_BUNDLE = (["sweep"], 0, {
+    "events.jsonl": "a6aa4d81daf037fc2cc9715fb2208885"
+                    "9457214442782a606af4de7d49e6be0e",
+    "metrics.json": "311b0faadc54a22efd8ef40ece06695a"
+                    "3fb9d17e84ecfc58a17d10122b1fe659",
+    "timeline.json": "fcb88a3369fe7bb4472dab8f95978ea3"
+                     "fb6ef58fe0270f919bfa97a6d515b30a",
+})
+
+
+@pytest.mark.parametrize("command, code, members",
+                         [FAULTED_MIGRATE, SWEEP_BUNDLE],
+                         ids=["migrate-link-fault", "sweep"])
+def test_bundle_member_digests(command, code, members, tmp_path,
+                               monkeypatch, capsys):
+    for name in TELEMETRY_ENV:
+        monkeypatch.delenv(name, raising=False)
+    # A sweep cached by another test may have run under other knobs.
+    clear_sweep_cache()
+    bundle = tmp_path / "bundle"
+    assert main(command + ["--bundle-out", str(bundle)]) == code
+    capsys.readouterr()
+    digests = {member: hashlib.sha256(
+        (bundle / member).read_bytes()).hexdigest() for member in members}
+    assert digests == members

@@ -208,11 +208,13 @@ class TestFoldInstanceLabel:
         from repro.android.kernel import Kernel
         from repro.sim import SimClock
         from repro.sim.events import FlightRecorder
+        from repro.sim.telemetry import Telemetry
 
         kernel = Kernel(SimClock())
         recorder = FlightRecorder(clock=kernel.clock, device="d")
         registry = MetricsRegistry()
-        driver = BinderDriver(kernel, metrics=registry, events=recorder)
+        driver = BinderDriver(kernel, telemetry=Telemetry(
+            registry, recorder, Telemetry.null().timeline))
         system = kernel.create_process("system", uid=1000, package="android")
         app = kernel.create_process("com.app", uid=10001, package="com.app")
 

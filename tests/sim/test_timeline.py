@@ -1,5 +1,5 @@
 """The edge-sampled time-series plane: deterministic, associative,
-killable (``FLUX_TIMELINE=0``), and exportable as Chrome counters."""
+a null object when disabled, and exportable as Chrome counters."""
 
 import json
 
@@ -7,14 +7,12 @@ import pytest
 
 from repro.sim import SimClock
 from repro.sim.timeline import (
-    TIMELINE_ENV,
     Timeline,
     chrome_counter_events,
     merge_timelines,
     read_timeline,
     series_key,
     split_series_key,
-    timeline_enabled,
     write_timeline,
 )
 
@@ -64,16 +62,6 @@ class TestSeriesKey:
 
     def test_bare_name_roundtrip(self):
         assert split_series_key(series_key("n", {})) == ("n", {})
-
-
-class TestKillSwitch:
-    def test_env_zero_disables(self, monkeypatch):
-        monkeypatch.setenv(TIMELINE_ENV, "0")
-        assert not timeline_enabled()
-
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv(TIMELINE_ENV, raising=False)
-        assert timeline_enabled()
 
 
 class TestMerge:
