@@ -217,6 +217,7 @@ class Device:
         ctx.broadcast = self.activity_service.broadcast
         ctx.broadcast_sticky = self.activity_service.broadcast_sticky
         self.activity_service.process_starter = None
+        self.activity_service.window_manager = self.window_service
 
     def _register_service(self, service) -> None:
         self.services[service.SERVICE_KEY] = service

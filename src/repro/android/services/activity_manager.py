@@ -48,6 +48,9 @@ class ActivityManagerService(SystemService):
         self._uri_grants: Dict[str, Tuple[str, int]] = {}
         self._sticky: Dict[str, Intent] = {}     # action -> last intent
         self.process_starter: Optional[Callable[[str], Any]] = None
+        #: The device's WindowManagerService, wired at boot: an app's
+        #: death removes its windows there.
+        self.window_manager = None
         self.broadcasts_delivered = 0
 
     # -- application attach (framework-internal) --------------------------------
@@ -57,16 +60,23 @@ class ActivityManagerService(SystemService):
         node = getattr(thread, "app_thread_node", None)
         if node is not None and node.alive:
             driver = self.ctx.kernel.binder
-            handle = driver.acquire_ref(self._system_process(), node)
+            system = self._system_process()
+            handle = driver.acquire_ref(system, node)
 
-            def on_death(_node, package=package, thread=thread) -> None:
+            def on_death(dead, package=package, thread=thread) -> None:
+                # Like Android's appDiedLocked: whatever killed the
+                # process (a migration, killBackgroundProcesses, a
+                # rollback), drop the reference and the windows that
+                # still reach it, so the dead process is freed at once.
+                driver.release_ref(system, handle)
+                self.window_manager.remove_process_windows(dead.owner)
                 # Only detach if this thread is still the attached one
                 # (a migrated-in instance may have replaced it).
                 if self._threads.get(package) is thread:
                     self.detach_application(package)
                     self.trace("app-died", package=package)
 
-            driver.link_to_death(self._system_process(), handle, on_death)
+            driver.link_to_death(system, handle, on_death)
 
     def _system_process(self):
         # The AMS runs inside system_server; its node's owner is it.

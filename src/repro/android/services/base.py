@@ -53,6 +53,13 @@ class SystemService(CallerAwareBinder):
     SERVICE_KEY = ""
     #: AIDL descriptor; subclasses must override.
     DESCRIPTOR = ""
+    #: Tracer category of :meth:`trace`, ``service:<SERVICE_KEY>``;
+    #: built once per class so every record shares one string.
+    TRACE_CATEGORY = "service:"
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.TRACE_CATEGORY = f"service:{cls.SERVICE_KEY}"
 
     def __init__(self, ctx: ServiceContext) -> None:
         super().__init__()
@@ -118,4 +125,4 @@ class SystemService(CallerAwareBinder):
         back at them; the rest have nothing to cut."""
 
     def trace(self, event: str, **detail: Any) -> None:
-        self.ctx.tracer.emit(f"service:{self.SERVICE_KEY}", event, **detail)
+        self.ctx.tracer.emit(self.TRACE_CATEGORY, event, **detail)

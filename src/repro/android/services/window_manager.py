@@ -41,6 +41,12 @@ class WindowManagerService(SystemService):
         window.destroy()
         self._windows.pop(window.window_id, None)
 
+    def remove_process_windows(self, process) -> None:
+        """Drop every window of a process that died."""
+        for window in [w for w in self._windows.values()
+                       if w.process is process]:
+            self.remove_window(window)
+
     def windows_of(self, package: str) -> List[Window]:
         return [w for w in self._windows.values()
                 if w.owner_package == package]

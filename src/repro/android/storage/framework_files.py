@@ -14,6 +14,7 @@ Each set is one immutable :class:`FileSet` mounted at its prefix.
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
 from typing import Iterator, List
 
 from repro.android.storage.filesystem import (
@@ -64,12 +65,23 @@ class _NumberedPaths(ComputedColumn):
         return map(self._template.__mod__, range(self._count))
 
 
+@lru_cache(maxsize=64)
+def _token_hashes(token_template: str, count: int) -> PackedHashes:
+    """The hash column of ``token_template % i`` for ``i < count``.
+
+    A pure function of the template (Android version plus hardware
+    profile), so every device booted with one template shares one
+    immutable column instead of hashing its tokens again.
+    """
+    return PackedHashes.of_tokens(token_template % i for i in range(count))
+
+
 def _file_set(path_template: str, token_template: str, count: int,
               total: int, rng) -> FileSet:
     return FileSet(
         _NumberedPaths(path_template, count),
         array("q", _spread(total, count, rng)),
-        PackedHashes.of_tokens(token_template % i for i in range(count)))
+        _token_hashes(token_template, count))
 
 
 def populate_system_partition(storage: DeviceStorage, android_version: str,

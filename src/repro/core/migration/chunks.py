@@ -164,17 +164,26 @@ class ChunkStore:
 
     def add(self, chunk: Chunk) -> None:
         """Record ``chunk`` as present, refreshing its LRU position."""
-        if chunk.digest in self._chunks:
-            self._chunks.move_to_end(chunk.digest)
-            return
-        self._chunks[chunk.digest] = chunk.raw_bytes
-        self.bytes_stored += chunk.raw_bytes
-        self._evict()
-        self.metrics.gauge("chunks", "store_bytes").set(self.bytes_stored)
+        self.add_many((chunk,))
 
     def add_many(self, chunks: Iterable[Chunk]) -> None:
+        """Record each chunk as present, refreshing LRU positions.
+
+        The ``store_bytes`` gauge is set once, after the batch, and only
+        if the batch stored a new chunk: a batch runs at one instant, so
+        its last value is the only sample the series keeps anyway.
+        """
+        stored = False
         for chunk in chunks:
-            self.add(chunk)
+            if chunk.digest in self._chunks:
+                self._chunks.move_to_end(chunk.digest)
+                continue
+            self._chunks[chunk.digest] = chunk.raw_bytes
+            self.bytes_stored += chunk.raw_bytes
+            self._evict()
+            stored = True
+        if stored:
+            self.metrics.gauge("chunks", "store_bytes").set(self.bytes_stored)
 
     def split(self, chunks: Iterable[Chunk]
               ) -> Tuple[List[Chunk], List[Chunk]]:

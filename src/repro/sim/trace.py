@@ -1,10 +1,10 @@
 """Structured event tracing and hierarchical spans.
 
-Components append :class:`TraceEvent` records to a shared :class:`Tracer`.
-Tests assert on the event stream (e.g. "trim-memory ran before eglUnload")
-and the experiment harness uses it for debugging; it is cheap enough to be
-always on.  Event lookup by ``(category, name)`` is index-backed so the
-harness's assertions do not rescan the full event list.
+Components append events to a shared :class:`Tracer`.  Tests assert on
+the event stream (e.g. "trim-memory ran before eglUnload"); it is cheap
+enough to be always on.  The log stores one flat tuple per event and
+builds :class:`TraceEvent` objects only when read (DESIGN.md,
+"Telemetry storage").
 
 Long-running operations additionally open :class:`Span` records via
 ``tracer.span("migration")``: spans nest (a stage span inside the
@@ -125,16 +125,21 @@ class _SpanHandle:
 
 
 class Tracer:
-    """Append-only event log plus a span tree, keyed to a virtual clock."""
+    """Append-only event log plus a span tree, keyed to a virtual clock.
+
+    The log holds one tuple per event, ``(time, category, name, keys,
+    *values)``, where ``keys`` names the detail entries in order and is
+    interned per tracer, so events from one call site share one key
+    tuple.  No index is kept: only tests read the log, so each read
+    scans it, and :meth:`events` and iteration build
+    :class:`TraceEvent` objects with fresh ``detail`` dicts.
+    """
 
     def __init__(self, clock) -> None:
         self._clock = clock
-        self._events: List[TraceEvent] = []
-        # Position indexes into _events, maintained on emit so filtered
-        # lookups never rescan the full list.
-        self._by_pair: Dict[Tuple[str, str], List[int]] = {}
-        self._by_category: Dict[str, List[int]] = {}
-        self._by_name: Dict[str, List[int]] = {}
+        self._records: List[tuple] = []
+        #: Detail-key tuples seen so far, each mapped to itself.
+        self._keys: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._roots: List[Span] = []
         self._open_spans: List[Span] = []
         # Cached "a/b/c" join of the open spans' names; rebuilt on span
@@ -149,47 +154,41 @@ class Tracer:
     def emit(self, category: str, name: str, **detail: Any) -> None:
         if not self.enabled:
             return
-        position = len(self._events)
-        self._events.append(
-            TraceEvent(time=self._clock.now, category=category, name=name,
-                       detail=detail)
-        )
-        self._by_pair.setdefault((category, name), []).append(position)
-        self._by_category.setdefault(category, []).append(position)
-        self._by_name.setdefault(name, []).append(position)
+        keys = tuple(detail)
+        self._records.append((self._clock.now, category, name,
+                              self._keys.setdefault(keys, keys),
+                              *detail.values()))
+
+    @staticmethod
+    def _event(record: tuple) -> TraceEvent:
+        time, category, name, keys = record[:4]
+        return TraceEvent(time, category, name, dict(zip(keys, record[4:])))
 
     def events(self, category: Optional[str] = None,
                name: Optional[str] = None) -> List[TraceEvent]:
         """Events filtered by category and/or name, in emission order."""
-        if category is None and name is None:
-            return list(self._events)
-        if category is not None and name is not None:
-            positions = self._by_pair.get((category, name), [])
-        elif category is not None:
-            positions = self._by_category.get(category, [])
-        else:
-            positions = self._by_name.get(name, [])
-        return [self._events[i] for i in positions]
+        return [self._event(record) for record in self._records
+                if (category is None or record[1] == category)
+                and (name is None or record[2] == name)]
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        return map(self._event, self._records)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._records)
 
     def clear(self) -> None:
-        self._events.clear()
-        self._by_pair.clear()
-        self._by_category.clear()
-        self._by_name.clear()
+        self._records.clear()
         self._roots.clear()
         self._open_spans.clear()
         self._open_span_path = None
 
     def index_of(self, category: str, name: str) -> int:
         """Index of the first matching event; -1 when absent."""
-        positions = self._by_pair.get((category, name))
-        return positions[0] if positions else -1
+        for index, record in enumerate(self._records):
+            if record[1] == category and record[2] == name:
+                return index
+        return -1
 
     # -- hierarchical spans ----------------------------------------------------
 

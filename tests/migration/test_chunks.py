@@ -1,5 +1,7 @@
 """Content-addressed chunking, the chunk store, and the pipelined path."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.cria import checkpoint_app, prepare_app
@@ -11,6 +13,9 @@ from repro.core.migration.chunks import (
     ChunkStore,
     chunk_image,
 )
+from repro.sim import SimClock
+from repro.sim.metrics import MetricsRegistry
+from repro.sim.telemetry import Telemetry
 from tests.conftest import DEMO_PACKAGE, launch_demo
 
 
@@ -120,6 +125,29 @@ class TestChunkStore:
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):
             ChunkStore(capacity_bytes=0)
+
+    def test_store_gauge_set_once_per_batch_with_a_new_chunk(self,
+                                                             monkeypatch):
+        clock = SimClock()
+        telemetry = dataclasses.replace(Telemetry.null(),
+                                        metrics=MetricsRegistry(clock=clock))
+        store = ChunkStore(capacity_bytes=250, telemetry=telemetry)
+        metrics = store.metrics
+        lookups = []
+        gauge = metrics.gauge
+        monkeypatch.setattr(metrics, "gauge",
+                            lambda *key: lookups.append(key) or gauge(*key))
+        store.add_many(self._chunk(i) for i in range(4))   # evicts d0, d1
+        store.add_many([self._chunk(2), self._chunk(3)])   # nothing new
+        clock.advance(1.0)
+        store.add(self._chunk(4))
+        assert lookups == [("chunks", "store_bytes")] * 2
+        assert store.bytes_stored == 200
+        assert metrics.snapshot()["gauges"] == {"chunks/store_bytes": 200}
+        assert [(e["ts"], e["args"]["value"])
+                for e in metrics.chrome_counter_events()
+                if e["name"] == "chunks/store_bytes"] == [
+            (0.0, 200), (1_000_000.0, 200)]
 
 
 class TestCostModel:

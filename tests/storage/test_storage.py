@@ -10,7 +10,12 @@ from repro.android.storage import (
     RsyncEngine,
     populate_system_partition,
 )
-from repro.android.storage.framework_files import COMMON_BYTES, DEVICE_BYTES
+from repro.android.storage.filesystem import PackedHashes
+from repro.android.storage.framework_files import (
+    COMMON_BYTES,
+    DEVICE_BYTES,
+    DEVICE_FILE_COUNT,
+)
 from repro.sim import units
 from repro.sim.rng import RngFactory
 
@@ -152,6 +157,28 @@ class TestFrameworkFiles:
         result = RsyncEngine().sync(a, "/system", b, "/m",
                                     link_dest_prefix="/system")
         assert result.bytes_linked == 0
+
+    def test_hash_columns_shared_per_template(self):
+        """The hash column depends only on the Android version and the
+        profile, so boots with one template share it; sizes still come
+        from each boot's own RNG stream."""
+        a, b, c = (DeviceStorage(name) for name in "abc")
+        populate_system_partition(a, "4.4.2", "nexus4", RngFactory(0))
+        populate_system_partition(b, "4.4.2", "nexus4", RngFactory(1))
+        populate_system_partition(c, "4.4.2", "nexus7", RngFactory(0))
+        sets = {name: dict(storage.mounted_sets("/system"))
+                for name, storage in zip("abc", (a, b, c))}
+        for prefix in ("/system/framework", "/system/vendor"):
+            assert sets["a"][prefix].hashes is sets["b"][prefix].hashes
+            assert list(sets["a"][prefix].sizes) != list(
+                sets["b"][prefix].sizes)
+        assert (sets["a"]["/system/framework"].hashes
+                is sets["c"]["/system/framework"].hashes)
+        assert (sets["a"]["/system/vendor"].hashes
+                is not sets["c"]["/system/vendor"].hashes)
+        assert list(sets["a"]["/system/vendor"].hashes) == list(
+            PackedHashes.of_tokens(f"android-4.4.2/nexus4/vendor/{i}"
+                                   for i in range(DEVICE_FILE_COUNT)))
 
 
 class TestApk:
