@@ -143,6 +143,7 @@ class Device:
         # Graphics.
         self.vendor_gl = VendorGlLibrary(profile.gpu_name, self.kernel)
         self.gl = GenericGlLibrary(self.vendor_gl)
+        self.kernel.exit_hooks.append(self.gl.release_process)
 
         # Storage.
         self.storage = DeviceStorage(self.name)
@@ -164,7 +165,6 @@ class Device:
             activity_service=self.activity_service, hardware=profile,
             device=self)
 
-        self._threads: Dict[str, ActivityThread] = {}
         self._next_uid = self.APP_UID_BASE
 
         # Input routing + launcher (imported late: they sit above app/).
@@ -216,8 +216,8 @@ class Device:
         self.power_service.attach_system_process(self.system_process)
         ctx.broadcast = self.activity_service.broadcast
         ctx.broadcast_sticky = self.activity_service.broadcast_sticky
-        self.activity_service.process_starter = None
         self.activity_service.window_manager = self.window_service
+        self.activity_service.recorder = self.recorder
 
     def _register_service(self, service) -> None:
         self.services[service.SERVICE_KEY] = service
@@ -259,7 +259,7 @@ class Device:
         """Start the app's process(es) and launch its main activity."""
         if not self.package_service.is_installed(package):
             raise DeviceError(f"{package} is not installed on {self.name}")
-        if package in self._threads:
+        if self.activity_service.is_running(package):
             raise DeviceError(f"{package} is already running on {self.name}")
         info = self.package_service.get_package(package)
 
@@ -267,7 +267,6 @@ class Device:
                                           info.apk_size, heap_bytes)
         thread = ActivityThread(self.framework, package, process)
         self.activity_service.attach_application(package, thread)
-        self._threads[package] = thread
 
         for i in range(extra_processes):
             self._spawn_app_process(package, f"{package}:proc{i + 1}",
@@ -297,38 +296,18 @@ class Device:
         return uid
 
     def thread_of(self, package: str) -> Optional[ActivityThread]:
-        return self._threads.get(package)
+        return self.activity_service.thread_of(package)
 
     def app_processes(self, package: str) -> List[Any]:
         return self.kernel.processes_of_package(package)
 
-    def terminate_app(self, package: str) -> Optional[ActivityThread]:
-        """Kill the app's processes and detach it (post-migration cleanup).
-
-        Returns the detached thread.  It is left open, because after a
-        migration or a rollback the same thread (the app's heap) lives
-        on another device; use :meth:`discard_app` when it dies here.
-        """
-        thread = self._threads.pop(package, None)
-        self.activity_service.detach_application(package)
-        for process in self.kernel.processes_of_package(package):
-            self.kernel.kill_process(process.pid)
-        return thread
-
-    def discard_app(self, package: str) -> None:
-        """Terminate the app and close its thread, whose heap dies here
-        (a refused migration, or a guest copy the user discarded)."""
-        thread = self.terminate_app(package)
-        if thread is not None and thread.framework is self.framework:
-            thread.close()
-
-    def adopt_thread(self, package: str, thread: ActivityThread) -> None:
-        """Register a restored (migrated-in) app thread with this device."""
-        self._threads[package] = thread
-        self.activity_service.attach_application(package, thread)
+    def terminate_app(self, package: str) -> None:
+        """Kill every process of the app.  Its death detaches it and,
+        unless its heap has moved to another device, closes its thread."""
+        self.activity_service.kill_package_processes(package)
 
     def running_packages(self) -> List[str]:
-        return sorted(self._threads)
+        return self.activity_service.running_packages()
 
     # -- teardown ---------------------------------------------------------------
 
@@ -344,8 +323,8 @@ class Device:
         nothing else may be called afterwards.  Idempotent.  DESIGN.md,
         "World ownership and teardown", lists the edges.
         """
-        for thread in self._threads.values():
-            thread.close()
+        for package in self.running_packages():
+            self.thread_of(package).close()
         for service in self.services.values():
             service.close()
         self._service_ctx.close()

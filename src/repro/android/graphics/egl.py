@@ -220,6 +220,11 @@ class GenericGlLibrary:
     def is_initialized(self, process) -> bool:
         return process.pid in self._initialized_pids
 
+    def release_process(self, process) -> None:
+        """Process exit: its contexts and vendor state die with it."""
+        self.egl_terminate_contexts(process)
+        self.egl_unload(process)
+
     def rebind_vendor(self, vendor: VendorGlLibrary) -> None:
         """Swap the vendor library (after migration to different GPU).
 

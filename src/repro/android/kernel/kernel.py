@@ -9,7 +9,7 @@ kernels 3.1 and 3.4, and CRIA records the source version in the image.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.android.kernel.drivers.alarm_dev import AlarmDriver
 from repro.android.kernel.drivers.ashmem import AshmemDriver
@@ -39,6 +39,9 @@ class Kernel:
         self._namespaces: List[PIDNamespace] = []
         self._drivers: Dict[str, Driver] = {}
         self.binder = None  # attached by repro.android.binder.BinderDriver
+        #: Called with each exiting process, so per-process state kept
+        #: outside the kernel (the GL stack) dies with it.
+        self.exit_hooks: List[Callable[[Process], None]] = []
 
         for driver_cls in (AshmemDriver, PmemDriver, LoggerDriver,
                            AlarmDriver, WakelockDriver):
@@ -85,6 +88,7 @@ class Kernel:
         Binder's included.  Processes and namespaces stay readable."""
         for driver in self._drivers.values():
             driver.close()
+        self.exit_hooks = []
         if self.binder is not None:
             self.binder.close()
 
@@ -114,6 +118,8 @@ class Kernel:
         self.wakelocks.release_all(pid)
         if self.binder is not None:
             self.binder.release_process(process)
+        for hook in self.exit_hooks:
+            hook(process)
         # A namespace lives as long as a process is bound in it: the
         # exit of its last one (the app migrated away) drops it.
         self._namespaces = [ns for ns in self._namespaces

@@ -8,8 +8,9 @@ app's ActivityThread.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.android.app.intent import Intent, IntentFilter
 from repro.android.graphics.renderer import TRIM_MEMORY_COMPLETE
@@ -41,49 +42,48 @@ class ActivityManagerService(SystemService):
 
     def __init__(self, ctx: ServiceContext) -> None:
         super().__init__(ctx)
-        self._threads: Dict[str, Any] = {}        # package -> ActivityThread
+        #: package -> ActivityThread: the device's only registry of
+        #: running apps, left only when the app's process dies.
+        self._threads: Dict[str, Any] = {}
         self._receivers: Dict[str, ReceiverRegistration] = {}
         self._provider_connections: List[ProviderConnection] = []
         self._orientations: Dict[int, int] = {}
         self._uri_grants: Dict[str, Tuple[str, int]] = {}
         self._sticky: Dict[str, Intent] = {}     # action -> last intent
-        self.process_starter: Optional[Callable[[str], Any]] = None
-        #: The device's WindowManagerService, wired at boot: an app's
-        #: death removes its windows there.
+        #: Wired at boot: an app's death drops its windows from the
+        #: WindowManagerService and its record log from the Recorder.
         self.window_manager = None
+        self.recorder = None
         self.broadcasts_delivered = 0
 
     # -- application attach (framework-internal) --------------------------------
 
     def attach_application(self, package: str, thread) -> None:
         self._threads[package] = thread
-        node = getattr(thread, "app_thread_node", None)
-        if node is not None and node.alive:
-            driver = self.ctx.kernel.binder
-            system = self._system_process()
-            handle = driver.acquire_ref(system, node)
+        driver = self.ctx.kernel.binder
+        system = self.binder_node.owner     # system_server
+        handle = driver.acquire_ref(system, thread.app_thread_node)
 
-            def on_death(dead, package=package, thread=thread) -> None:
-                # Like Android's appDiedLocked: whatever killed the
-                # process (a migration, killBackgroundProcesses, a
-                # rollback), drop the reference and the windows that
-                # still reach it, so the dead process is freed at once.
-                driver.release_ref(system, handle)
-                self.window_manager.remove_process_windows(dead.owner)
-                # Only detach if this thread is still the attached one
-                # (a migrated-in instance may have replaced it).
-                if self._threads.get(package) is thread:
-                    self.detach_application(package)
-                    self.trace("app-died", package=package)
+        def on_death(dead, package=package, thread=thread) -> None:
+            # Like Android's appDiedLocked: whatever killed the process
+            # (a migration, killBackgroundProcesses, a rollback), drop
+            # the reference and the windows that still reach it, so the
+            # dead process is freed at once.
+            driver.release_ref(system, handle)
+            self.window_manager.remove_process_windows(dead.owner)
+            # Unless a migrated-in instance replaced it, the app is gone,
+            # and so is its heap unless a migration or a rollback
+            # rebound it to another process.
+            if self._threads.get(package) is thread:
+                self.detach_application(package)
+                if thread.process is dead.owner:
+                    thread.close()
 
-            driver.link_to_death(system, handle, on_death)
-
-    def _system_process(self):
-        # The AMS runs inside system_server; its node's owner is it.
-        return self.binder_node.owner if self.binder_node else None
+        driver.link_to_death(system, handle, on_death)
 
     def detach_application(self, package: str) -> None:
         self._threads.pop(package, None)
+        self.recorder.forget_app(package)
         stale = [rid for rid, reg in self._receivers.items()
                  if reg.package == package]
         for rid in stale:
@@ -97,6 +97,15 @@ class ActivityManagerService(SystemService):
 
     def is_running(self, package: str) -> bool:
         return package in self._threads
+
+    def running_packages(self) -> List[str]:
+        return sorted(self._threads)
+
+    def kill_package_processes(self, package: str) -> None:
+        """Kill every process of ``package``; the death detaches it."""
+        kernel = self.ctx.kernel
+        for process in kernel.processes_of_package(package):
+            kernel.kill_process(process.pid)
 
     # -- AIDL interface ------------------------------------------------------
 
@@ -217,8 +226,7 @@ class ActivityManagerService(SystemService):
     def killBackgroundProcesses(self, caller, package_name: str) -> None:
         thread = self._threads.get(package_name)
         if thread is not None and thread.in_background:
-            self.detach_application(package_name)
-            self.ctx.kernel.kill_process(thread.process.pid)
+            self.kill_package_processes(package_name)
 
     def getContentProvider(self, caller, authority: str) -> Dict[str, Any]:
         provider, owner_pkg = self._find_provider(authority)
@@ -273,7 +281,15 @@ class ActivityManagerService(SystemService):
         """Pause now; the task idler stops the app after the idle delay."""
         thread = self._require_thread(package)
         thread.pause_all()
-        self.ctx.clock.call_after(self.TASK_IDLE_DELAY, thread.stop_all)
+        # Weakly: a pending timer must not keep a dead app's process.
+        idling = weakref.ref(thread)
+
+        def idle() -> None:
+            thread = idling()
+            if thread is not None and self._threads.get(package) is thread:
+                thread.stop_all()
+
+        self.ctx.clock.call_after(self.TASK_IDLE_DELAY, idle)
         self.trace("background", package=package)
 
     def foreground_app(self, package: str) -> None:
@@ -301,10 +317,6 @@ class ActivityManagerService(SystemService):
         thread = self._threads.get(package)
         if thread is not None:
             return thread
-        if self.process_starter is not None:
-            thread = self.process_starter(package)
-            if thread is not None:
-                return thread
         raise ServiceError(f"package {package!r} is not running")
 
     def _find_provider(self, authority: str):

@@ -159,7 +159,7 @@ def restore_app(device, image: CheckpointImage,
 
     thread = image.app_payload
     thread.rebind(device.framework, main_process)
-    device.adopt_thread(package, thread)
+    device.activity_service.attach_application(package, thread)
 
     restored = RestoredApp(
         package=package, thread=thread, process=main_process,

@@ -75,9 +75,7 @@ class ConsistencyManager:
             self.sync_state_back(package, guest)
         # Either way the guest's running instance is discarded and the
         # home copy becomes authoritative.
-        if guest.thread_of(package) is not None:
-            guest.discard_app(package)
-        guest.recorder.forget_app(package)
+        guest.terminate_app(package)
         self.mark_returned(package)
 
     def sync_state_back(self, package: str, guest) -> int:

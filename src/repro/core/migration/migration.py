@@ -272,8 +272,7 @@ class MigrationService:
         home.service("power").release_all_for(package)
         home.service("camera").release_all_for(package)
         home.service("alarm").cancel_all_for(package)
-        home.recorder.forget_app(package)
-        home.terminate_app(package)
+        home.terminate_app(package)     # its death forgets the record log
         for service in home.services.values():
             if isinstance(service, SystemService):
                 service.drop_app_state(package)

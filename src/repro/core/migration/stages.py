@@ -48,7 +48,6 @@ from repro.core.cria.preparation import check_preparable, prepare_app
 from repro.core.cria.restore import (
     RestoreFaultPlan,
     restore_app,
-    rollback_restore,
 )
 from repro.core.extensions import FluxExtensions
 from repro.core.migration import costs
@@ -372,22 +371,22 @@ class RestoreStage(Stage):
 
     def rollback(self, ctx: MigrationContext) -> None:
         # Only reached when restore completed but a later stage faulted:
-        # tear the restored app off the guest and point the thread (the
-        # app's heap) back at its still-present home process.
+        # point the thread (the app's heap) back at its still-present
+        # home process, then tear the restored app off the guest.
         restored = ctx.restored
         if restored is None:
             return
         guest = ctx.guest
         try:
-            guest.terminate_app(ctx.package)
-        except Exception:
-            pass
-        rollback_restore(guest, restored.namespace, [])
-        ctx.restored = None
-        try:
             ctx.thread.rebind(ctx.home.framework, ctx.process)
         except Exception:
             pass
+        try:
+            # Killing the restored processes also drops their namespace.
+            guest.terminate_app(ctx.package)
+        except Exception:
+            pass
+        ctx.restored = None
 
 
 class ReintegrationStage(Stage):

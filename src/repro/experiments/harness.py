@@ -185,7 +185,7 @@ def _run_pair(home: Device, guest: Device, apps: Sequence[AppSpec],
             if not include_failures:
                 raise
             refusals[spec.package] = error.reason
-            home.discard_app(spec.package)
+            home.terminate_app(spec.package)
     metrics, events, timeline = export([home, guest])
     return PairOutcome(reports=reports, refusals=refusals, metrics=metrics,
                        events=events, timeline=timeline)

@@ -493,7 +493,7 @@ def _session(world: ScenarioWorld, outcome: SessionOutcome):
             outcome.report = failed
             outcome.refusal = error.reason
             outcome.refusal_detail = error.detail
-            home.discard_app(spec.package)
+            home.terminate_app(spec.package)
         else:
             outcome.status = "migrated"
             outcome.report = report

@@ -27,6 +27,7 @@ from repro.android.hardware.profiles import (
 )
 from repro.apps.catalog import MIGRATABLE_APPS
 from repro.apps.games import FLAPPY_BIRD
+from repro.apps.social import FACEBOOK
 from repro.core.cria.errors import MigrationError, MigrationRefusal
 from repro.core.cria.restore import RestoreFaultPlan
 from repro.sim import SimClock
@@ -239,21 +240,33 @@ def test_restore_fault_rollback_frees_guest_processes(mode,
     assert system_refs(guest) == bases["guest"] + 1
 
 
+@pytest.mark.parametrize("app", [FLAPPY_BIRD, FACEBOOK],
+                         ids=["flappy-bird", "facebook"])
 @pytest.mark.parametrize("mode", TELEMETRY)
-def test_kill_background_processes_releases_ref_and_windows(mode):
+def test_kill_background_processes_releases_ref_and_windows(mode, app):
+    """Every process of the app dies, the app leaves the registry and
+    is freed, and it can be launched again."""
     with telemetry_env(mode):
         device = Device(NEXUS_4, SimClock(), RngFactory(3), name="home")
     before = system_refs(device)
-    thread = FLAPPY_BIRD.install_and_launch(device)
+    thread = app.install_and_launch(device)
     assert system_refs(device) == before + 1
-    assert device.window_service.windows_of(FLAPPY_BIRD.package)
-    device.activity_service.background_app(FLAPPY_BIRD.package)
+    assert device.window_service.windows_of(app.package)
+    device.activity_service.background_app(app.package)
     device.clock.advance(1.0)
-    device.activity_service.killBackgroundProcesses(thread.process,
-                                                    FLAPPY_BIRD.package)
-    # No weakref check: the Device still lists the app's thread, which
-    # reaches the dead process.
-    assert not thread.process.alive
+    with collector_off():
+        killed = [weakref.ref(process)
+                  for process in device.app_processes(app.package)]
+        assert len(killed) == 1 + app.multi_process
+        device.activity_service.killBackgroundProcesses(thread.process,
+                                                        app.package)
+        del thread
+        assert live(killed) == []
+    assert device.app_processes(app.package) == []
+    assert device.running_packages() == []
+    assert device.thread_of(app.package) is None
     assert system_refs(device) == before
-    assert device.window_service.windows_of(FLAPPY_BIRD.package) == []
+    assert device.window_service.windows_of(app.package) == []
     assert windows_of_dead(device) == []
+    assert app.install_and_launch(device).process.alive
+    assert device.running_packages() == [app.package]

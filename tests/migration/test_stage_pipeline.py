@@ -18,6 +18,7 @@ from repro.core.extensions import FluxExtensions
 from repro.core.migration.migration import STAGES, MigrationReport
 from repro.core.migration.stages import (
     MigrationContext,
+    ReintegrationStage,
     Stage,
     StagePipeline,
     default_stages,
@@ -178,6 +179,32 @@ class TestRestoreFaultRollback:
                 restore_fault=RestoreFaultPlan(fail_after_steps=1))
         report = home.migration_service.migrate(guest, DEMO_PACKAGE)
         assert report.success
+        assert guest.running_packages() == [DEMO_PACKAGE]
+
+    def test_fault_after_restore_hands_the_thread_back(self, paired,
+                                                       monkeypatch):
+        """A fault after restore completed kills the guest copy; the
+        thread, the app's heap, stays open and runs on home again."""
+        home, guest, thread = paired
+
+        def fault(stage, ctx):
+            raise RuntimeError("reintegration fault")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ReintegrationStage, "_reintegrate", fault)
+            with pytest.raises(RuntimeError):
+                home.migration_service.migrate(guest, DEMO_PACKAGE)
+        assert guest.running_packages() == []
+        assert guest.kernel.processes_of_package(DEMO_PACKAGE) == []
+        assert guest.kernel.namespaces() == []
+        assert home.thread_of(DEMO_PACKAGE) is thread
+        assert thread.framework is home.framework
+        assert thread.process.alive
+        # The guest copy's death did not close the thread: its context
+        # still reaches it and can bind services it never used before.
+        assert thread.context.package == DEMO_PACKAGE
+        thread.context.get_system_service("clipboard").set_text("back")
+        assert home.migration_service.migrate(guest, DEMO_PACKAGE).success
         assert guest.running_packages() == [DEMO_PACKAGE]
 
     def test_plan_validates(self):
