@@ -1,0 +1,22 @@
+"""Host cost of the migration path outside the perfbench layers.
+
+Prints each entry point's inclusive share of ``migrate()`` wall time
+over the perfbench handoff rounds (``tests/helpers/host_cost.py``).
+Non-gating: it checks only that the rounds ran and every share is a
+fraction; run it with ``-m perf -s`` to read the shares.
+"""
+
+import pytest
+
+from tests.helpers.host_cost import ENTRY_POINTS, format_report, measure
+
+
+@pytest.mark.perf
+def test_host_cost_shares():
+    result = measure(seed=0, rounds=4)
+    print()
+    print(format_report(result))
+    assert result["failed"] == 0
+    assert result["migrations"] == 4 * 64
+    assert set(result["shares"]) == {name for _, _, name in ENTRY_POINTS}
+    assert all(0.0 < share < 1.0 for share in result["shares"].values())

@@ -3,9 +3,11 @@
 A Window's View hierarchy is rooted by a ViewRoot; rendering traverses
 the tree and each View draws its portion (paper §2).  Hardware-
 accelerated Views hold display lists in GPU memory via the
-HardwareRenderer; ``release_display_lists`` is the hook the trim-memory
-chain uses to drop them.  GLSurfaceView owns its own EGL context and is
-where ``setPreserveEGLContextOnPause`` — the feature that makes an app
+HardwareRenderer; a view only flags that it has one, and each traversal
+charges the lists it created in one call.  ``release_display_lists`` is
+the hook the trim-memory chain uses to drop them, again in one call.
+GLSurfaceView owns its own EGL context and is where
+``setPreserveEGLContextOnPause`` — the feature that makes an app
 unmigratable (paper §3.4) — lives.
 """
 
@@ -23,7 +25,6 @@ class View:
     """An interactive UI element."""
 
     _ids = itertools.count(1)
-    DISPLAY_LIST_BYTES = 16 * 1024
 
     def __init__(self, name: str = "") -> None:
         self.view_id = next(self._ids)
@@ -31,27 +32,38 @@ class View:
         self.parent: Optional["ViewGroup"] = None
         self.valid = False          # needs redraw when False
         self.draw_count = 0
-        self._display_list_res: Optional[int] = None
+        self.has_display_list = False
 
     def invalidate(self) -> None:
         self.valid = False
 
-    def draw(self, renderer) -> None:
-        """Draw this view; allocates its display list on first draw."""
-        if self._display_list_res is None and renderer is not None:
-            resource = renderer.allocate_display_list(self.DISPLAY_LIST_BYTES)
-            self._display_list_res = resource.res_id
+    def draw(self, renderer) -> int:
+        """Draw this view; returns how many display lists the draw
+        created (one on a view's first draw with a renderer)."""
         self.valid = True
         self.draw_count += 1
+        if self.has_display_list or renderer is None:
+            return 0
+        self.has_display_list = True
+        return 1
 
-    def release_display_list(self, renderer) -> None:
-        if self._display_list_res is not None and renderer is not None:
-            renderer.free_display_list(self._display_list_res)
-        self._display_list_res = None
+    def release_display_list(self) -> int:
+        """Drop this view's display list; returns how many went."""
+        released = int(self.has_display_list)
+        self.has_display_list = False
         self.valid = False
+        return released
 
     def iter_tree(self):
-        yield self
+        """This view and every view below it, in pre-order (one
+        generator for the whole walk, not one per level)."""
+        stack = [self]
+        while stack:
+            view = stack.pop()
+            yield view
+            children = getattr(view, "children", None)
+            if children:
+                stack.extend(reversed(children))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
@@ -77,20 +89,17 @@ class ViewGroup(View):
         self.children.remove(child)
         child.parent = None
 
-    def draw(self, renderer) -> None:
-        super().draw(renderer)
+    def draw(self, renderer) -> int:
+        created = super().draw(renderer)
         for child in self.children:
-            child.draw(renderer)
+            created += child.draw(renderer)
+        return created
 
-    def release_display_list(self, renderer) -> None:
-        super().release_display_list(renderer)
+    def release_display_list(self) -> int:
+        released = super().release_display_list()
         for child in self.children:
-            child.release_display_list(renderer)
-
-    def iter_tree(self):
-        yield self
-        for child in self.children:
-            yield from child.iter_tree()
+            released += child.release_display_list()
+        return released
 
     def detach_tree(self) -> None:
         """Cut every ``parent`` edge below this group; the children
@@ -145,15 +154,17 @@ class GLSurfaceView(View):
     def has_live_context(self) -> bool:
         return self._context is not None and not self._context.destroyed
 
-    def draw(self, renderer) -> None:
+    def draw(self, renderer) -> int:
         # GL views render through their own context, not the renderer's.
         if not self.has_live_context:
             self.on_resume_gl()
         self.valid = True
         self.draw_count += 1
+        return 0
 
-    def release_display_list(self, renderer) -> None:
+    def release_display_list(self) -> int:
         self.valid = False
+        return 0
 
 
 class ViewRoot:
@@ -174,7 +185,9 @@ class ViewRoot:
             raise ViewError(f"ViewRoot {self.root_id} destroyed")
         if not self.window.has_surface:
             raise ViewError(f"window {self.window.window_id} has no surface")
-        self.content.draw(renderer)
+        created = self.content.draw(renderer)
+        if created:
+            renderer.allocate_display_lists(created)
         self.window.surface.render_frame()
         self.traversals += 1
 
@@ -187,7 +200,9 @@ class ViewRoot:
 
     def release_display_lists(self, renderer) -> None:
         """terminateHardwareResources: drop GPU-side view state."""
-        self.content.release_display_list(renderer)
+        released = self.content.release_display_list()
+        if released:
+            renderer.free_display_lists(released)
 
     def gl_surface_views(self) -> List[GLSurfaceView]:
         return [v for v in self.content.iter_tree()

@@ -15,8 +15,8 @@ of this is released.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.android.kernel.memory import MemoryRegion, RegionKind
 
@@ -27,13 +27,23 @@ class GlError(Exception):
 
 @dataclass(frozen=True)
 class GlResource:
+    """Handle to one resource created on its own (a texture, a shader),
+    so it can be deleted on its own."""
+
     res_id: int
     kind: str          # "texture" | "shader" | "buffer" | "framebuffer"
     size: int          # bytes of device memory backing it
 
 
 class EGLContext:
-    """One rendering context, tied to the vendor library that made it."""
+    """One rendering context, tied to the vendor library that made it.
+
+    GPU memory is accounted in columns: a count and a byte total per
+    resource kind (``counts``, ``kind_bytes``).  ``create_resource``
+    also keeps a :class:`GlResource` handle, so the resource can be
+    deleted alone and captured by GL record/replay; a batch
+    :meth:`charge` (a view tree's display lists) keeps none.
+    """
 
     _ids = itertools.count(1)
 
@@ -42,6 +52,8 @@ class EGLContext:
         self.vendor = vendor
         self.process = process
         self.resources: Dict[int, GlResource] = {}
+        self.counts: Dict[str, int] = {}
+        self.kind_bytes: Dict[str, int] = {}
         self._res_ids = itertools.count(1)
         self.destroyed = False
         self._region_name = f"glctx:{self.context_id}"
@@ -50,10 +62,9 @@ class EGLContext:
             size=vendor.context_overhead))
 
     def create_resource(self, kind: str, size: int) -> GlResource:
-        self._check_alive()
+        self.charge(kind, size)
         resource = GlResource(next(self._res_ids), kind, size)
         self.resources[resource.res_id] = resource
-        self.vendor.charge_memory(self, resource)
         return resource
 
     def delete_resource(self, res_id: int) -> None:
@@ -61,16 +72,42 @@ class EGLContext:
         resource = self.resources.pop(res_id, None)
         if resource is None:
             raise GlError(f"no GL resource {res_id}")
-        self.vendor.release_memory(self, resource)
+        self.release(resource.kind, resource.size)
 
-    def resource_bytes(self) -> int:
-        return sum(r.size for r in self.resources.values())
+    def charge(self, kind: str, size: int, count: int = 1) -> None:
+        """Account ``count`` more resources of ``kind``, ``size`` bytes
+        in all, in the context's one pmem allocation for ``kind``."""
+        self._check_alive()
+        total = self.kind_bytes.get(kind, 0) + size
+        self.vendor.size_allocation(self, kind, total)
+        self.counts[kind] = self.counts.get(kind, 0) + count
+        self.kind_bytes[kind] = total
+
+    def release(self, kind: str, size: int, count: int = 1) -> None:
+        """Give back ``count`` resources of ``kind``, ``size`` bytes in
+        all; the kind's pmem allocation is freed with its last one."""
+        self._check_alive()
+        left = self.counts.get(kind, 0) - count
+        if left < 0:
+            raise GlError(f"context {self.context_id} holds "
+                          f"{self.counts.get(kind, 0)} {kind} resource(s), "
+                          f"not {count}")
+        total = self.kind_bytes[kind] - size if left else 0
+        self.vendor.size_allocation(self, kind, total)
+        if left:
+            self.counts[kind] = left
+            self.kind_bytes[kind] = total
+        else:
+            del self.counts[kind], self.kind_bytes[kind]
 
     def destroy(self) -> None:
         if self.destroyed:
             return
-        for res_id in list(self.resources):
-            self.delete_resource(res_id)
+        for kind in self.counts:
+            self.vendor.size_allocation(self, kind, 0)
+        self.resources.clear()
+        self.counts.clear()
+        self.kind_bytes.clear()
         self.process.memory.unmap(self._region_name)
         self.destroyed = True
         self.vendor.on_context_destroyed(self)
@@ -84,9 +121,10 @@ class VendorGlLibrary:
     """The device-specific half of the GL stack.
 
     Loading it maps a vendor-state region into the process; every GPU
-    allocation goes through pmem.  It refuses to unload while any of its
-    contexts are alive — exactly the constraint ``eglUnload`` must
-    respect.
+    allocation goes through pmem, one allocation per (context, resource
+    kind) that grows and shrinks with the context's column.  It refuses
+    to unload while any of its contexts are alive — exactly the
+    constraint ``eglUnload`` must respect.
     """
 
     def __init__(self, gpu_name: str, kernel,
@@ -97,11 +135,12 @@ class VendorGlLibrary:
         self.context_overhead = context_overhead
         self.library_state_size = library_state_size
         self._loaded_into: Dict[int, object] = {}   # pid -> process
-        self._live_contexts: List[EGLContext] = []
-        #: pid -> (context_id, res_id) -> pmem alloc.  Resource ids are
-        #: numbered per context, and one process may hold several
-        #: contexts (a game's HardwareRenderer and its GLSurfaceView).
-        self._allocations: Dict[int, Dict[Tuple[int, int], object]] = {}
+        #: pid -> context_id -> live context.
+        self._live_contexts: Dict[int, Dict[int, EGLContext]] = {}
+        #: pid -> (context_id, kind) -> pmem alloc.  One process may
+        #: hold several contexts (a game's HardwareRenderer and its
+        #: GLSurfaceView); only pids that own GPU memory have a table.
+        self._allocations: Dict[int, Dict[Tuple[int, str], object]] = {}
 
     # -- load / unload ---------------------------------------------------------
 
@@ -120,11 +159,10 @@ class VendorGlLibrary:
         """eglUnload's vendor half: only legal once no contexts remain."""
         if process.pid not in self._loaded_into:
             raise GlError(f"vendor lib not loaded in pid {process.pid}")
-        live = [c for c in self._live_contexts
-                if c.process.pid == process.pid and not c.destroyed]
+        live = self.live_context_count(process.pid)
         if live:
             raise GlError(
-                f"cannot unload vendor lib: {len(live)} live context(s)")
+                f"cannot unload vendor lib: {live} live context(s)")
         process.memory.unmap(f"glvendor:{self.gpu_name}")
         del self._loaded_into[process.pid]
 
@@ -134,46 +172,54 @@ class VendorGlLibrary:
         if process.pid not in self._loaded_into:
             raise GlError("vendor library not loaded; call eglInitialize first")
         context = EGLContext(self, process)
-        self._live_contexts.append(context)
+        self._live_contexts.setdefault(process.pid, {})[
+            context.context_id] = context
         return context
 
     def on_context_destroyed(self, context: EGLContext) -> None:
-        if context in self._live_contexts:
-            self._live_contexts.remove(context)
+        pid = context.process.pid
+        per_pid = self._live_contexts.get(pid)
+        if per_pid is not None \
+                and per_pid.pop(context.context_id, None) is not None \
+                and not per_pid:
+            del self._live_contexts[pid]
+
+    def contexts_of(self, pid: int) -> List[EGLContext]:
+        """The process's live contexts, in creation order."""
+        return list(self._live_contexts.get(pid, {}).values())
 
     def close(self) -> None:
         """World teardown: cut each live context's edge back to this
-        library (the list holds the contexts, each context its vendor)."""
-        for context in self._live_contexts:
-            context.vendor = None
+        library (the table holds the contexts, each context its vendor)."""
+        for per_pid in self._live_contexts.values():
+            for context in per_pid.values():
+                context.vendor = None
 
-    def live_context_count(self, pid: Optional[int] = None) -> int:
-        contexts = [c for c in self._live_contexts if not c.destroyed]
-        if pid is not None:
-            contexts = [c for c in contexts if c.process.pid == pid]
-        return len(contexts)
+    def live_context_count(self, pid: int) -> int:
+        return len(self._live_contexts.get(pid, ()))
 
-    def charge_memory(self, context: EGLContext,
-                      resource: GlResource) -> None:
+    def size_allocation(self, context: EGLContext, kind: str,
+                        size: int) -> None:
+        """Make the context's pmem allocation for ``kind`` ``size``
+        bytes: allocate it, grow or shrink it, or free it at 0."""
         process = context.process
-        alloc = self.kernel.pmem.allocate(process, resource.size,
-                                          purpose=f"gl-{resource.kind}")
-        self._allocations.setdefault(process.pid, {})[
-            context.context_id, resource.res_id] = alloc
-
-    def release_memory(self, context: EGLContext,
-                       resource: GlResource) -> None:
-        process = context.process
+        pmem = self.kernel.pmem
+        key = context.context_id, kind
         per_pid = self._allocations.get(process.pid)
-        if per_pid is None:
-            return
-        alloc = per_pid.pop((context.context_id, resource.res_id), None)
-        if not per_pid:
-            # The pid's last allocation: drop its table, so the map
-            # only ever holds processes that still own GPU memory.
-            del self._allocations[process.pid]
-        if alloc is not None:
-            self.kernel.pmem.free(process, alloc)
+        alloc = per_pid.get(key) if per_pid is not None else None
+        if alloc is None:
+            if size:
+                alloc = pmem.allocate(process, size, purpose=f"gl-{kind}")
+                self._allocations.setdefault(process.pid, {})[key] = alloc
+        elif size:
+            pmem.resize(process, alloc, size)
+        else:
+            del per_pid[key]
+            if not per_pid:
+                # The pid's last allocation: drop its table, so the map
+                # only ever holds processes that still own GPU memory.
+                del self._allocations[process.pid]
+            pmem.free(process, alloc)
 
 
 class GenericGlLibrary:
@@ -203,12 +249,10 @@ class GenericGlLibrary:
 
     def egl_terminate_contexts(self, process) -> int:
         """Destroy every live context this process holds; returns count."""
-        count = 0
-        for context in list(self._vendor._live_contexts):
-            if context.process.pid == process.pid and not context.destroyed:
-                context.destroy()
-                count += 1
-        return count
+        contexts = self._vendor.contexts_of(process.pid)
+        for context in contexts:
+            context.destroy()
+        return len(contexts)
 
     def egl_unload(self, process) -> None:
         """The Flux extension (paper §3.3): drop vendor-specific state."""

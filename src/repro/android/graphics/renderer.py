@@ -10,7 +10,7 @@ remove the vendor library.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.android.graphics.egl import EGLContext, GenericGlLibrary, GlError
 
@@ -21,19 +21,26 @@ TRIM_MEMORY_COMPLETE = 80      # highest severity; what Flux requests
 
 
 class HardwareRenderer:
-    """One per app process; renders every hardware-accelerated window."""
+    """One per app process; renders every hardware-accelerated window.
+
+    Its caches and the display lists of the views it draws live in its
+    context's columns: one charge per cache, one per view-tree
+    traversal for the lists the traversal created.
+    """
 
     CACHE_KINDS = ("texture-cache", "path-cache", "gradient-cache")
     CACHE_BYTES = {"texture-cache": 2 * 1024 * 1024,
                    "path-cache": 512 * 1024,
                    "gradient-cache": 128 * 1024}
+    #: GPU bytes of one view's display list.
+    DISPLAY_LIST_BYTES = 16 * 1024
+    DISPLAY_LIST_KIND = "buffer"
 
     def __init__(self, process, gl: GenericGlLibrary) -> None:
         self.process = process
         self.gl = gl
         self.context: Optional[EGLContext] = None
         self.enabled = False
-        self._caches: Dict[str, int] = {}        # kind -> res_id
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -44,9 +51,7 @@ class HardwareRenderer:
         self.gl.egl_initialize(self.process)
         self.context = self.gl.egl_create_context(self.process)
         for kind in self.CACHE_KINDS:
-            resource = self.context.create_resource(kind,
-                                                    self.CACHE_BYTES[kind])
-            self._caches[kind] = resource.res_id
+            self.context.charge(kind, self.CACHE_BYTES[kind])
         self.enabled = True
 
     @property
@@ -60,15 +65,19 @@ class HardwareRenderer:
             self.initialize()       # conditional init on first use
         view_root.perform_traversal(self)
 
-    def allocate_display_list(self, size: int):
+    def allocate_display_lists(self, count: int) -> None:
+        """Charge ``count`` new display lists in one call."""
         if self.context is None:
             raise GlError("renderer has no context")
-        return self.context.create_resource("buffer", size)
+        self.context.charge(self.DISPLAY_LIST_KIND,
+                            count * self.DISPLAY_LIST_BYTES, count)
 
-    def free_display_list(self, res_id: int) -> None:
+    def free_display_lists(self, count: int) -> None:
+        """Release ``count`` display lists in one call (a no-op once
+        the context is gone: they went with it)."""
         if self.context is not None and not self.context.destroyed:
-            if res_id in self.context.resources:
-                self.context.delete_resource(res_id)
+            self.context.release(self.DISPLAY_LIST_KIND,
+                                 count * self.DISPLAY_LIST_BYTES, count)
 
     # -- trim-memory chain (paper §3.3) -----------------------------------------
 
@@ -76,10 +85,9 @@ class HardwareRenderer:
         """Flush caches; at TRIM_MEMORY_COMPLETE everything goes."""
         if self.context is None or self.context.destroyed:
             return
-        for kind, res_id in list(self._caches.items()):
-            if res_id in self.context.resources:
-                self.context.delete_resource(res_id)
-            del self._caches[kind]
+        for kind in self.CACHE_KINDS:
+            if kind in self.context.counts:
+                self.context.release(kind, self.CACHE_BYTES[kind])
 
     def destroy_hardware_resources(self, view_root) -> None:
         view_root.release_display_lists(self)
@@ -89,7 +97,6 @@ class HardwareRenderer:
         if self.context is not None and not self.context.destroyed:
             self.context.destroy()
         self.context = None
-        self._caches.clear()
         self.enabled = False
 
     def terminate_and_uninitialize(self) -> bool:
@@ -106,6 +113,5 @@ class HardwareRenderer:
     def cache_bytes(self) -> int:
         if self.context is None:
             return 0
-        return sum(self.context.resources[r].size
-                   for r in self._caches.values()
-                   if r in self.context.resources)
+        return sum(self.context.kind_bytes.get(kind, 0)
+                   for kind in self.CACHE_KINDS)

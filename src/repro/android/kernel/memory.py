@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class RegionKind(enum.Enum):
@@ -40,9 +40,21 @@ class MemoryError_(Exception):
     """Address-space errors (shadowing builtin MemoryError intentionally avoided)."""
 
 
-@dataclass
+#: The fields a region's content hash and chunk digests derive from (and
+#: ``shared_with``); assigning any of them drops both caches.
+_REGION_FIELDS = frozenset({"name", "kind", "size", "payload", "shared_with"})
+
+
+@dataclass(init=False)
 class MemoryRegion:
-    """One mapping in a process address space."""
+    """One mapping in a process address space.
+
+    The region owns the two values derived from its content: its
+    :meth:`content_hash` and its chunk digests (:meth:`chunk_digests`).
+    Each is computed on first use and kept until a field is assigned;
+    :meth:`clone` carries both, so a region copied through checkpoint,
+    restore and the next checkpoint is hashed once.
+    """
 
     name: str
     kind: RegionKind
@@ -50,25 +62,69 @@ class MemoryRegion:
     payload: bytes = b""
     shared_with: Optional[str] = None  # ashmem name when shared
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise MemoryError_(f"negative region size for {self.name!r}")
+    # Derived-value caches: class defaults, set per instance on first
+    # use (unannotated, so not dataclass fields).
+    _hash = None        # content_hash()
+    _chunks = None      # (chunk_bytes, chunk_digests(chunk_bytes))
+
+    def __init__(self, name: str, kind: RegionKind, size: int,
+                 payload: bytes = b"",
+                 shared_with: Optional[str] = None) -> None:
+        if size < 0:
+            raise MemoryError_(f"negative region size for {name!r}")
+        self.__dict__.update(name=name, kind=kind, size=size,
+                             payload=payload, shared_with=shared_with)
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name in _REGION_FIELDS:
+            state = self.__dict__
+            state.pop("_hash", None)
+            state.pop("_chunks", None)
 
     @property
     def device_specific(self) -> bool:
         return self.kind in DEVICE_SPECIFIC_KINDS
 
     def content_hash(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(self.name.encode("utf-8"))
-        digest.update(self.kind.value.encode("ascii"))
-        digest.update(self.size.to_bytes(8, "big"))
-        digest.update(self.payload)
-        return digest.hexdigest()
+        cached = self._hash
+        if cached is None:
+            digest = hashlib.sha256()
+            digest.update(self.name.encode("utf-8"))
+            digest.update(self.kind.value.encode("ascii"))
+            digest.update(self.size.to_bytes(8, "big"))
+            digest.update(self.payload)
+            cached = self.__dict__["_hash"] = digest.hexdigest()
+        return cached
+
+    def chunk_digests(self, chunk_bytes: int
+                      ) -> Tuple[Tuple[str, int], ...]:
+        """``(digest, length)`` of each ``chunk_bytes`` slice, in order.
+
+        A chunk's digest covers ``("region", content_hash)`` plus its
+        offset and length (see ``core.migration.chunks``), so any
+        change to the region changes all of them.  Kept for the last
+        ``chunk_bytes`` asked for.
+        """
+        cached = self._chunks
+        if cached is None or cached[0] != chunk_bytes:
+            prefix = hashlib.sha256(
+                f"region\x00{self.content_hash()}\x00".encode("utf-8"))
+            digests = []
+            offset, size = 0, self.size
+            while offset < size:
+                length = min(chunk_bytes, size - offset)
+                h = prefix.copy()
+                h.update(f"{offset}\x00{length}\x00".encode("utf-8"))
+                digests.append((h.hexdigest(), length))
+                offset += length
+            cached = self.__dict__["_chunks"] = (chunk_bytes, tuple(digests))
+        return cached[1]
 
     def clone(self) -> "MemoryRegion":
-        return MemoryRegion(name=self.name, kind=self.kind, size=self.size,
-                            payload=self.payload, shared_with=self.shared_with)
+        twin = object.__new__(MemoryRegion)
+        twin.__dict__.update(self.__dict__)
+        return twin
 
 
 class AddressSpace:

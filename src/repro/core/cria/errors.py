@@ -19,6 +19,9 @@ class MigrationRefusal(enum.Enum):
     API_LEVEL_INCOMPATIBLE = "api-level-incompatible"
     NOT_PAIRED = "not-paired"
     NOT_RUNNING = "not-running"
+    # The guest already runs the package natively: restoring over it
+    # would leave two instances with one registered.
+    GUEST_ALREADY_RUNNING = "guest-already-running"
     DEVICE_STATE_RESIDUE = "device-specific-state-residue"
     # Admission control (scenario layer): one of the endpoints is
     # already hosting a migration and the admission policy is "refuse"

@@ -40,7 +40,7 @@ from repro.sim.telemetry import Telemetry
 CHUNK_BYTES = units.kb(256)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Chunk:
     """One content-addressed slice of a checkpoint image."""
 
@@ -60,22 +60,6 @@ def _digest(*parts: object) -> str:
         h.update(str(part).encode("utf-8"))
         h.update(b"\x00")
     return h.hexdigest()
-
-
-def _prefix_hasher(*parts: object):
-    """A hasher pre-fed with ``parts``; ``copy()`` it per chunk.
-
-    Splitting a large region produces many chunks whose digests share
-    the ``("region", content_hash)`` prefix; hashing the prefix once and
-    cloning the hasher state per chunk produces byte-identical digests
-    to :func:`_digest` at a fraction of the cost (the profile showed
-    per-chunk digest construction on the sweep's critical path).
-    """
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(str(part).encode("utf-8"))
-        h.update(b"\x00")
-    return h
 
 
 def chunk_image(image: CheckpointImage,
@@ -111,17 +95,12 @@ def chunk_image(image: CheckpointImage,
         for region in proc.regions:
             if region.kind.value == "code":
                 continue
-            prefix = _prefix_hasher("region", region.content_hash())
+            # Each digest is _digest("region", content_hash, offset,
+            # length); the region derives and keeps them.
             label_head = f"{proc.virtual_pid}:{region.name}:"
             offset = 0
-            while offset < region.size:
-                length = min(chunk_bytes, region.size - offset)
-                h = prefix.copy()
-                h.update(f"{offset}\x00{length}\x00".encode("utf-8"))
-                chunks.append(Chunk(
-                    digest=h.hexdigest(),
-                    raw_bytes=length,
-                    label=label_head + str(offset)))
+            for digest, length in region.chunk_digests(chunk_bytes):
+                chunks.append(Chunk(digest, length, label_head + str(offset)))
                 offset += length
 
     # The pruned record log: replayed live state, keyed by checkpoint

@@ -222,6 +222,9 @@ class MigrationService:
         thread = home.thread_of(package)
         if thread is None:
             raise MigrationError(MigrationRefusal.NOT_RUNNING, package)
+        if guest.thread_of(package) is not None:
+            raise MigrationError(MigrationRefusal.GUEST_ALREADY_RUNNING,
+                                 f"{package} already runs on {guest.name}")
         info = home.package_service.get_package(package)
         if info.api_level > guest.profile.api_level:
             raise MigrationError(

@@ -35,11 +35,19 @@ class CallRecord:
     def arg(self, name: str) -> Any:
         return self.args.get(name)
 
+    # The estimated size, kept once computed (unannotated, so not a
+    # dataclass field): a record's interface, method and args are
+    # fixed once the log appends it.
+    _size = None
+
     def estimated_size(self) -> int:
         """Rough serialized size in bytes, for transfer accounting."""
-        size = 48 + len(self.interface) + len(self.method)
-        for key, value in self.args.items():
-            size += len(key) + self._value_size(value)
+        size = self._size
+        if size is None:
+            size = 48 + len(self.interface) + len(self.method)
+            for key, value in self.args.items():
+                size += len(key) + self._value_size(value)
+            self._size = size
         return size
 
     @staticmethod

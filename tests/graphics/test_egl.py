@@ -77,6 +77,28 @@ class TestVendorLibrary:
         assert kernel.pmem.allocations_of(process.pid) == []
         assert vendor._allocations == {}
 
+    def test_columns_share_one_allocation_per_kind(self, gl, kernel,
+                                                   process):
+        gl.egl_initialize(process)
+        context = gl.egl_create_context(process)
+        first = context.create_resource("texture", 4096)
+        context.create_resource("texture", 1024)
+        context.charge("buffer", 3 * 512, count=3)
+        assert context.counts == {"texture": 2, "buffer": 3}
+        assert context.kind_bytes == {"texture": 5120, "buffer": 1536}
+        assert sorted(a.size for a in
+                      kernel.pmem.allocations_of(process.pid)) == [1536, 5120]
+        context.delete_resource(first.res_id)
+        context.release("buffer", 2 * 512, count=2)
+        assert sorted(a.size for a in
+                      kernel.pmem.allocations_of(process.pid)) == [512, 1024]
+        with pytest.raises(GlError):
+            context.release("buffer", 2 * 512, count=2)
+        context.release("buffer", 512)
+        assert context.counts == {"texture": 1}
+        assert [a.size for a in
+                kernel.pmem.allocations_of(process.pid)] == [1024]
+
     def test_unload_refused_with_live_context(self, gl, process):
         gl.egl_initialize(process)
         gl.egl_create_context(process)

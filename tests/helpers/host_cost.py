@@ -1,0 +1,163 @@
+"""Inclusive host time of a migration's entry points, as shares.
+
+    PYTHONPATH=src python -m tests.helpers.host_cost --seed 0 --rounds 12
+
+Runs the perfbench handoff-quiet rounds (``perfbench/workloads.py``:
+the four paper device pairs, every migratable app, telemetry planes
+off, warm-up round untimed) with the entry points below wrapped by a
+wall-clock timer, and reports each one's time as a share of the time
+spent in ``MigrationService.migrate``.  Shares are inclusive: a nested
+entry point (``HardwareRenderer.draw`` inside ``foreground_app``) is
+counted in both, so they do not sum to 1.
+
+The perfbench layers cover CRIA, record/replay, binder, chunks and the
+telemetry planes; this helper also measures the app-side preparation
+and reintegration path (trim-memory, foreground, GL) that they leave
+out.
+"""
+
+from __future__ import annotations
+
+import argparse
+import functools
+import hashlib
+import importlib
+import os
+import sys
+import time
+from typing import Dict, List, Tuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+#: (module, attribute path, name): patched where the caller looks the
+#: name up, as in ``perfbench/layers.py``.
+ENTRY_POINTS: Tuple[Tuple[str, str, str], ...] = (
+    ("repro.android.services.activity_manager",
+     "ActivityManagerService.foreground_app", "foreground_app"),
+    ("repro.android.graphics.renderer", "HardwareRenderer.draw",
+     "HardwareRenderer.draw"),
+    ("repro.android.services.activity_manager",
+     "ActivityManagerService.trim_memory", "trim_memory"),
+    ("repro.android.graphics.renderer",
+     "HardwareRenderer.destroy_hardware_resources",
+     "destroy_hardware_resources"),
+    ("repro.core.migration.chunks", "chunk_image", "chunk_image"),
+    ("repro.core.migration.stages", "checkpoint_app", "checkpoint_app"),
+    ("repro.core.migration.stages", "restore_app", "restore_app"),
+    ("repro.core.cria.wire", "serialize_image", "serialize_image"),
+    ("repro.core.record.log", "CallRecord.estimated_size",
+     "CallRecord.estimated_size"),
+)
+TOTAL = ("repro.core.migration.migration", "MigrationService.migrate",
+         "migrate")
+
+
+def _workloads():
+    """perfbench's workload module (perfbench/ is not a package)."""
+    perfbench = os.path.join(ROOT, "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    return importlib.import_module("workloads")
+
+
+class InclusiveTimer:
+    """Wall seconds and calls per entry point (``ENTRY_POINTS`` and
+    ``migrate``) while the context is open."""
+
+    def __init__(self) -> None:
+        self.seconds: Dict[str, float] = {}
+        self.calls: Dict[str, int] = {}
+        self._patches: List[Tuple[object, str, object]] = []
+
+    def _wrap(self, fn, name: str):
+        clock = time.perf_counter
+
+        @functools.wraps(fn)
+        def timed(*args, **kwargs):
+            self.calls[name] += 1
+            started = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.seconds[name] += clock() - started
+
+        return timed
+
+    def __enter__(self) -> "InclusiveTimer":
+        for module_name, path, name in ENTRY_POINTS + (TOTAL,):
+            owner = importlib.import_module(module_name)
+            *classes, attr = path.split(".")
+            for class_name in classes:
+                owner = getattr(owner, class_name)
+            self.seconds.setdefault(name, 0.0)
+            self.calls.setdefault(name, 0)
+            original = owner.__dict__[attr]
+            self._patches.append((owner, attr, original))
+            setattr(owner, attr, self._wrap(original, name))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for owner, attr, original in reversed(self._patches):
+            setattr(owner, attr, original)
+        self._patches.clear()
+
+
+def measure(seed: int = 0, rounds: int = 12) -> Dict:
+    """Run ``rounds`` timed handoff rounds with the telemetry planes off
+    (perfbench's ``handoff-quiet``); returns the migration count, the
+    total ``migrate`` seconds, and per entry point its inclusive share
+    of that total and its calls per migration."""
+    workloads = _workloads()
+    saved = {key: os.environ.get(key) for key in workloads.QUIET_ENV}
+    workloads.set_telemetry(True)
+    try:
+        worlds = workloads.build_pair_worlds(seed)
+        orders = workloads.handoff_orders(seed, rounds)
+        window = workloads.Window()
+        workloads.run_rounds(worlds, orders[:1], window, [hashlib.sha256()])
+        window = workloads.Window()
+        with InclusiveTimer() as timer:
+            workloads.run_rounds(worlds, orders[1:], window,
+                                 [hashlib.sha256()])
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+    total = timer.seconds["migrate"]
+    migrations = timer.calls["migrate"]
+    return {
+        "migrations": migrations,
+        "failed": window.failed,
+        "migrate_s": total,
+        "shares": {name: timer.seconds[name] / total
+                   for _, _, name in ENTRY_POINTS},
+        "calls_per_migration": {name: timer.calls[name] / migrations
+                                for _, _, name in ENTRY_POINTS},
+    }
+
+
+def format_report(result: Dict) -> str:
+    lines = [f"{result['migrations']} migrations, "
+             f"{result['migrate_s'] * 1e3 / result['migrations']:.3f} ms "
+             "each in migrate()"]
+    for name, share in result["shares"].items():
+        calls = result["calls_per_migration"][name]
+        lines.append(f"  {name:<28} {share:6.1%}  "
+                     f"{calls:5.1f} calls/migration")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--rounds", type=int, default=12)
+    args = parser.parse_args(argv)
+    print(format_report(measure(args.seed, args.rounds)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -194,3 +194,41 @@ class AppLifecycle(RuleBasedStateMachine):
 AppLifecycle.TestCase.settings = settings(
     max_examples=12, stateful_step_count=16, deadline=None)
 TestAppLifecycle = AppLifecycle.TestCase
+
+
+def test_migration_onto_a_guest_running_the_app_is_refused():
+    """Flappy Bird Nexus 4 -> Nexus 7, relaunched natively on the Nexus
+    4, then migrated back: the Nexus 4 already runs it, so the
+    migration is refused before any guest state exists, and each
+    device keeps exactly its one registered instance."""
+    clock, rngs = SimClock(), RngFactory(17)
+    nexus_4 = Device(NEXUS_4, clock, rngs, name="nexus-4")
+    nexus_7 = Device(NEXUS_7_2013, clock, rngs, name="nexus-7")
+    FLAPPY_BIRD.install(nexus_4)
+    nexus_4.pairing_service.pair(nexus_7)
+    nexus_7.pairing_service.pair(nexus_4)
+    package = FLAPPY_BIRD.package
+    FLAPPY_BIRD.install_and_launch(nexus_4)
+    assert nexus_4.migration_service.migrate(nexus_7, package).success
+    FLAPPY_BIRD.install_and_launch(nexus_4)
+    namespaces = len(nexus_4.kernel.namespaces())
+
+    try:
+        nexus_7.migration_service.migrate(nexus_4, package)
+    except MigrationError as error:
+        reason = error.reason
+    else:
+        reason = None
+
+    assert reason is MigrationRefusal.GUEST_ALREADY_RUNNING
+    assert nexus_7.migration_service.history[-1].refusal is reason
+    assert len(nexus_4.kernel.namespaces()) == namespaces
+    for device in (nexus_4, nexus_7):
+        processes = [process for process in device.kernel.processes()
+                     if process.package == package]
+        assert [process.name for process in processes] == \
+            [f"{package}:main"], device.name
+        assert device.running_packages() == [package]
+        assert device.thread_of(package).process is processes[0]
+        assert processes[0].alive
+        assert processes[0].state.value != "frozen"

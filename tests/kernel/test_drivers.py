@@ -68,6 +68,20 @@ class TestPmem:
         with pytest.raises(DriverError):
             kernel.pmem.allocate(process, 0, "zero")
 
+    def test_resize_grows_and_shrinks_the_mapping(self, kernel, process):
+        alloc = kernel.pmem.allocate(process, 100, "gl-buffer")
+        base = process.memory_footprint()
+        kernel.pmem.resize(process, alloc, 400)
+        assert alloc.size == alloc.region.size == 400
+        assert process.memory_footprint() == base + 300
+        kernel.pmem.resize(process, alloc, 50)
+        assert process.memory_footprint() == base - 50
+        with pytest.raises(DriverError):
+            kernel.pmem.resize(process, alloc, 0)
+        kernel.pmem.free(process, alloc)
+        with pytest.raises(DriverError):
+            kernel.pmem.resize(process, alloc, 10)
+
 
 class TestLogger:
     def test_write_read_filter_by_pid(self, kernel, process):

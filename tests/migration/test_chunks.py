@@ -1,16 +1,21 @@
 """Content-addressed chunking, the chunk store, and the pipelined path."""
 
 import dataclasses
+import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cria import checkpoint_app, prepare_app
 from repro.core.extensions import FluxExtensions
 from repro.core.migration import costs
+from repro.android.kernel.memory import MemoryRegion, RegionKind
+from repro.core.cria.image import CheckpointImage, ProcessImage
 from repro.core.migration.chunks import (
     CHUNK_BYTES,
     Chunk,
     ChunkStore,
+    _digest,
     chunk_image,
 )
 from repro.sim import SimClock
@@ -76,6 +81,92 @@ class TestChunkImage:
     def test_bad_chunk_size_rejected(self, image):
         with pytest.raises(ValueError):
             chunk_image(image, chunk_bytes=0)
+
+
+def _fresh_hash(region):
+    """``content_hash`` derived from the fields, without the cache."""
+    digest = hashlib.sha256()
+    digest.update(region.name.encode("utf-8"))
+    digest.update(region.kind.value.encode("ascii"))
+    digest.update(region.size.to_bytes(8, "big"))
+    digest.update(region.payload)
+    return digest.hexdigest()
+
+
+def _fresh_region_chunks(image, chunk_bytes):
+    """Each region chunk's (label, digest, length), from ``_digest``."""
+    out = []
+    for proc in image.processes:
+        for region in proc.regions:
+            if region.kind is RegionKind.CODE:
+                continue
+            content = _fresh_hash(region)
+            for offset in range(0, region.size, chunk_bytes):
+                length = min(chunk_bytes, region.size - offset)
+                out.append((f"{proc.virtual_pid}:{region.name}:{offset}",
+                            _digest("region", content, offset, length),
+                            length))
+    return out
+
+
+def _region_chunks(image, chunk_bytes):
+    return [(c.label, c.digest, c.raw_bytes)
+            for c in chunk_image(image, chunk_bytes)
+            if c.label not in ("descriptors", "record-log")]
+
+
+def _image_of(regions):
+    return CheckpointImage(
+        package="app", source_device="d", source_kernel="k",
+        android_version="4.4", api_level=19, checkpoint_time=1.0,
+        processes=[ProcessImage(
+            name="app:main", virtual_pid=1, uid=10001, regions=regions,
+            threads=[], fds=[], binder_refs=[], owned_node_labels=[])],
+        app_payload=None, record_log=[])
+
+
+regions = st.lists(
+    st.builds(MemoryRegion,
+              name=st.text(min_size=1, max_size=8),
+              kind=st.sampled_from(list(RegionKind)),
+              size=st.integers(0, 40_000),
+              payload=st.binary(max_size=32)),
+    min_size=1, max_size=4, unique_by=lambda region: region.name)
+
+
+class TestRegionDigestCache:
+    """A region keeps its content hash and chunk digests; they must
+    always equal a fresh derivation from its fields."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(regions, st.integers(512, 20_000), st.integers(512, 20_000),
+           st.binary(max_size=32))
+    def test_cached_digests_equal_a_fresh_derivation(
+            self, regions, chunk_bytes, other_chunk_bytes, payload):
+        image = _image_of(regions)
+        expected = _fresh_region_chunks(image, chunk_bytes)
+        assert _region_chunks(image, chunk_bytes) == expected
+        assert _region_chunks(image, chunk_bytes) == expected   # cached
+        assert _region_chunks(image, other_chunk_bytes) == \
+            _fresh_region_chunks(image, other_chunk_bytes)
+
+        # A field assignment drops both caches.
+        regions[0].payload = payload
+        assert regions[0].content_hash() == _fresh_hash(regions[0])
+        assert _region_chunks(image, chunk_bytes) == \
+            _fresh_region_chunks(image, chunk_bytes)
+
+        # A clone carries the caches, and they still hold for it.
+        twins = [region.clone() for region in regions]
+        for region, twin in zip(regions, twins):
+            assert twin == region
+            assert vars(twin) == vars(region)
+        twin_image = _image_of(twins)
+        assert _region_chunks(twin_image, chunk_bytes) == \
+            _fresh_region_chunks(twin_image, chunk_bytes)
+        twins[-1].size += 1
+        assert _region_chunks(twin_image, chunk_bytes) == \
+            _fresh_region_chunks(twin_image, chunk_bytes)
 
 
 class TestChunkStore:

@@ -117,3 +117,48 @@ class TestExport:
         log.append(2.0, "app", "I", "b", {})
         assert log.export_index(path) == 2
         assert len(CallLog.read_exported(path)) == 2
+
+
+#: Argument values of every shape ``_value_size`` distinguishes.
+arg_values = st.recursive(
+    st.one_of(st.text(max_size=12), st.binary(max_size=12),
+              st.integers(), st.floats(allow_nan=False), st.booleans(),
+              st.none(), st.builds(object)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.tuples(inner, inner),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12)
+
+
+def _fresh_size(interface, method, args):
+    """``estimated_size`` derived from the fields, without the cache."""
+    return 48 + len(interface) + len(method) + sum(
+        len(key) + CallRecord._value_size(value)
+        for key, value in args.items())
+
+
+calls = st.tuples(st.text(max_size=20), st.text(max_size=20),
+                  st.dictionaries(st.text(max_size=10), arg_values,
+                                  max_size=6))
+
+
+@given(st.lists(calls, min_size=1, max_size=4))
+def test_cached_record_size_equals_a_fresh_computation(recorded):
+    """Each record's size is computed once (the recorder asks for it
+    at append) and equals a fresh computation from its fields, as do
+    the image totals that sum it."""
+    from repro.core.cria.image import CheckpointImage
+
+    log = CallLog()
+    records = [log.append(0.0, "app", interface, method, args)
+               for interface, method, args in recorded]
+    expected = [_fresh_size(*call) for call in recorded]
+    assert [r.estimated_size() for r in records] == expected
+    assert [r.estimated_size() for r in records] == expected   # cached
+    image = CheckpointImage(
+        package="app", source_device="d", source_kernel="k",
+        android_version="4.4", api_level=19, checkpoint_time=0.0,
+        processes=[], app_payload=None, record_log=records)
+    assert image.record_log_bytes() == sum(expected)
+    assert image.raw_bytes() == 4096 + sum(expected)
+    assert log.size_bytes("app") == sum(expected)
