@@ -1,9 +1,11 @@
 """Host cost of the migration path outside the perfbench layers.
 
 Prints each entry point's inclusive share of ``migrate()`` wall time
-over the perfbench handoff rounds (``tests/helpers/host_cost.py``).
-Non-gating: it checks only that the rounds ran and every share is a
-fraction; run it with ``-m perf -s`` to read the shares.
+over the perfbench handoff rounds (``tests/helpers/host_cost.py``), and
+the cyclic collector's cadence over the same rounds: passes per
+generation per 1000 migrations, mean and longest pass.  Non-gating: it
+checks only that the rounds ran, every share is a fraction and the
+collector was observed; run it with ``-m perf -s`` to read the numbers.
 """
 
 import pytest
@@ -20,3 +22,6 @@ def test_host_cost_shares():
     assert result["migrations"] == 4 * 64
     assert set(result["shares"]) == {name for _, _, name in ENTRY_POINTS}
     assert all(0.0 < share < 1.0 for share in result["shares"].values())
+    assert set(result["collector"]) == {0, 1, 2}
+    assert all(row["per_1000"] >= 0.0 and row["max_ms"] >= row["mean_ms"]
+               for row in result["collector"].values())

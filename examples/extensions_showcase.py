@@ -60,10 +60,11 @@ def main() -> None:
           f"{attempt(home, guest, subway.package, FluxExtensions.none())}")
     print(f"  + gl_record_replay:     "
           f"{attempt(home, guest, subway.package, FluxExtensions(gl_record_replay=True))}")
-    replayed = guest.tracer.events("glreplay", "replayed")
-    if replayed:
-        print(f"  GL state re-uploaded:   "
-              f"{units.format_size(replayed[0].detail['bytes'])} onto "
+    if guest.running_packages() == [subway.package]:
+        textures = sum(context.kind_bytes.get("texture", 0) for context
+                       in guest.vendor_gl.contexts_of(thread.process.pid))
+        print(f"  GL textures on guest:   "
+              f"{units.format_size(textures)} on "
               f"{guest.profile.gpu_name} (was {home.profile.gpu_name})")
 
     # 3. GPS tether: a navigation session moving to a GPS-less tablet.

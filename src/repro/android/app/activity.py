@@ -49,7 +49,6 @@ class Activity:
         self.window = None                # set when attached by the thread
         self.view_root: Optional[ViewRoot] = None
         self.saved_state: Dict[str, Any] = {}
-        self.lifecycle_log = []           # [(state, time)] for assertions
         self.touch_events = []            # events routed by the dispatcher
 
     @property
@@ -77,14 +76,13 @@ class Activity:
 
     # -- lifecycle dispatch (called by ActivityThread only) -------------------------
 
-    def perform_transition(self, new_state: ActivityState, clock) -> None:
+    def perform_transition(self, new_state: ActivityState) -> None:
         if new_state not in _LEGAL_TRANSITIONS[self.state]:
             raise LifecycleError(
                 f"{self.name}: illegal transition "
                 f"{self.state.value} -> {new_state.value}")
         old = self.state
         self.state = new_state
-        self.lifecycle_log.append((new_state, clock.now))
         if new_state is ActivityState.RESUMED:
             if old is ActivityState.CREATED:
                 pass  # on_create already ran during performLaunch

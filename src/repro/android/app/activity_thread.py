@@ -160,11 +160,9 @@ class ActivityThread:
         activity.attach_window(window)
         activity.on_create(dict(activity.saved_state))
         self.activities[activity.token] = activity
-        activity.perform_transition(ActivityState.RESUMED, self.clock)
+        activity.perform_transition(ActivityState.RESUMED)
         if activity.view_root is not None:
             self.renderer.draw(activity.view_root)
-        self.framework.tracer.emit("app", "activity-launch",
-                                   package=self.package, activity=activity.name)
         return activity
 
     def resumed_activities(self) -> List[Activity]:
@@ -173,13 +171,13 @@ class ActivityThread:
 
     def pause_all(self) -> None:
         for activity in self.resumed_activities():
-            activity.perform_transition(ActivityState.PAUSED, self.clock)
+            activity.perform_transition(ActivityState.PAUSED)
 
     def stop_all(self) -> None:
         """Task idler's work: stop paused activities, free their surfaces."""
         for activity in self.activities.values():
             if activity.state is ActivityState.PAUSED:
-                activity.perform_transition(ActivityState.STOPPED, self.clock)
+                activity.perform_transition(ActivityState.STOPPED)
                 if activity.window is not None:
                     activity.window.destroy_surface()
         self.in_background = True
@@ -206,7 +204,7 @@ class ActivityThread:
             if (activity.window is not None
                     and not activity.window.has_surface):
                 activity.window.recreate_surface(self.framework.screen)
-            activity.perform_transition(ActivityState.RESUMED, self.clock)
+            activity.perform_transition(ActivityState.RESUMED)
             if activity.view_root is not None:
                 activity.view_root.invalidate_all()
                 self.renderer.draw(activity.view_root)

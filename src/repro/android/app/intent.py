@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 
 class Intent:
@@ -99,10 +99,8 @@ class BroadcastReceiver:
         self.callback = callback
         self.intent_filter = intent_filter
         self.owner_package = owner_package
-        self.received: List[Intent] = []
 
     def on_receive(self, intent: Intent) -> None:
-        self.received.append(intent)
         self.callback(intent)
 
     def __repr__(self) -> str:

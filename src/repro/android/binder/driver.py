@@ -229,8 +229,6 @@ class BinderDriver:
         dispatch_start = self.kernel.clock.now
         if self.transaction_cost:
             self.kernel.clock.advance(self.transaction_cost)
-        self.kernel.tracer.emit("binder", "transact", caller=caller.pid,
-                                target=node.label, method=method)
         # Enter the transaction's causal context: nested transactions
         # and everything the dispatch touches (the recorder, services)
         # emit events tagged with this txn id.
@@ -258,6 +256,22 @@ class BinderDriver:
                 "binder", "transact_seconds", bounds=TIME_BUCKETS_S,
                 interface=interface,
             ).observe(self.kernel.clock.now - dispatch_start)
+
+    def release_node(self, node: BinderNode) -> None:
+        """Kill one node while its owner lives on.
+
+        A service dropping an object it handed out (a per-app
+        connection living in ``system_server``) calls this: the owner
+        stops holding the node, death recipients run, and the node
+        drops its service.  Refs to it stay and see a dead node.
+        """
+        state = self._states.get(node.owner.pid)
+        if state is not None and node in state.owned_nodes:
+            state.owned_nodes.remove(node)
+        if node.alive:
+            node.alive = False
+            node.notify_death()
+        node.service = None
 
     # -- process teardown --------------------------------------------------------
 

@@ -69,7 +69,6 @@ class FrameworkContext:
     """What an app's ActivityThread sees of its device."""
 
     clock: SimClock
-    tracer: Tracer
     kernel: Kernel
     registry: InterfaceRegistry
     recorder: Recorder
@@ -118,7 +117,7 @@ class Device:
 
         # Kernel + binder.
         self.kernel = Kernel(self.clock, version=profile.kernel_version,
-                             hostname=self.name, tracer=self.tracer)
+                             hostname=self.name)
         self.binder = BinderDriver(
             self.kernel,
             transaction_cost=self.BINDER_TRANSACTION_COST / profile.cpu_factor,
@@ -152,13 +151,12 @@ class Device:
 
         # System services.
         self._service_ctx = ServiceContext(
-            clock=self.clock, kernel=self.kernel, tracer=self.tracer,
-            hardware=profile)
+            clock=self.clock, kernel=self.kernel, hardware=profile)
         self.services: Dict[str, Any] = {}
         self._boot_services()
 
         self.framework = FrameworkContext(
-            clock=self.clock, tracer=self.tracer, kernel=self.kernel,
+            clock=self.clock, kernel=self.kernel,
             registry=self.registry, recorder=self.recorder,
             service_manager=self.service_manager, gl=self.gl,
             screen=profile.screen, window_service=self.window_service,

@@ -20,7 +20,6 @@ from repro.android.kernel.drivers.wakelock import WakelockDriver
 from repro.android.kernel.namespace import PIDNamespace
 from repro.android.kernel.process import Process, ProcessError, ProcessState
 from repro.sim.clock import SimClock
-from repro.sim.trace import Tracer
 
 
 class KernelError(Exception):
@@ -29,11 +28,10 @@ class KernelError(Exception):
 
 class Kernel:
     def __init__(self, clock: SimClock, version: str = "3.4",
-                 hostname: str = "device", tracer: Optional[Tracer] = None) -> None:
+                 hostname: str = "device") -> None:
         self.clock = clock
         self.version = version
         self.hostname = hostname
-        self.tracer = tracer or Tracer(clock)
         self._next_pid = 100
         self._processes: Dict[int, Process] = {}
         self._namespaces: List[PIDNamespace] = []
@@ -106,7 +104,6 @@ class Kernel:
         process = Process(pid=pid, name=name, uid=uid, package=package)
         process.spawn_thread("main")
         self._processes[pid] = process
-        self.tracer.emit("kernel", "process-create", pid=pid, proc=name)
         return process
 
     def kill_process(self, pid: int, exit_code: int = 0) -> None:
@@ -125,7 +122,6 @@ class Kernel:
         self._namespaces = [ns for ns in self._namespaces
                             if not (ns.unbind_real(pid) and not len(ns))]
         del self._processes[pid]
-        self.tracer.emit("kernel", "process-exit", pid=pid, exit_code=exit_code)
 
     def process(self, pid: int) -> Process:
         try:

@@ -45,7 +45,7 @@ class MemoryError_(Exception):
 _REGION_FIELDS = frozenset({"name", "kind", "size", "payload", "shared_with"})
 
 
-@dataclass(init=False)
+@dataclass(init=False, slots=True)
 class MemoryRegion:
     """One mapping in a process address space.
 
@@ -53,7 +53,9 @@ class MemoryRegion:
     :meth:`content_hash` and its chunk digests (:meth:`chunk_digests`).
     Each is computed on first use and kept until a field is assigned;
     :meth:`clone` carries both, so a region copied through checkpoint,
-    restore and the next checkpoint is hashed once.
+    restore and the next checkpoint is hashed once.  The class is
+    slotted: checkpoint and restore clone every region of an app, and a
+    clone is one object, without a ``__dict__`` of its own.
     """
 
     name: str
@@ -61,26 +63,31 @@ class MemoryRegion:
     size: int
     payload: bytes = b""
     shared_with: Optional[str] = None  # ashmem name when shared
-
-    # Derived-value caches: class defaults, set per instance on first
-    # use (unannotated, so not dataclass fields).
-    _hash = None        # content_hash()
-    _chunks = None      # (chunk_bytes, chunk_digests(chunk_bytes))
+    # Derived-value caches, None until first use.
+    _hash: Optional[str] = field(default=None, init=False, repr=False,
+                                 compare=False)
+    _chunks: Optional[Tuple[int, Tuple[Tuple[str, int], ...]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __init__(self, name: str, kind: RegionKind, size: int,
                  payload: bytes = b"",
                  shared_with: Optional[str] = None) -> None:
         if size < 0:
             raise MemoryError_(f"negative region size for {name!r}")
-        self.__dict__.update(name=name, kind=kind, size=size,
-                             payload=payload, shared_with=shared_with)
+        _set = object.__setattr__
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "size", size)
+        _set(self, "payload", payload)
+        _set(self, "shared_with", shared_with)
+        _set(self, "_hash", None)
+        _set(self, "_chunks", None)
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
         if name in _REGION_FIELDS:
-            state = self.__dict__
-            state.pop("_hash", None)
-            state.pop("_chunks", None)
+            object.__setattr__(self, "_hash", None)
+            object.__setattr__(self, "_chunks", None)
 
     @property
     def device_specific(self) -> bool:
@@ -94,7 +101,8 @@ class MemoryRegion:
             digest.update(self.kind.value.encode("ascii"))
             digest.update(self.size.to_bytes(8, "big"))
             digest.update(self.payload)
-            cached = self.__dict__["_hash"] = digest.hexdigest()
+            cached = digest.hexdigest()
+            object.__setattr__(self, "_hash", cached)
         return cached
 
     def chunk_digests(self, chunk_bytes: int
@@ -118,12 +126,15 @@ class MemoryRegion:
                 h.update(f"{offset}\x00{length}\x00".encode("utf-8"))
                 digests.append((h.hexdigest(), length))
                 offset += length
-            cached = self.__dict__["_chunks"] = (chunk_bytes, tuple(digests))
+            cached = (chunk_bytes, tuple(digests))
+            object.__setattr__(self, "_chunks", cached)
         return cached[1]
 
     def clone(self) -> "MemoryRegion":
         twin = object.__new__(MemoryRegion)
-        twin.__dict__.update(self.__dict__)
+        _set = object.__setattr__
+        for slot in self.__slots__:
+            _set(twin, slot, getattr(self, slot))
         return twin
 
 

@@ -126,10 +126,10 @@ class ActivityManagerService(SystemService):
             raise ServiceError(f"no activity token {activity_token}")
         from repro.android.app.activity import ActivityState
         if activity.state is ActivityState.RESUMED:
-            activity.perform_transition(ActivityState.PAUSED, self.ctx.clock)
+            activity.perform_transition(ActivityState.PAUSED)
         if activity.state is ActivityState.PAUSED:
-            activity.perform_transition(ActivityState.STOPPED, self.ctx.clock)
-        activity.perform_transition(ActivityState.DESTROYED, self.ctx.clock)
+            activity.perform_transition(ActivityState.STOPPED)
+        activity.perform_transition(ActivityState.DESTROYED)
         if activity.window is not None:
             activity.window.destroy()
         del thread.activities[activity_token]
@@ -290,18 +290,15 @@ class ActivityManagerService(SystemService):
                 thread.stop_all()
 
         self.ctx.clock.call_after(self.TASK_IDLE_DELAY, idle)
-        self.trace("background", package=package)
 
     def foreground_app(self, package: str) -> None:
         thread = self._require_thread(package)
         thread.resume_all()
-        self.trace("foreground", package=package)
 
     def trim_memory(self, package: str,
                     level: int = TRIM_MEMORY_COMPLETE) -> None:
         thread = self._require_thread(package)
         thread.handle_trim_memory(level)
-        self.trace("trim-memory", package=package, level=level)
 
     def provider_connections_of(self, package: str) -> List[ProviderConnection]:
         return [c for c in self._provider_connections

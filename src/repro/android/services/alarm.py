@@ -52,7 +52,6 @@ class AlarmManagerService(SystemService):
                 self.ctx.kernel.alarm.cancel(entry.kernel_alarm_id)
             except Exception:
                 pass   # already fired
-        self.trace("remove", operation=repr(operation))
 
     def setTime(self, caller, millis: float) -> None:
         raise ServiceError("setTime requires the SET_TIME permission")
@@ -74,7 +73,6 @@ class AlarmManagerService(SystemService):
                            operation=operation, interval=interval)
         self._schedule(package, entry)
         state["alarms"][operation] = entry
-        self.trace("set", trigger_at=trigger_at, operation=repr(operation))
 
     def _schedule(self, package: str, entry: AlarmEntry) -> None:
         def fire() -> None:
@@ -88,7 +86,6 @@ class AlarmManagerService(SystemService):
         if intent.component is None:
             intent = Intent(intent.action, component=package, **intent.extras)
         self.ctx.send_broadcast(intent)
-        self.trace("expire", operation=repr(entry.operation))
         state = self.app_state(package)
         if entry.interval is not None:
             entry.trigger_at += entry.interval

@@ -25,7 +25,6 @@ class ServiceContext:
 
     clock: Any
     kernel: Any
-    tracer: Any
     hardware: Any = None       # DeviceProfile; None in bare unit tests
     broadcast: Optional[Callable[[Any], None]] = None
     broadcast_sticky: Optional[Callable[[Any], None]] = None
@@ -53,14 +52,6 @@ class SystemService(CallerAwareBinder):
     SERVICE_KEY = ""
     #: AIDL descriptor; subclasses must override.
     DESCRIPTOR = ""
-    #: Tracer category of :meth:`trace`, ``service:<SERVICE_KEY>``;
-    #: built once per class so every record shares one string.
-    TRACE_CATEGORY = "service:"
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        cls.TRACE_CATEGORY = f"service:{cls.SERVICE_KEY}"
-
     def __init__(self, ctx: ServiceContext) -> None:
         super().__init__()
         self.ctx = ctx
@@ -123,6 +114,3 @@ class SystemService(CallerAwareBinder):
     def close(self) -> None:
         """World teardown hook for services that hold objects pointing
         back at them; the rest have nothing to cut."""
-
-    def trace(self, event: str, **detail: Any) -> None:
-        self.ctx.tracer.emit(self.TRACE_CATEGORY, event, **detail)

@@ -120,7 +120,6 @@ class LocationManagerService(SystemService):
             self._providers.append(provider)
             self._enabled[provider] = True
         self._tethered[provider] = remote
-        self.trace("tether", provider=provider)
 
     def is_tethered(self, provider: str) -> bool:
         return provider in self._tethered

@@ -24,12 +24,10 @@ class NotificationManagerService(SystemService):
             raise ServiceError(
                 f"notifications disabled for {self._package_of(caller)}")
         state["active"][notification_id] = notification
-        self.trace("enqueue", id=notification_id, title=notification.title)
 
     def cancelNotification(self, caller, notification_id: int) -> None:
         state = self.app_state(caller)
         state["active"].pop(notification_id, None)
-        self.trace("cancel", id=notification_id)
 
     def cancelAllNotifications(self, caller) -> None:
         self.app_state(caller)["active"].clear()

@@ -50,7 +50,6 @@ class PackageManagerService(SystemService):
                     f"{info.package}: downgrade from {existing.version_code} "
                     f"to {info.version_code} not allowed")
         self._packages[info.package] = info
-        self.trace("install", package=info.package, pseudo=info.pseudo)
 
     def pseudo_install(self, info: PackageInfo) -> PackageInfo:
         """Pairing-time wrapper install: metadata only (paper §3.1)."""
@@ -60,7 +59,6 @@ class PackageManagerService(SystemService):
                 f"{info.package} natively installed; pseudo-install refused")
         pseudo = info.clone_as_pseudo()
         self._packages[info.package] = pseudo
-        self.trace("pseudo-install", package=info.package)
         return pseudo
 
     def uninstall(self, package: str) -> None:

@@ -147,8 +147,6 @@ class SensorService(SystemService):
             handle = at_handle
         self.connections.append(connection)
         self.app_state(package)["connections"].append(connection)
-        self.trace("create-connection", package=package,
-                   connection=connection.connection_id, handle=handle)
         return IBinder(driver, caller, handle)
 
     def getSensorPrivacyState(self, caller) -> int:
@@ -175,6 +173,28 @@ class SensorService(SystemService):
             if connection.deliver(handle, payload):
                 delivered += 1
         return delivered
+
+    # -- migration support --------------------------------------------------------
+
+    def release_all_for(self, package: str) -> int:
+        """Destroy an app's event connections (after it migrated away).
+
+        Each connection is a node owned by ``system_server``, so the
+        app's exit does not free it: left alone it would keep receiving
+        events into a dead client socket, and deliver twice once the
+        app returns with a new connection.  Returns how many went.
+        """
+        released = [c for c in self.connections if c.package == package]
+        if not released:
+            return 0
+        self.connections = [c for c in self.connections
+                            if c.package != package]
+        driver = self.ctx.kernel.binder
+        for connection in released:
+            connection.destroy(None)
+            if connection.binder_node is not None:
+                driver.release_node(connection.binder_node)
+        return len(released)
 
     def snapshot(self, package: str) -> Dict[str, Any]:
         state = self.app_state_or_default(package)

@@ -34,7 +34,6 @@ class WindowManagerService(SystemService):
     def add_window(self, package: str, process, title: str = "") -> Window:
         window = Window(package, process, self._screen, title=title)
         self._windows[window.window_id] = window
-        self.trace("add-window", package=package, window=window.window_id)
         return window
 
     def remove_window(self, window: Window) -> None:
@@ -59,10 +58,7 @@ class WindowManagerService(SystemService):
     def start_trim_memory(self, process, renderer) -> None:
         """startTrimMemory RPC: flush the renderer's caches."""
         renderer.start_trim_memory(TRIM_MEMORY_COMPLETE)
-        self.trace("start-trim", pid=process.pid)
 
     def end_trim_memory(self, process, renderer) -> None:
         """endTrimMemory RPC: terminate all GL contexts of the process."""
-        fully_uninitialized = renderer.terminate_and_uninitialize()
-        self.trace("end-trim", pid=process.pid,
-                   gl_uninitialized=fully_uninitialized)
+        renderer.terminate_and_uninitialize()

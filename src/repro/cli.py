@@ -218,11 +218,14 @@ def cmd_migrate(args) -> int:
             fail_after_steps=args.fail_restore_after)
 
     try:
-        report = home.migration_service.migrate(
-            guest, spec.package, link=link, extensions=extensions,
-            restore_fault=restore_fault)
+        # The export scope keeps the migration's span tree for the
+        # trace document (--trace-out, the bundle's trace.json).
+        with home.tracer.exporting():
+            report = home.migration_service.migrate(
+                guest, spec.package, link=link, extensions=extensions,
+                restore_fault=restore_fault)
     except MigrationError as error:
-        failed = home.migration_service.history[-1]
+        failed = error.report
         if failed.faulted_stage:
             print(f"FAULTED in {failed.faulted_stage} stage: {error}")
             print(f"rolled back: {spec.title} still running on "

@@ -77,9 +77,6 @@ def checkpoint_app(device, package: str,
                 .provider_connections_of(package)],
         },
     )
-    device.tracer.emit("cria", "checkpoint", package=package,
-                       raw_bytes=image.raw_bytes(),
-                       refs=len(image.main_process.binder_refs))
     metrics = device.metrics
     raw = image.raw_bytes()
     metrics.counter("cria", "checkpoints", app=package).inc()

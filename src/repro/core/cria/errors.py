@@ -49,11 +49,17 @@ RUNTIME_FAULTS = frozenset({
 
 
 class MigrationError(Exception):
-    """Raised when an app cannot be migrated; carries the reason code."""
+    """Raised when an app cannot be migrated; carries the reason code.
+
+    ``report`` is the failed attempt's ``MigrationReport`` when the
+    error leaves ``MigrationService.migrate``/``migrate_steps`` (None
+    elsewhere); it is not pickled.
+    """
 
     def __init__(self, reason: MigrationRefusal, detail: str = "") -> None:
         self.reason = reason
         self.detail = detail
+        self.report = None
         message = reason.value if not detail else f"{reason.value}: {detail}"
         super().__init__(message)
 

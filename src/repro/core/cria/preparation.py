@@ -157,7 +157,4 @@ def prepare_app(device, package: str,
                 MigrationRefusal.DEVICE_STATE_RESIDUE,
                 f"pid {proc.pid}: regions remain: "
                 f"{[r.name for r in residue]}")
-    device.tracer.emit("cria", "prepared", package=package,
-                       surfaces_freed=report.surfaces_freed,
-                       contexts=report.gl_contexts_terminated)
     return report

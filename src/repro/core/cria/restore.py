@@ -147,9 +147,6 @@ def restore_app(device, image: CheckpointImage,
         counter.tick("rebind")
     except Exception:
         rollback_restore(device, namespace, created)
-        device.tracer.emit("cria", "restore-rollback", package=package,
-                           processes_killed=len(created),
-                           steps_completed=counter.steps)
         device.metrics.counter("cria", "restore_rollbacks",
                                app=package).inc()
         device.events.emit("cria.restore_rollback", app=package,
@@ -166,11 +163,6 @@ def restore_app(device, image: CheckpointImage,
         namespace=namespace, pending_refs=pending, reserved_fds=reserved,
         services_rebound=image.external_service_names(),
         secondary_processes=secondary)
-    device.tracer.emit("cria", "restore", package=package,
-                       virtual_pid=image.main_process.virtual_pid,
-                       real_pid=main_process.pid,
-                       rebound=len(restored.services_rebound),
-                       pending=len(pending))
     return restored
 
 

@@ -46,6 +46,9 @@ class MigrationReport:
     package: str
     home: str
     guest: str
+    #: The attempt's label on both telemetry planes,
+    #: ``<home>/<package>@<attempt>`` (:meth:`MigrationService.migrate_steps`).
+    session: str = ""
     success: bool = False
     refusal: Optional[MigrationRefusal] = None
     refusal_detail: str = ""
@@ -146,7 +149,8 @@ class MigrationService:
                  extensions: Optional[FluxExtensions] = None) -> None:
         self.device = device
         self.extensions = extensions
-        self.history: List[MigrationReport] = []
+        #: Migrations started from this device; numbers the sessions.
+        self.attempts = 0
 
     def _extensions(self,
                     override: Optional[FluxExtensions]) -> FluxExtensions:
@@ -165,9 +169,9 @@ class MigrationService:
         """Migrate ``package`` from this device to ``guest``.
 
         Raises :class:`MigrationError` on refusal or on a fault (link
-        drop, restore failure); the failed report is still appended to
-        ``history`` with the refusal reason and, for pipeline faults,
-        the faulted stage.  ``restore_fault`` arms deterministic restore
+        drop, restore failure); the error's ``report`` is the failed
+        report, with the refusal reason and, for pipeline faults, the
+        faulted stage.  ``restore_fault`` arms deterministic restore
         fault injection (tests/experiments); link faults are armed on
         the ``link`` itself via :class:`LinkFaultPlan`.
         """
@@ -188,20 +192,22 @@ class MigrationService:
         migrations) and returns the :class:`MigrationReport`;
         :meth:`migrate` is exactly this generator driven inline.  Each
         attempt gets a deterministic session label
-        ``<home>/<package>@<attempt>`` carried on both telemetry planes.
+        ``<home>/<package>@<attempt>`` carried on both telemetry planes
+        and kept as ``report.session``.
         """
         home = self.device
-        session = f"{home.name}/{package}@{len(self.history)}"
-        report = MigrationReport(package=package, home=home.name,
-                                 guest=guest.name)
-        self.history.append(report)
+        report = MigrationReport(
+            package=package, home=home.name, guest=guest.name,
+            session=f"{home.name}/{package}@{self.attempts}")
+        self.attempts += 1
         try:
             yield from self._migrate(guest, package, link, report,
                                      self._extensions(extensions),
-                                     restore_fault, session)
+                                     restore_fault)
         except MigrationError as error:
             report.refusal = error.reason
             report.refusal_detail = error.detail
+            error.report = report
             self._recover_home(package)
             raise
         report.success = True
@@ -212,8 +218,7 @@ class MigrationService:
     def _migrate(self, guest, package: str, link: Optional[Link],
                  report: MigrationReport,
                  extensions: FluxExtensions,
-                 restore_fault: Optional[RestoreFaultPlan] = None,
-                 session: str = ""):
+                 restore_fault: Optional[RestoreFaultPlan] = None):
         home = self.device
         pairing = home.pairing_service
         if not pairing.is_paired_with(guest.name):
@@ -244,7 +249,7 @@ class MigrationService:
             home=home, guest=guest, package=package, link=link,
             report=report, extensions=extensions,
             restore_fault=restore_fault,
-            thread=thread, process=thread.process, session=session)
+            thread=thread, process=thread.process, session=report.session)
         yield from StagePipeline().steps(ctx)
 
         # Post-commit: every stage succeeded; the app now lives on the
@@ -252,10 +257,7 @@ class MigrationService:
         self._cleanup_home(package)
         home.consistency.mark_migrated_out(package, guest.name)
         home.metrics.counter("migration", "sessions",
-                             session=session, app=package).inc()
-        home.tracer.emit("migration", "migrated", package=package,
-                         guest=guest.name,
-                         total=round(report.total_seconds, 3))
+                             session=report.session, app=package).inc()
 
     # -- home-side aftermath -----------------------------------------------------
 
@@ -274,6 +276,7 @@ class MigrationService:
         home = self.device
         home.service("power").release_all_for(package)
         home.service("camera").release_all_for(package)
+        home.service("sensor").release_all_for(package)
         home.service("alarm").cancel_all_for(package)
         home.terminate_app(package)     # its death forgets the record log
         for service in home.services.values():

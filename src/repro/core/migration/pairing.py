@@ -119,10 +119,6 @@ class PairingService:
         guest_pairing = getattr(guest, "pairing_service", None)
         if guest_pairing is not None:
             guest_pairing._paired_with.setdefault(home.name, report)
-        home.tracer.emit("pairing", "paired", guest=guest.name,
-                         apps=len(report.apps),
-                         constant_mb=round(
-                             report.constant_bytes_total / 2**20, 1))
         return report
 
     def _pair_app(self, guest, link: Link, rsync: RsyncEngine,

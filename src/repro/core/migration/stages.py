@@ -337,9 +337,6 @@ class TransferStage(Stage):
         guest.chunk_store.add_many(arrived)
         home.chunk_store.add_many(arrived)
         ctx.report.image_wire_bytes = budget + negotiation_bytes
-        tracer.emit("migration", "link-fault", package=ctx.package,
-                    chunks_delivered=delivered, chunks_lost=len(missing)
-                    - delivered, wire_bytes_delivered=budget)
         yield FaultOp(link, budget, link.latency_s + drop_offset,
                       session=ctx.session)
 
@@ -417,9 +414,7 @@ class ReintegrationStage(Stage):
         gl_capture = ctx.image.metadata.get("gl_capture")
         if gl_capture is not None and ctx.extensions.gl_record_replay:
             from repro.core.glreplay import replay_capture
-            uploaded = replay_capture(thread, gl_capture)
-            guest.tracer.emit("glreplay", "replayed",
-                              package=restored.package, bytes=uploaded)
+            replay_capture(thread, gl_capture)
         config = {"screen": guest.profile.screen,
                   "country": guest.profile.country}
         thread.on_configuration_changed(config)
@@ -479,48 +474,55 @@ class StagePipeline:
                 recorder.set_context(session=ctx.session)
         _emit(ctx, "migration.start", package=ctx.package,
               home=ctx.home.name, guest=ctx.guest.name)
-        with tracer.span("migration", category="migration",
-                         package=ctx.package, home=ctx.home.name,
-                         guest=ctx.guest.name) as root:
-            for stage in self.stages:
-                # Stage context labels every event either device emits
-                # while the stage runs (guest-side restore/replay events
-                # have no open home-tracer span to attribute them).
-                for recorder in recorders:
-                    recorder.set_context(stage=stage.name,
-                                         package=ctx.package)
-                _emit(ctx, "stage.start", stage=stage.name)
-                handle = tracer.span(stage.name, category="stage")
-                try:
-                    with handle:
-                        yield from stage.steps(ctx)
-                except Exception as error:
-                    refused = (isinstance(error, MigrationError)
-                               and not error.is_fault)
-                    reason = (error.reason.value
-                              if isinstance(error, MigrationError)
-                              else type(error).__name__)
-                    # A policy refusal means the app cannot migrate; a
-                    # fault means this attempt died mid-flight.  Both
-                    # roll back, only faults mark the stage.
-                    if not refused:
-                        ctx.report.faulted_stage = stage.name
-                        root.annotate(faulted_stage=stage.name,
-                                      refusal=reason)
-                        _emit(ctx, "stage.fault", stage=stage.name,
-                              reason=reason)
-                    else:
-                        root.annotate(refusal=reason)
-                        _emit(ctx, "migration.refused",
-                              stage=stage.name, reason=reason)
-                    self._derive_stage_times(ctx, root)
-                    self._rollback(ctx, stage, completed, reason)
-                    self._clear_context(recorders)
-                    raise
-                _emit(ctx, "stage.end", stage=stage.name,
-                      seconds=round(handle.span.duration, 6))
-                completed.append(stage)
-            self._derive_stage_times(ctx, root)
+        migration = tracer.span("migration", category="migration",
+                                package=ctx.package, home=ctx.home.name,
+                                guest=ctx.guest.name)
+        try:
+            with migration as root:
+                for stage in self.stages:
+                    # Stage context labels every event either device
+                    # emits while the stage runs (guest-side restore and
+                    # replay events have no open home-tracer span to
+                    # attribute them).
+                    for recorder in recorders:
+                        recorder.set_context(stage=stage.name,
+                                             package=ctx.package)
+                    _emit(ctx, "stage.start", stage=stage.name)
+                    handle = tracer.span(stage.name, category="stage")
+                    try:
+                        with handle:
+                            yield from stage.steps(ctx)
+                    except Exception as error:
+                        refused = (isinstance(error, MigrationError)
+                                   and not error.is_fault)
+                        reason = (error.reason.value
+                                  if isinstance(error, MigrationError)
+                                  else type(error).__name__)
+                        # A policy refusal means the app cannot migrate;
+                        # a fault means this attempt died mid-flight.
+                        # Both roll back, only faults mark the stage.
+                        if not refused:
+                            ctx.report.faulted_stage = stage.name
+                            root.annotate(faulted_stage=stage.name,
+                                          refusal=reason)
+                            _emit(ctx, "stage.fault", stage=stage.name,
+                                  reason=reason)
+                        else:
+                            root.annotate(refusal=reason)
+                            _emit(ctx, "migration.refused",
+                                  stage=stage.name, reason=reason)
+                        self._derive_stage_times(ctx, root)
+                        self._rollback(ctx, stage, completed, reason)
+                        self._clear_context(recorders)
+                        raise
+                    _emit(ctx, "stage.end", stage=stage.name,
+                          seconds=round(handle.span.duration, 6))
+                    completed.append(stage)
+                self._derive_stage_times(ctx, root)
+        finally:
+            # The report now holds the stage times and critical path;
+            # the tree itself is kept only inside an export scope.
+            tracer.release(migration.span)
         # Emitted before the context clears so the terminal event still
         # carries the session label (segmenting needs it to close the
         # segment it opened).
@@ -554,9 +556,6 @@ class StagePipeline:
 
     def _rollback(self, ctx: MigrationContext, faulted: Stage,
                   completed: List[Stage], reason: str) -> None:
-        tracer = ctx.home.tracer
-        tracer.emit("migration", "rollback-begin", package=ctx.package,
-                    faulted_stage=faulted.name, reason=reason)
         _emit(ctx, "migration.rollback_begin", package=ctx.package,
               faulted_stage=faulted.name, reason=reason)
         for stage in [faulted] + list(reversed(completed)):
@@ -564,12 +563,7 @@ class StagePipeline:
                 stage.rollback(ctx)
                 _emit(ctx, "stage.rollback", stage=stage.name)
             except Exception as rollback_error:   # compensations never mask
-                tracer.emit("migration", "rollback-error",
-                            package=ctx.package, stage=stage.name,
-                            error=repr(rollback_error))
                 _emit(ctx, "stage.rollback_error", stage=stage.name,
                       error=repr(rollback_error))
-        tracer.emit("migration", "rolled-back", package=ctx.package,
-                    faulted_stage=faulted.name)
         _emit(ctx, "migration.rolled_back", package=ctx.package,
               faulted_stage=faulted.name)

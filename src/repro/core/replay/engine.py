@@ -116,10 +116,6 @@ class ReplaySession:
             raise ReplayError(
                 f"{self.report.package}: pending binder handles never "
                 f"re-created: {self.unresolved_pending()}")
-        self.device.tracer.emit(
-            "replay", "done", package=self.report.package,
-            replayed=self.report.replayed, proxied=self.report.proxied,
-            skipped=self.report.skipped)
         return self.report
 
     def _dispatch(self, entry) -> None:

@@ -72,9 +72,8 @@ def _measure(config: str, extensions: FluxExtensions,
         home.migration_service.migrate(guest, spec.package, link=link,
                                        extensions=extensions)
         raise AssertionError("injected link fault did not fire")
-    except MigrationError:
-        pass
-    failed = home.migration_service.history[-1]
+    except MigrationError as error:
+        failed = error.report
 
     home_ok = home.running_packages() == [spec.package]
     residue = len(guest.kernel.processes_of_package(spec.package))

@@ -480,24 +480,21 @@ def _session(world: ScenarioWorld, outcome: SessionOutcome):
     try:
         outcome.started = world.clock.now
         app_by_package(spec.package).install_and_launch(home)
-        service = home.migration_service
-        attempt = len(service.history)
         try:
-            report = yield from service.migrate_steps(
+            report = yield from home.migration_service.migrate_steps(
                 guest, spec.package, link=world.link_for(home, guest),
                 extensions=spec.extensions)
         except MigrationError as error:
-            failed = service.history[attempt]
-            outcome.status = ("faulted" if failed.faulted_stage
+            report = error.report
+            outcome.status = ("faulted" if report.faulted_stage
                               else "refused")
-            outcome.report = failed
             outcome.refusal = error.reason
             outcome.refusal_detail = error.detail
             home.terminate_app(spec.package)
         else:
             outcome.status = "migrated"
-            outcome.report = report
-        outcome.session = f"{home.name}/{spec.package}@{attempt}"
+        outcome.report = report
+        outcome.session = report.session
     finally:
         outcome.finished = world.clock.now
         world.resource(second).release()

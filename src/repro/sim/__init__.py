@@ -12,7 +12,7 @@ from repro.sim.metrics import (
     merge_snapshots,
 )
 from repro.sim.rng import DEFAULT_SEED, RngFactory, derive_seed
-from repro.sim.trace import Span, TraceEvent, Tracer, critical_path
+from repro.sim.trace import Span, Tracer, critical_path
 from repro.sim import units
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "RngFactory",
     "derive_seed",
     "Span",
-    "TraceEvent",
     "Tracer",
     "critical_path",
     "Counter",

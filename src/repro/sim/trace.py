@@ -1,37 +1,27 @@
-"""Structured event tracing and hierarchical spans.
+"""Hierarchical spans on the virtual clock.
 
-Components append events to a shared :class:`Tracer`.  Tests assert on
-the event stream (e.g. "trim-memory ran before eglUnload"); it is cheap
-enough to be always on.  The log stores one flat tuple per event and
-builds :class:`TraceEvent` objects only when read (DESIGN.md,
-"Telemetry storage").
-
-Long-running operations additionally open :class:`Span` records via
+Long-running operations open :class:`Span` records via
 ``tracer.span("migration")``: spans nest (a stage span inside the
 migration span, chunk spans inside the transfer stage), measure start and
 end on the virtual clock, and export as Chrome-trace JSON
 (``chrome://tracing`` / Perfetto "traceEvents" format) for offline
 inspection.  Spans never advance the clock or touch the RNG, so enabling
 them cannot perturb simulation results.
+
+A root span is kept only while something will read it.  The migration
+pipeline derives its report's stage times and critical path from its
+root and then :meth:`Tracer.release` drops it, unless the caller opened
+an :meth:`Tracer.exporting` scope to write the trace afterwards; so a
+long run keeps no span tree per migration (DESIGN.md, "What grows with
+run length").
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
-
-
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    time: float
-    category: str
-    name: str
-    detail: Dict[str, Any] = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        extras = " ".join(f"{k}={v}" for k, v in sorted(self.detail.items()))
-        return f"[{self.time:10.4f}] {self.category}:{self.name} {extras}".rstrip()
+from typing import Any, Dict, Iterator, List, Optional
 
 
 @dataclass(slots=True)
@@ -125,21 +115,10 @@ class _SpanHandle:
 
 
 class Tracer:
-    """Append-only event log plus a span tree, keyed to a virtual clock.
-
-    The log holds one tuple per event, ``(time, category, name, keys,
-    *values)``, where ``keys`` names the detail entries in order and is
-    interned per tracer, so events from one call site share one key
-    tuple.  No index is kept: only tests read the log, so each read
-    scans it, and :meth:`events` and iteration build
-    :class:`TraceEvent` objects with fresh ``detail`` dicts.
-    """
+    """A span tree keyed to a virtual clock."""
 
     def __init__(self, clock) -> None:
         self._clock = clock
-        self._records: List[tuple] = []
-        #: Detail-key tuples seen so far, each mapped to itself.
-        self._keys: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._roots: List[Span] = []
         self._open_spans: List[Span] = []
         # Cached "a/b/c" join of the open spans' names; rebuilt on span
@@ -147,48 +126,14 @@ class Tracer:
         # every emitted event with this path, making the join a sweep
         # hot path when recomputed per emit).
         self._open_span_path: Optional[str] = None
-        self.enabled = True
-
-    # -- flat events ---------------------------------------------------------
-
-    def emit(self, category: str, name: str, **detail: Any) -> None:
-        if not self.enabled:
-            return
-        keys = tuple(detail)
-        self._records.append((self._clock.now, category, name,
-                              self._keys.setdefault(keys, keys),
-                              *detail.values()))
-
-    @staticmethod
-    def _event(record: tuple) -> TraceEvent:
-        time, category, name, keys = record[:4]
-        return TraceEvent(time, category, name, dict(zip(keys, record[4:])))
-
-    def events(self, category: Optional[str] = None,
-               name: Optional[str] = None) -> List[TraceEvent]:
-        """Events filtered by category and/or name, in emission order."""
-        return [self._event(record) for record in self._records
-                if (category is None or record[1] == category)
-                and (name is None or record[2] == name)]
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return map(self._event, self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
+        #: Open :meth:`exporting` scopes; while any is open,
+        #: :meth:`release` keeps roots.
+        self._exporting = 0
 
     def clear(self) -> None:
-        self._records.clear()
         self._roots.clear()
         self._open_spans.clear()
         self._open_span_path = None
-
-    def index_of(self, category: str, name: str) -> int:
-        """Index of the first matching event; -1 when absent."""
-        for index, record in enumerate(self._records):
-            if record[1] == category and record[2] == name:
-                return index
-        return -1
 
     # -- hierarchical spans ----------------------------------------------------
 
@@ -253,6 +198,35 @@ class Tracer:
         if self._open_spans:
             self._open_spans.pop()
         self._open_span_path = None
+
+    @contextlib.contextmanager
+    def exporting(self) -> Iterator["Tracer"]:
+        """Keep every root span closed inside this scope for export.
+
+        ``flux-sim migrate`` runs its migration in one, so ``--trace-out``
+        and the bundle's ``trace.json`` still hold the migration's span
+        tree; outside any scope the pipeline releases each root once its
+        report has what it needs.
+        """
+        self._exporting += 1
+        try:
+            yield self
+        finally:
+            self._exporting -= 1
+
+    def release(self, root: Span) -> None:
+        """Drop ``root`` from the roots unless an export scope is open.
+
+        A span that is not a root (it was opened under another open
+        span) belongs to its parent and stays.
+        """
+        if self._exporting:
+            return
+        roots = self._roots
+        for index in range(len(roots) - 1, -1, -1):
+            if roots[index] is root:
+                del roots[index]
+                return
 
     def root_spans(self, category: Optional[str] = None) -> List[Span]:
         """Top-level spans, in open order."""

@@ -19,13 +19,17 @@ class TestHappyPath:
         assert device.kernel.pmem.allocations_of(process.pid) == []
         assert not device.gl.is_initialized(process)
 
-    def test_prepare_order_in_trace(self, device, demo_thread):
+    def test_prepare_order_in_trace(self, device, demo_thread, monkeypatch):
+        calls = []
+        for owner, name in ((device.activity_service, "background_app"),
+                            (device.activity_service, "trim_memory"),
+                            (device.gl, "egl_unload")):
+            def spy(*args, _name=name, _call=getattr(owner, name)):
+                calls.append(_name)
+                return _call(*args)
+            monkeypatch.setattr(owner, name, spy)
         prepare_app(device, DEMO_PACKAGE)
-        tracer = device.tracer
-        background = tracer.index_of("service:activity", "background")
-        trim = tracer.index_of("service:activity", "trim-memory")
-        prepared = tracer.index_of("cria", "prepared")
-        assert -1 < background < trim < prepared
+        assert calls == ["background_app", "trim_memory", "egl_unload"]
 
     def test_prepare_with_gl_game(self, device):
         from tests.app.test_views_activity import GlDemoActivity

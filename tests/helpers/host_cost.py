@@ -10,6 +10,12 @@ spent in ``MigrationService.migrate``.  Shares are inclusive: a nested
 entry point (``HardwareRenderer.draw`` inside ``foreground_app``) is
 counted in both, so they do not sum to 1.
 
+The same rounds report the cyclic collector's cadence (through
+``gc.callbacks``): passes per generation per 1000 migrations and the
+mean and longest pass.  Objects a migration allocates and keeps, or
+churns through while older ones sit in the young generations, show up
+there as more or longer passes.
+
 The perfbench layers cover CRIA, record/replay, binder, chunks and the
 telemetry planes; this helper also measures the app-side preparation
 and reintegration path (trim-memory, foreground, GL) that they leave
@@ -19,7 +25,9 @@ out.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import gc
 import hashlib
 import importlib
 import os
@@ -53,12 +61,62 @@ TOTAL = ("repro.core.migration.migration", "MigrationService.migrate",
          "migrate")
 
 
-def _workloads():
+def perfbench_workloads():
     """perfbench's workload module (perfbench/ is not a package)."""
     perfbench = os.path.join(ROOT, "perfbench")
     if perfbench not in sys.path:
         sys.path.insert(0, perfbench)
     return importlib.import_module("workloads")
+
+
+@contextlib.contextmanager
+def handoff_telemetry(quiet: bool):
+    """perfbench's telemetry knobs (all three ``=0`` when ``quiet``)
+    while the context is open; the caller's values come back after."""
+    workloads = perfbench_workloads()
+    saved = {key: os.environ.get(key) for key in workloads.QUIET_ENV}
+    workloads.set_telemetry(quiet)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+
+
+class CollectorCadence:
+    """Cyclic-collector passes per generation, and each pass's wall
+    seconds, while the context is open."""
+
+    def __init__(self) -> None:
+        self.passes: Dict[int, List[float]] = {0: [], 1: [], 2: []}
+        self._started = 0.0
+
+    def _callback(self, phase: str, info: Dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.passes[info["generation"]].append(
+                time.perf_counter() - self._started)
+
+    def __enter__(self) -> "CollectorCadence":
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        gc.callbacks.remove(self._callback)
+
+    def summary(self, migrations: int) -> Dict[int, Dict[str, float]]:
+        """Per generation: passes per 1000 migrations; mean, longest
+        and total pass ms."""
+        return {generation: {
+            "per_1000": 1000 * len(seconds) / migrations,
+            "mean_ms": 1e3 * sum(seconds) / len(seconds) if seconds else 0.0,
+            "max_ms": 1e3 * max(seconds, default=0.0),
+            "total_ms": 1e3 * sum(seconds),
+        } for generation, seconds in self.passes.items()}
 
 
 class InclusiveTimer:
@@ -106,26 +164,20 @@ class InclusiveTimer:
 def measure(seed: int = 0, rounds: int = 12) -> Dict:
     """Run ``rounds`` timed handoff rounds with the telemetry planes off
     (perfbench's ``handoff-quiet``); returns the migration count, the
-    total ``migrate`` seconds, and per entry point its inclusive share
-    of that total and its calls per migration."""
-    workloads = _workloads()
-    saved = {key: os.environ.get(key) for key in workloads.QUIET_ENV}
-    workloads.set_telemetry(True)
-    try:
+    total ``migrate`` seconds, per entry point its inclusive share of
+    that total and its calls per migration, and the collector's cadence
+    (:meth:`CollectorCadence.summary`)."""
+    workloads = perfbench_workloads()
+    with handoff_telemetry(True):
         worlds = workloads.build_pair_worlds(seed)
         orders = workloads.handoff_orders(seed, rounds)
         window = workloads.Window()
         workloads.run_rounds(worlds, orders[:1], window, [hashlib.sha256()])
         window = workloads.Window()
-        with InclusiveTimer() as timer:
+        gc.collect()    # the cadence starts from empty young generations
+        with InclusiveTimer() as timer, CollectorCadence() as cadence:
             workloads.run_rounds(worlds, orders[1:], window,
                                  [hashlib.sha256()])
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
     total = timer.seconds["migrate"]
     migrations = timer.calls["migrate"]
     return {
@@ -136,6 +188,7 @@ def measure(seed: int = 0, rounds: int = 12) -> Dict:
                    for _, _, name in ENTRY_POINTS},
         "calls_per_migration": {name: timer.calls[name] / migrations
                                 for _, _, name in ENTRY_POINTS},
+        "collector": cadence.summary(migrations),
     }
 
 
@@ -147,6 +200,12 @@ def format_report(result: Dict) -> str:
         calls = result["calls_per_migration"][name]
         lines.append(f"  {name:<28} {share:6.1%}  "
                      f"{calls:5.1f} calls/migration")
+    lines.append("collector passes per 1000 migrations:")
+    for generation, row in result["collector"].items():
+        lines.append(f"  gen {generation}  {row['per_1000']:7.1f} passes  "
+                     f"mean {row['mean_ms']:6.3f} ms  "
+                     f"max {row['max_ms']:6.3f} ms  "
+                     f"total {row['total_ms']:8.1f} ms")
     return "\n".join(lines)
 
 

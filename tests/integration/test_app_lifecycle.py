@@ -216,12 +216,12 @@ def test_migration_onto_a_guest_running_the_app_is_refused():
     try:
         nexus_7.migration_service.migrate(nexus_4, package)
     except MigrationError as error:
-        reason = error.reason
+        reason, failed = error.reason, error.report
     else:
-        reason = None
+        reason = failed = None
 
     assert reason is MigrationRefusal.GUEST_ALREADY_RUNNING
-    assert nexus_7.migration_service.history[-1].refusal is reason
+    assert failed.refusal is reason
     assert len(nexus_4.kernel.namespaces()) == namespaces
     for device in (nexus_4, nexus_7):
         processes = [process for process in device.kernel.processes()
@@ -232,3 +232,46 @@ def test_migration_onto_a_guest_running_the_app_is_refused():
         assert device.thread_of(package).process is processes[0]
         assert processes[0].alive
         assert processes[0].state.value != "frozen"
+
+
+def _sensor_nodes(device):
+    """``system_server``'s sensor-connection nodes."""
+    return [node for node
+            in device.binder.state(device.system_process).owned_nodes
+            if node.label.startswith("sensor-connection:")]
+
+
+def test_a_migrated_out_app_leaves_no_sensor_connection_behind():
+    """Flappy Bird Nexus 4 -> Nexus 7 and back.  Once it has left the
+    Nexus 4, an accelerometer event there reaches no one; after the
+    round trip it reaches the returned app once, not once more through
+    the connection the first instance left."""
+    clock, rngs = SimClock(), RngFactory(17)
+    nexus_4 = Device(NEXUS_4, clock, rngs, name="nexus-4")
+    nexus_7 = Device(NEXUS_7_2013, clock, rngs, name="nexus-7")
+    FLAPPY_BIRD.install(nexus_4)
+    nexus_4.pairing_service.pair(nexus_7)
+    nexus_7.pairing_service.pair(nexus_4)
+    package = FLAPPY_BIRD.package
+    FLAPPY_BIRD.install_and_launch(nexus_4)
+    home_sensors = nexus_4.service("sensor")
+    [accelerometer] = [sensor.handle
+                       for sensor in home_sensors.getSensorList(None)
+                       if sensor.sensor_type == "accelerometer"]
+    assert home_sensors.inject_event(accelerometer, b"tilt") == 1
+    nodes = _sensor_nodes(nexus_4)
+
+    assert nexus_4.migration_service.migrate(nexus_7, package).success
+    assert home_sensors.inject_event(accelerometer, b"tilt") == 0
+    assert home_sensors.connections == []
+    assert _sensor_nodes(nexus_4) == []
+    assert not any(node.alive or node.service for node in nodes)
+    assert nexus_7.service("sensor").inject_event(accelerometer,
+                                                  b"tilt") == 1
+
+    assert nexus_7.migration_service.migrate(nexus_4, package).success
+    assert home_sensors.inject_event(accelerometer, b"tilt") == 1
+    assert nexus_7.service("sensor").inject_event(accelerometer,
+                                                  b"tilt") == 0
+    assert len(_sensor_nodes(nexus_4)) == 1
+    assert _sensor_nodes(nexus_7) == []

@@ -10,6 +10,10 @@ migrate.  A process's death releases ``system_server``'s reference to
 the app's thread node and removes the process's windows (DESIGN.md,
 "World ownership and teardown").  The same holds with every telemetry
 plane off.
+
+With the telemetry planes off nothing else may grow with run length
+either: the memory ratchet below bounds what the perfbench handoff
+rounds keep per migration (DESIGN.md, "What grows with run length").
 """
 
 import contextlib
@@ -33,8 +37,17 @@ from repro.core.cria.restore import RestoreFaultPlan
 from repro.sim import SimClock
 from repro.sim.rng import RngFactory
 from repro.sim.telemetry import EVENTS_ENV, METRICS_ENV, TIMELINE_ENV
+from tests.helpers import retention
 
 ROUNDS = 12
+
+#: kB the perfbench handoff rounds may keep per migration with every
+#: telemetry plane off (``tests/helpers/retention.py``).  Measured on
+#: CPython 3.11, seed 0: 5.60 when the tracer kept a flat event log and
+#: every migration's span tree, the service every report, and a
+#: migrated-out app its sensor connections on home; 0.54 after, of
+#: which 0.37 is the chunk store (simulated state, bounded by its LRU).
+RETAINED_KB_PER_MIGRATION = 1.0
 
 TELEMETRY = ("telemetry-on", "telemetry-off")
 
@@ -177,6 +190,33 @@ def test_window_table_holds_only_live_processes(handed_off):
                    for _, _, _, dead in counts.values()), run.mode
         for device in (run.home, run.guest):
             assert windows_of_dead(device) == []
+
+
+def test_no_span_tree_outlives_its_migration(handed_off):
+    for run in handed_off:
+        for device in (run.home, run.guest):
+            assert device.tracer.root_spans() == [], (run.mode, device.name)
+
+
+def test_export_scope_keeps_the_migration_root():
+    clock, rngs = SimClock(), RngFactory(4)
+    home = Device(NEXUS_4, clock, rngs, name="home")
+    guest = Device(NEXUS_7_2013, clock, rngs, name="guest")
+    FLAPPY_BIRD.install_and_launch(home)
+    home.pairing_service.pair(guest)
+    with home.tracer.exporting():
+        report = home.migration_service.migrate(guest, FLAPPY_BIRD.package)
+    [root] = home.tracer.root_spans()
+    assert root.category == "migration" and root.closed
+    assert [span.name for span in root.children] == list(report.stages)
+
+
+def test_retained_memory_per_migration_ratchet():
+    result = retention.measure(seed=0)
+    assert result["failed"] == 0
+    assert result["migrations"] == (retention.LAST - retention.FIRST) * 64
+    assert result["kb_per_migration"] <= RETAINED_KB_PER_MIGRATION, \
+        retention.format_report(result)
 
 
 def test_system_server_refs_follow_resident_apps(handed_off):

@@ -160,7 +160,9 @@ class TestRegionDigestCache:
         twins = [region.clone() for region in regions]
         for region, twin in zip(regions, twins):
             assert twin == region
-            assert vars(twin) == vars(region)
+            assert ([getattr(twin, slot) for slot in MemoryRegion.__slots__]
+                    == [getattr(region, slot)
+                        for slot in MemoryRegion.__slots__])
         twin_image = _image_of(twins)
         assert _region_chunks(twin_image, chunk_bytes) == \
             _fresh_region_chunks(twin_image, chunk_bytes)

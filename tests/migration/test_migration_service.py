@@ -102,14 +102,16 @@ class TestRefusals:
             home.migration_service.migrate(guest, DEMO_PACKAGE)
         assert excinfo.value.reason is MigrationRefusal.NOT_PAIRED
 
-    def test_failed_report_recorded_in_history(self, device_pair):
+    def test_failed_report_carried_on_the_error(self, device_pair):
         home, guest = device_pair
         launch_demo(home)
-        with pytest.raises(MigrationError):
+        with pytest.raises(MigrationError) as excinfo:
             home.migration_service.migrate(guest, DEMO_PACKAGE)
-        (report,) = home.migration_service.history
+        report = excinfo.value.report
         assert not report.success
         assert report.refusal is MigrationRefusal.NOT_PAIRED
+        assert report.session == f"{home.name}/{DEMO_PACKAGE}@0"
+        assert home.migration_service.attempts == 1
 
     def test_app_recovers_after_mid_flight_refusal(self, device_pair):
         """A refusal during checkpoint leaves the app usable at home."""

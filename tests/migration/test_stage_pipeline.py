@@ -57,7 +57,7 @@ class TestLinkFaultRollback:
                 guest, DEMO_PACKAGE, link=link,
                 extensions=extensions or FluxExtensions.none())
         assert exc.value.reason is MigrationRefusal.LINK_DOWN
-        return home.migration_service.history[-1]
+        return exc.value.report
 
     def test_home_keeps_running_app(self, paired):
         home, guest, thread = paired
@@ -113,7 +113,7 @@ class TestLinkFaultRollback:
         with pytest.raises(MigrationError) as exc:
             home.migration_service.migrate(guest, DEMO_PACKAGE, link=link)
         assert exc.value.reason is MigrationRefusal.LINK_DOWN
-        assert home.migration_service.history[-1].image_wire_bytes == 0
+        assert exc.value.report.image_wire_bytes == 0
         assert home.running_packages() == [DEMO_PACKAGE]
 
 
@@ -165,7 +165,7 @@ class TestRestoreFaultRollback:
                 guest, DEMO_PACKAGE,
                 restore_fault=RestoreFaultPlan(fail_after_steps=steps))
         assert exc.value.reason is MigrationRefusal.RESTORE_FAILED
-        report = home.migration_service.history[-1]
+        report = exc.value.report
         assert report.faulted_stage == "restore"
         assert guest.kernel.processes_of_package(DEMO_PACKAGE) == []
         assert home.running_packages() == [DEMO_PACKAGE]
@@ -253,8 +253,8 @@ class TestPipelineMechanics:
         with pytest.raises(RuntimeError, match="kaboom"):
             StagePipeline([flaky, _Boom()]).run(ctx)
         assert flaky.rolled_back
-        errors = home.tracer.events("migration", "rollback-error")
-        assert len(errors) == 1 and errors[0].detail["stage"] == "flaky"
+        errors = home.events.events("stage.rollback_error")
+        assert len(errors) == 1 and errors[0].attrs["stage"] == "flaky"
         assert ctx.report.faulted_stage == "boom"
 
     def test_rollback_order_faulted_first_then_reverse(self, device_pair):

@@ -1,9 +1,9 @@
-"""RngFactory determinism, unit helpers, Tracer."""
+"""RngFactory determinism and unit helpers."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import SimClock, Tracer, units
+from repro.sim import units
 from repro.sim.rng import RngFactory, derive_seed
 
 
@@ -49,39 +49,3 @@ class TestUnits:
     def test_transfer_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             units.transfer_seconds(100, 0)
-
-
-class TestTracer:
-    def test_events_carry_time_and_detail(self):
-        clock = SimClock()
-        tracer = Tracer(clock)
-        tracer.emit("cat", "one", pid=5)
-        clock.advance(1.0)
-        tracer.emit("cat", "two")
-        events = tracer.events("cat")
-        assert [e.name for e in events] == ["one", "two"]
-        assert events[0].time == 0.0
-        assert events[0].detail == {"pid": 5}
-        assert events[1].time == 1.0
-
-    def test_filtering(self):
-        tracer = Tracer(SimClock())
-        tracer.emit("a", "x")
-        tracer.emit("b", "x")
-        tracer.emit("a", "y")
-        assert len(tracer.events("a")) == 2
-        assert len(tracer.events(name="x")) == 2
-        assert len(tracer.events("a", "y")) == 1
-
-    def test_index_of_orders_events(self):
-        tracer = Tracer(SimClock())
-        tracer.emit("a", "first")
-        tracer.emit("a", "second")
-        assert tracer.index_of("a", "first") < tracer.index_of("a", "second")
-        assert tracer.index_of("a", "missing") == -1
-
-    def test_disabled_tracer_drops_events(self):
-        tracer = Tracer(SimClock())
-        tracer.enabled = False
-        tracer.emit("a", "x")
-        assert len(tracer) == 0

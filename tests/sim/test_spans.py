@@ -1,4 +1,4 @@
-"""Hierarchical tracer spans, the event indexes, Chrome-trace export."""
+"""Hierarchical tracer spans, root release, Chrome-trace export."""
 
 import json
 
@@ -121,39 +121,39 @@ class TestChromeTraceExport:
         assert doc["traceEvents"][0]["name"] == "m"
 
 
-class TestEventIndexes:
-    def test_filtered_lookups_preserve_emission_order(self, tracer, clock):
-        tracer.emit("cria", "freeze", pid=1)
-        clock.advance(1.0)
-        tracer.emit("net", "send", n=1)
-        tracer.emit("cria", "freeze", pid=2)
-        tracer.emit("cria", "thaw", pid=1)
-        assert [e.detail["pid"] for e in tracer.events("cria", "freeze")] \
-            == [1, 2]
-        assert [e.name for e in tracer.events(category="cria")] \
-            == ["freeze", "freeze", "thaw"]
-        assert [e.category for e in tracer.events(name="send")] == ["net"]
-        assert len(tracer.events()) == 4
-
-    def test_index_of_first_match(self, tracer):
-        tracer.emit("a", "x")
-        tracer.emit("b", "y")
-        tracer.emit("a", "x")
-        assert tracer.index_of("b", "y") == 1
-        assert tracer.index_of("a", "x") == 0
-        assert tracer.index_of("a", "missing") == -1
-
-    def test_clear_resets_indexes_and_spans(self, tracer):
-        tracer.emit("a", "x")
-        with tracer.span("s"):
+class TestRelease:
+    def test_release_drops_a_closed_root(self, tracer):
+        with tracer.span("m", category="migration") as first:
             pass
-        tracer.clear()
-        assert len(tracer) == 0
-        assert tracer.events("a", "x") == []
-        assert tracer.index_of("a", "x") == -1
+        with tracer.span("m", category="migration") as second:
+            pass
+        tracer.release(first)
+        assert tracer.root_spans() == [second]
+        tracer.release(second)
+        assert tracer.root_spans() == []
+        assert second.closed
+
+    def test_export_scope_keeps_roots(self, tracer):
+        with tracer.exporting():
+            with tracer.span("m") as root:
+                pass
+            tracer.release(root)
+        assert tracer.root_spans() == [root]
+        tracer.release(root)
         assert tracer.root_spans() == []
 
-    def test_disabled_tracer_indexes_nothing(self, tracer):
-        tracer.enabled = False
-        tracer.emit("a", "x")
-        assert tracer.events("a", "x") == []
+    def test_release_of_a_nested_span_keeps_it(self, tracer):
+        with tracer.span("outer") as outer:
+            with tracer.span("inner") as inner:
+                pass
+            tracer.release(inner)
+        assert tracer.root_spans() == [outer]
+        assert outer.children == [inner]
+
+    def test_clear_resets_spans(self, tracer):
+        with tracer.span("s"):
+            pass
+        tracer.span("open")
+        tracer.clear()
+        assert tracer.root_spans() == []
+        assert tracer.open_span_path is None

@@ -1,14 +1,12 @@
 """Telemetry storage: flat records, the same shapes when read.
 
-The flight recorder and the tracer's event log keep one tuple per
-event, and the counter tracks and timeline keep flat ``[t0, v0, t1,
-v1, ...]`` series (DESIGN.md, "Telemetry storage").  The first half
-checks that reads still see what the object-per-event stores showed:
-position-derived ``seq`` across eviction and ``clear()``,
-context-label precedence and key order, same-timestamp coalescing, and
-the tracer's filters and ``index_of``.  The second half is a memory
-ratchet: a record type that grows back toward a dict per event shows up
-here.
+The flight recorder keeps one tuple per event, and the counter tracks
+and timeline keep flat ``[t0, v0, t1, v1, ...]`` series (DESIGN.md,
+"Telemetry storage").  The first half checks that reads still see what
+the object-per-event stores showed: position-derived ``seq`` across
+eviction and ``clear()``, context-label precedence and key order, and
+same-timestamp coalescing.  The second half is a memory ratchet: a
+record type that grows back toward a dict per event shows up here.
 """
 
 import tracemalloc
@@ -30,12 +28,6 @@ EVENT_BYTES_BOUND = 200
 #: Retained bytes per counter sample at distinct timestamps.  Measured
 #: on CPython 3.11: 118 with a ``(t, v)`` tuple per sample, 72 flat.
 SAMPLE_BYTES_BOUND = 90
-
-#: Retained bytes per ``Tracer.emit`` record: 10,000 records at distinct
-#: times, two detail entries each (one a distinct int).  Measured on
-#: CPython 3.11: 364 with a ``TraceEvent`` and three index entries per
-#: event, 152 with flat tuples.
-TRACE_EVENT_BYTES_BOUND = 180
 
 N = 10_000
 
@@ -135,71 +127,6 @@ class TestSeries:
         assert timeline.export() == {"n": [[0.0, 2.0], [0.5, 3.0]]}
 
 
-class TestTracerLog:
-    #: (category, name, detail) in emission order; detail key order
-    #: varies so key interning cannot merge layouts.
-    EMITTED = [
-        ("kernel", "process-create", {"pid": 101, "proc": "a"}),
-        ("service:window", "add-window", {"package": "p", "window": 1}),
-        ("kernel", "process-exit", {"pid": 101, "exit_code": 0}),
-        ("kernel", "process-create", {"proc": "b", "pid": 102}),
-        ("binder", "transact", {}),
-        ("service:window", "process-create", {"pid": 7}),
-        ("kernel", "process-create", {"pid": 103, "proc": "c"}),
-    ]
-
-    @pytest.fixture
-    def tracer(self):
-        clock = SimClock()
-        tracer = Tracer(clock)
-        for category, name, detail in self.EMITTED:
-            clock.advance(0.5)
-            tracer.emit(category, name, **detail)
-        return tracer
-
-    @staticmethod
-    def _shape(events):
-        return [(e.category, e.name, list(e.detail.items()))
-                for e in events]
-
-    @pytest.mark.parametrize("category,name", [
-        (None, None), ("kernel", None), (None, "process-create"),
-        ("kernel", "process-create"), ("service:window", None),
-        ("binder", "transact"), ("kernel", "missing"), ("missing", None),
-    ])
-    def test_filters_keep_emission_order(self, tracer, category, name):
-        expected = [(c, n, list(d.items())) for c, n, d in self.EMITTED
-                    if (category is None or c == category)
-                    and (name is None or n == name)]
-        assert self._shape(tracer.events(category, name)) == expected
-
-    def test_times_and_iteration_match_events(self, tracer):
-        assert [e.time for e in tracer] == [0.5 * (i + 1)
-                                            for i in range(len(tracer))]
-        assert list(tracer) == tracer.events()
-        assert len(tracer) == len(self.EMITTED)
-
-    @pytest.mark.parametrize("category,name", [
-        ("kernel", "process-create"), ("kernel", "process-exit"),
-        ("service:window", "process-create"), ("binder", "transact"),
-        ("kernel", "missing"),
-    ])
-    def test_index_of_returns_the_first_match(self, tracer, category, name):
-        expected = next((i for i, (c, n, _) in enumerate(self.EMITTED)
-                         if (c, n) == (category, name)), -1)
-        assert tracer.index_of(category, name) == expected
-
-    def test_each_read_builds_fresh_detail(self, tracer):
-        first = tracer.events("kernel")[0]
-        first.detail["pid"] = -1
-        next(iter(tracer)).detail.clear()
-        assert tracer.events()[0].detail == {"pid": 101, "proc": "a"}
-        assert tracer.events()[0].detail is not tracer.events()[0].detail
-
-    def test_one_key_tuple_per_detail_layout(self, tracer):
-        assert len(tracer._keys) == 6
-
-
 def _retained_bytes(build, fill) -> float:
     """Bytes per record still allocated after ``fill`` runs.
 
@@ -254,20 +181,6 @@ def test_counter_sample_bytes_ratchet():
 
     per_sample = _retained_bytes(build, fill)
     assert per_sample <= SAMPLE_BYTES_BOUND, per_sample
-
-
-def test_trace_event_bytes_ratchet():
-    clock = SimClock()
-
-    def fill(tracer):
-        for i in range(N):
-            clock.advance(0.001)
-            tracer.emit("kernel", "process-create", pid=1000 + i,
-                        proc="com.app:main")
-        return tracer
-
-    per_event = _retained_bytes(lambda: Tracer(clock), fill)
-    assert per_event <= TRACE_EVENT_BYTES_BOUND, per_event
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 5])

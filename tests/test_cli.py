@@ -172,7 +172,8 @@ class TestTraceExport:
         spec = app_by_title("WhatsApp")
         spec.install_and_launch(home)
         home.pairing_service.pair(guest)
-        report = home.migration_service.migrate(guest, spec.package)
+        with home.tracer.exporting():
+            report = home.migration_service.migrate(guest, spec.package)
         path = tmp_path / "trace.json"
         home.tracer.write_chrome_trace(str(path))
         doc = json.loads(path.read_text())
