@@ -6,11 +6,22 @@ the cyclic collector's cadence over the same rounds: passes per
 generation per 1000 migrations, mean and longest pass.  Non-gating: it
 checks only that the rounds ran, every share is a fraction and the
 collector was observed; run it with ``-m perf -s`` to read the numbers.
+
+It also prints the fleet phases' inclusive shares of one perfbench fleet
+epoch: booting devices, pairing, the scheduler's run and the telemetry
+export.  Not gated either.
 """
 
 import pytest
 
-from tests.helpers.host_cost import ENTRY_POINTS, format_report, measure
+from tests.helpers.host_cost import (
+    ENTRY_POINTS,
+    FLEET_PHASES,
+    format_fleet_report,
+    format_report,
+    measure,
+    measure_fleet,
+)
 
 
 @pytest.mark.perf
@@ -25,3 +36,13 @@ def test_host_cost_shares():
     assert set(result["collector"]) == {0, 1, 2}
     assert all(row["per_1000"] >= 0.0 and row["max_ms"] >= row["mean_ms"]
                for row in result["collector"].values())
+
+
+@pytest.mark.perf
+def test_fleet_phase_shares():
+    result = measure_fleet(seed=0)
+    print()
+    print(format_fleet_report(result))
+    assert result["demands"] == 400
+    assert set(result["shares"]) == {name for _, _, name in FLEET_PHASES}
+    assert all(0.0 < share < 1.0 for share in result["shares"].values())

@@ -329,7 +329,6 @@ class Device:
         self.kernel.close()
         self.vendor_gl.close()
         self.metrics.close()
-        self.call_log.close()
         for child in (self.framework, self.input_dispatcher, self.launcher,
                       self.pairing_service, self.migration_service,
                       self.consistency):

@@ -129,8 +129,8 @@ class PackedHashes(ComputedColumn):
         return self._raw[i * self.WIDTH:(i + 1) * self.WIDTH].hex()
 
     def __iter__(self) -> Iterator[str]:
-        text, step = self._raw.hex(), 2 * self.WIDTH
-        return (text[k:k + step] for k in range(0, len(text), step))
+        # One space between hashes, then one split: no per-item Python.
+        return iter(self._raw.hex(" ", self.WIDTH).split())
 
 
 #: ``FileSet.links`` value of a file that is not a hard link.
@@ -529,6 +529,10 @@ class DeviceStorage:
             signer.add(relatives, islice(file_set.hashes, lo, hi),
                        islice(file_set.sizes, lo, hi))
         return signer.signature()
+
+    def cached_signature(self, prefix: str) -> Optional[TreeSignature]:
+        """The signature of ``prefix`` if one is cached, else None."""
+        return self._signatures.get(prefix)
 
     def seed_signature(self, prefix: str, signature: TreeSignature) -> None:
         """Record a signature known to hold for ``prefix`` (a sync that

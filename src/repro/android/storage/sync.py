@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import islice
-from typing import Dict, List, Optional, Tuple
+from itertools import compress, islice, repeat
+from operator import ne
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.android.storage.filesystem import (
     DeviceStorage,
     FileEntry,
-    LINK_STRIDE,
     NO_LINK,
     FileSet,
     TreeSignature,
@@ -72,41 +72,52 @@ class RsyncEngine:
         per-migration ``verify_app`` pass from re-hashing every
         unchanged app tree.
 
-        A source tree made only of mounted :class:`FileSet` objects (the
-        frameworks) is mirrored into an empty target by mounting derived
-        sets that share the source's columns; anything else goes file by
-        file.
+        Into an empty target nothing can match, so no digest of the
+        source is taken.  A source tree made only of mounted
+        :class:`FileSet` objects (the frameworks) is then mirrored by
+        mounting derived sets that share the source's columns; anything
+        else goes file by file.
         """
         result = SyncResult()
-        source_sig = source.tree_signature(source_prefix)
-        if not source_sig.file_count:
-            return result
         target_root = target_prefix.rstrip("/")
         target_sig = target.tree_signature(target_root)
-        if source_sig.digest == target_sig.digest:
-            result.files_considered = source_sig.file_count
-            result.files_already_synced = source_sig.file_count
-            result.bytes_total = source_sig.total_bytes
+        if target_sig.file_count:
+            source_sig = source.tree_signature(source_prefix)
+            if not source_sig.file_count:
+                return result
+            if source_sig.digest == target_sig.digest:
+                result.files_considered = source_sig.file_count
+                result.files_already_synced = source_sig.file_count
+                result.bytes_total = source_sig.total_bytes
+                return result
+            mounted = None
+        elif not source.file_count(source_prefix):
             return result
-        mounted = source.mounted_sets(source_prefix)
-        if mounted is not None and not target_sig.file_count:
-            self._mirror_sets(mounted, source_prefix, source_sig, target,
-                              target_root, link_dest_prefix, result)
         else:
+            mounted = source.mounted_sets(source_prefix)
+        if mounted is None:
             self._sync_files(source, source_prefix, target, target_root,
                              link_dest_prefix, result)
+        else:
+            self._mirror_sets(mounted, source_prefix,
+                              source.cached_signature(source_prefix),
+                              target, target_root, link_dest_prefix, result)
         result.bytes_compressed = int(result.bytes_delta
                                       * self.compression_ratio)
         return result
 
     def _mirror_sets(self, mounted: List[Tuple[str, FileSet]],
-                     source_prefix: str, source_sig: TreeSignature,
+                     source_prefix: str,
+                     source_sig: Optional[TreeSignature],
                      target: DeviceStorage, target_root: str,
                      link_dest_prefix: Optional[str],
                      result: SyncResult) -> None:
         """Mount one derived set per source set; hard-link targets and
-        linked sizes are resolved in one pass against the link pool."""
-        pool = (((), {}) if link_dest_prefix is None
+        linked sizes are resolved in one pass against the link pool.
+        The target inherits ``source_sig`` when the source had one and
+        every mirror kept its set's sizes; otherwise it is signed when
+        first asked."""
+        pool = (((), {}, {}, {}) if link_dest_prefix is None
                 else _link_pool(target, link_dest_prefix))
         mirrors = []
         for mount, file_set in mounted:
@@ -115,8 +126,9 @@ class RsyncEngine:
                             mirror))
         for target_mount, mirror in mirrors:
             target.mount(target_mount, mirror)
-        if all(mirror.sizes is file_set.sizes
-               for (_, mirror), (_, file_set) in zip(mirrors, mounted)):
+        if source_sig is not None and all(
+                mirror.sizes is file_set.sizes
+                for (_, mirror), (_, file_set) in zip(mirrors, mounted)):
             target.seed_signature(target_root, source_sig)
 
     def _sync_files(self, source: DeviceStorage, source_prefix: str,
@@ -169,64 +181,83 @@ class RsyncEngine:
         return stale
 
 
-#: A ``--link-dest`` pool: the ``(base, file_set)`` runs of the pool tree
-#: in path order (an overlay run becomes a small set of full paths with
-#: base ""), and a map from content hash to ``link_code(run, position)``
-#: of the last file with it.
-LinkPool = Tuple[Tuple[Tuple[str, FileSet], ...], Dict[str, int]]
+#: A ``--link-dest`` pool: the ``(base, paths)`` link target of each run
+#: of the pool tree, in path order (an overlay run becomes a small set of
+#: full paths with base ""); a map from content hash to the
+#: ``link_code(run, position)`` of the last file with it; and maps from
+#: link code to size and to mtime (empty when no pool file has one).
+LinkPool = Tuple[Tuple[Tuple[str, Sequence[str]], ...], Dict[str, int],
+                 Dict[int, int], Dict[int, float]]
 
 
 def _link_pool(target: DeviceStorage, prefix: str) -> LinkPool:
-    runs = []
-    index: Dict[str, int] = {}
+    link_targets = []
+    codes: Dict[str, int] = {}
+    sizes: Dict[int, int] = {}
+    mtimes: Dict[int, float] = {}
     for mount, run, lo, hi in target.runs(prefix):
         if mount is None:
             entries = [target.get(path) for path in run]
+            run_mtimes = [e.mtime for e in entries]
             run = FileSet(run, [e.size for e in entries],
                           [e.content_hash for e in entries],
-                          mtimes=[e.mtime for e in entries])
+                          mtimes=run_mtimes if any(run_mtimes) else None)
             mount = ""
-        base = link_code(len(runs), 0)
-        index.update(zip(islice(run.hashes, lo, hi),
-                         range(base + lo, base + hi)))
-        runs.append((mount, run))
-    return tuple(runs), index
+        base = link_code(len(link_targets), 0)
+        span = range(base + lo, base + hi)
+        codes.update(zip(islice(run.hashes, lo, hi), span))
+        sizes.update(zip(span, islice(run.sizes, lo, hi)))
+        if run.mtimes is not None:
+            mtimes.update(zip(span, islice(run.mtimes, lo, hi)))
+        link_targets.append((mount, run.paths))
+    return tuple(link_targets), codes, sizes, mtimes
 
 
 def _mirror(file_set: FileSet, pool: LinkPool,
             result: SyncResult) -> FileSet:
     """``file_set`` as mirrored into an empty target: files whose content
-    is in ``pool`` become hard links, the rest are copies."""
-    runs, index = pool
-    codes = list(map(index.get, file_set.hashes))
-    sizes, mtimes = file_set.sizes, file_set.mtimes
-    linked = linked_bytes = 0
-    for i, code in enumerate(codes):
-        if code is None:
-            continue
-        linked += 1
-        linked_bytes += file_set.sizes[i]
-        run, position = divmod(code, LINK_STRIDE)
-        pool_set = runs[run][1]
-        link_size = pool_set.sizes[position]
-        if link_size != file_set.sizes[i]:
-            if sizes is file_set.sizes:
-                sizes = list(sizes)
-            sizes[i] = link_size
-        link_mtime = pool_set.mtime(position)
-        if link_mtime != file_set.mtime(i):
-            if mtimes is file_set.mtimes:
-                mtimes = [0.0] * len(codes) if mtimes is None else list(mtimes)
-            mtimes[i] = link_mtime
-    total = sum(file_set.sizes)
-    result.files_considered += len(codes)
+    is in ``pool`` become hard links, taking the pool file's size and
+    mtime; the rest are copies."""
+    link_targets, codes, link_sizes, link_mtimes = pool
+    count = len(file_set)
+    links = array("q", map(codes.get, file_set.hashes, repeat(NO_LINK)))
+    linked = count - links.count(NO_LINK)
+    sizes = file_set.sizes
+    total = sum(sizes)
+    if linked == count:
+        positions, hit_codes = range(count), links
+        linked_bytes = total
+    else:
+        hits = list(map(ne, links, repeat(NO_LINK)))
+        positions = list(compress(range(count), hits))
+        hit_codes = list(compress(links, hits))
+        linked_bytes = sum(map(sizes.__getitem__, positions))
+    result.files_considered += count
     result.bytes_total += total
     result.files_linked += linked
     result.bytes_linked += linked_bytes
-    result.files_copied += len(codes) - linked
+    result.files_copied += count - linked
     result.bytes_delta += total - linked_bytes
+    mtimes = file_set.mtimes
     if not linked:
         return file_set.mirror(sizes, None, (), mtimes)
-    links = array("q", [NO_LINK if code is None else code for code in codes])
-    link_targets = tuple((base, run.paths) for base, run in runs)
+    sizes = _linked_column(sizes, positions,
+                           map(link_sizes.__getitem__, hit_codes))
+    if link_mtimes or mtimes is not None:
+        own = [0.0] * count if mtimes is None else mtimes
+        linked_mtimes = _linked_column(
+            own, positions, map(link_mtimes.get, hit_codes, repeat(0.0)))
+        if linked_mtimes is not own:
+            mtimes = linked_mtimes
     return file_set.mirror(sizes, links, link_targets, mtimes)
+
+
+def _linked_column(column: Sequence, positions: Sequence[int],
+                   linked: Iterable) -> Sequence:
+    """``column`` with ``linked`` (one value per position in
+    ``positions``) in place; ``column`` itself when nothing changes."""
+    linked = list(linked)
+    if not any(map(ne, linked, map(column.__getitem__, positions))):
+        return column
+    return list(map(dict(zip(positions, linked)).get, range(len(column)),
+                    column))

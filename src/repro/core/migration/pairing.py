@@ -154,14 +154,19 @@ class PairingService:
 
     # -- migration-time verification (paper: APK verified, updated if stale) --
 
-    def verify_app(self, guest, package: str,
-                   link: Optional[Link] = None) -> int:
-        """Re-verify a paired app's APK/data; returns delta bytes moved."""
+    def verify_app(self, guest, package: str) -> int:
+        """Re-verify a paired app's APK/data; returns the compressed
+        delta bytes, which the caller's transfer carries."""
         home = self.device
         if not self.is_paired_with(guest.name):
             raise MigrationError(MigrationRefusal.NOT_PAIRED,
                                  f"{home.name} not paired with {guest.name}")
-        link = link or self._link(guest)
+        # Refused before anything is written to the guest.
+        info = home.package_service.get_package(package)
+        if info.api_level > guest.profile.api_level:
+            raise MigrationError(
+                MigrationRefusal.API_LEVEL_INCOMPATIBLE,
+                f"{package} needs API {info.api_level}")
         rsync = RsyncEngine()
         root = flux_root(home.name)
         apk_sync = rsync.sync(home.storage, f"/data/app/{package}.apk",
@@ -173,11 +178,6 @@ class PairingService:
                              guest.storage, f"{root}/sdcard/{package}")
         delta = (apk_sync.bytes_compressed + data_sync.bytes_compressed
                  + sd_sync.bytes_compressed)
-        info = home.package_service.get_package(package)
-        if info.api_level > guest.profile.api_level:
-            raise MigrationError(
-                MigrationRefusal.API_LEVEL_INCOMPATIBLE,
-                f"{package} needs API {info.api_level}")
         if not guest.package_service.is_installed(package):
             # Installed on the home device since the original pairing:
             # the per-app sync above covered it; create the wrapper now.

@@ -198,7 +198,7 @@ class TransferStage(Stage):
         pairing = home.pairing_service
         try:
             report.data_delta_bytes = pairing.verify_app(
-                ctx.guest, ctx.package, link)
+                ctx.guest, ctx.package)
             if ctx.extensions.pipelined_transfer:
                 yield from self._pipelined(ctx)
             else:

@@ -1,12 +1,11 @@
 """The per-device call log for Selective Record.
 
 Architecture follows the paper's Figure 5: the recording handler appends
-into a log whose index lives in SQLite.  Because replay must re-issue the
-*actual* argument objects (PendingIntents, listener binders, …), each
-entry's rich payload is kept in memory keyed by sequence number while the
-SQLite side holds the queryable metadata (app, interface, method, time)
-— the same split a real implementation uses between a blob store and its
-index.
+into a log that drop rules prune online.  Because replay must re-issue
+the *actual* argument objects (PendingIntents, listener binders, …),
+each entry keeps its rich payload; the log indexes the entries by app
+and by (app, interface, method) in memory, and writes a SQLite copy
+only when asked to export one.
 
 The log is device-wide with one namespace per app package; migration
 extracts exactly one app's entries.
@@ -16,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 import sqlite3
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass
@@ -66,131 +65,98 @@ class CallRecord:
 
 
 class CallLog:
-    """SQLite-indexed append/prune log of recorded service calls.
+    """Append/prune log of recorded service calls, indexed in memory.
 
-    Appends are buffered and flushed to SQLite in batches (one
-    ``executemany`` instead of a round trip per recorded call) — the
-    index only has to be consistent when something *reads* it, and the
-    recording hot path runs on every decorated Binder transaction, so
-    batching directly lowers the Figure 16 runtime overhead.
+    Records are indexed by app and by ``(app, interface, method)``.
+    Sequence numbers only grow and every index is an insertion-ordered
+    ``seq -> record`` dict, so each index lists its records in seq
+    order: reads need no sort, and ``entries_for_methods`` merges its
+    per-method runs by seq.  SQLite serves only as the durable export
+    format (:meth:`export_index`, :meth:`read_exported`).
     """
 
-    #: Buffered inserts are flushed at this size (or at any read).
-    FLUSH_THRESHOLD = 128
-
     def __init__(self) -> None:
-        self._db = sqlite3.connect(":memory:")
-        self._db.execute(
-            "CREATE TABLE calls ("
-            " seq INTEGER PRIMARY KEY,"
-            " time REAL NOT NULL,"
-            " app TEXT NOT NULL,"
-            " interface TEXT NOT NULL,"
-            " method TEXT NOT NULL)"
-        )
-        self._db.execute("CREATE INDEX idx_app ON calls (app, interface, method)")
         self._payloads: Dict[int, CallRecord] = {}
-        self._pending: List[tuple] = []
+        self._by_app: Dict[str, Dict[int, CallRecord]] = {}
+        self._by_method: Dict[Tuple[str, str, str],
+                              Dict[int, CallRecord]] = {}
         self._seq = itertools.count(1)
         self.appended = 0
         self.dropped = 0
-        self.flushes = 0
 
     # -- writes ----------------------------------------------------------------
 
     def append(self, time: float, app: str, interface: str, method: str,
                args: Dict[str, Any], result: Any = None) -> CallRecord:
-        record = CallRecord(seq=next(self._seq), time=time, app=app,
+        seq = next(self._seq)
+        record = CallRecord(seq=seq, time=time, app=app,
                             interface=interface, method=method,
                             args=dict(args), result=result)
-        self._pending.append((record.seq, record.time, record.app,
-                              record.interface, record.method))
-        self._payloads[record.seq] = record
+        self._payloads[seq] = record
+        self._by_app.setdefault(app, {})[seq] = record
+        self._by_method.setdefault((app, interface, method), {})[seq] = record
         self.appended += 1
-        if len(self._pending) >= self.FLUSH_THRESHOLD:
-            self._flush()
         return record
-
-    def _flush(self) -> None:
-        """Push buffered appends into the SQLite index."""
-        if not self._pending:
-            return
-        self._db.executemany(
-            "INSERT INTO calls (seq, time, app, interface, method) "
-            "VALUES (?, ?, ?, ?, ?)", self._pending)
-        self._pending.clear()
-        self.flushes += 1
 
     def remove(self, seqs: Iterable[int]) -> int:
         """Delete the given entries; returns how many were removed."""
-        self._flush()
-        seq_list = list(seqs)
         removed = 0
-        for seq in seq_list:
-            if self._payloads.pop(seq, None) is not None:
-                removed += 1
-        if seq_list:
-            marks = ",".join("?" * len(seq_list))
-            self._db.execute(f"DELETE FROM calls WHERE seq IN ({marks})", seq_list)
+        for seq in seqs:
+            record = self._payloads.pop(seq, None)
+            if record is None:
+                continue
+            removed += 1
+            app = record.app
+            _discard(self._by_app, app, seq)
+            _discard(self._by_method,
+                     (app, record.interface, record.method), seq)
         self.dropped += removed
         return removed
 
     def remove_app(self, app: str) -> int:
-        seqs = [r.seq for r in self.entries(app)]
-        return self.remove(seqs)
+        return self.remove(list(self._by_app.get(app, ())))
 
     # -- reads ----------------------------------------------------------------
 
     def entries(self, app: str, interface: Optional[str] = None,
                 method: Optional[str] = None) -> List[CallRecord]:
         """Entries for ``app`` in record order, optionally filtered."""
-        self._flush()
-        query = "SELECT seq FROM calls WHERE app = ?"
-        params: List[Any] = [app]
+        if interface is not None and method is not None:
+            return list(self._by_method.get((app, interface, method),
+                                            {}).values())
+        records = self._by_app.get(app, {}).values()
         if interface is not None:
-            query += " AND interface = ?"
-            params.append(interface)
+            return [r for r in records if r.interface == interface]
         if method is not None:
-            query += " AND method = ?"
-            params.append(method)
-        query += " ORDER BY seq"
-        rows = self._db.execute(query, params).fetchall()
-        return [self._payloads[seq] for (seq,) in rows]
+            return [r for r in records if r.method == method]
+        return list(records)
 
     def entries_for_methods(self, app: str, interface: str,
                             methods: Iterable[str]) -> List[CallRecord]:
-        """Entries for any of ``methods``, in record (seq) order.
-
-        One ``method IN (...)`` query; SQLite returns rows ordered by
-        the primary key, so no Python-side sort or merge is needed.
-        """
-        method_list = list(dict.fromkeys(methods))   # dedup, keep order
-        if not method_list:
+        """Entries for any of ``methods``, in record (seq) order: the
+        per-method runs, each already in seq order, merged by seq (a
+        method named twice counts once)."""
+        index = self._by_method
+        runs = [index[key] for key in [(app, interface, method)
+                                       for method in methods]
+                if key in index]
+        if not runs:
             return []
-        self._flush()
-        marks = ",".join("?" * len(method_list))
-        rows = self._db.execute(
-            f"SELECT seq FROM calls WHERE app = ? AND interface = ?"
-            f" AND method IN ({marks}) ORDER BY seq",
-            [app, interface, *method_list]).fetchall()
-        return [self._payloads[seq] for (seq,) in rows]
+        if len(runs) == 1:
+            return list(runs[0].values())
+        payloads = self._payloads
+        return [payloads[seq] for seq in sorted(set(itertools.chain(*runs)))]
 
     def count(self, app: Optional[str] = None) -> int:
-        self._flush()
         if app is None:
-            (n,) = self._db.execute("SELECT COUNT(*) FROM calls").fetchone()
-        else:
-            (n,) = self._db.execute(
-                "SELECT COUNT(*) FROM calls WHERE app = ?", (app,)).fetchone()
-        return n
+            return len(self._payloads)
+        return len(self._by_app.get(app, ()))
 
     def size_bytes(self, app: str) -> int:
         return sum(r.estimated_size() for r in self.entries(app))
 
     def apps(self) -> List[str]:
-        self._flush()
-        rows = self._db.execute("SELECT DISTINCT app FROM calls").fetchall()
-        return sorted(a for (a,) in rows)
+        return sorted(self._by_app)
 
     # -- durability -------------------------------------------------------------
 
@@ -200,8 +166,7 @@ class CallLog:
         The exported database carries the full metadata plus a JSON
         description of each call's arguments (rich argument *objects*
         live in app memory and travel with the checkpoint image, not the
-        index — the same split the in-memory log uses).  Returns the
-        number of rows written.
+        index).  Returns the number of rows written.
         """
         import json
 
@@ -218,17 +183,13 @@ class CallLog:
                 " interface TEXT NOT NULL,"
                 " method TEXT NOT NULL,"
                 " args_json TEXT NOT NULL)")
-            rows = 0
-            for app in self.apps():
-                for record in self.entries(app):
-                    disk.execute(
-                        "INSERT INTO calls VALUES (?, ?, ?, ?, ?, ?)",
-                        (record.seq, record.time, record.app,
-                         record.interface, record.method,
-                         json.dumps(_describe_value(record.args))))
-                    rows += 1
+            disk.executemany(
+                "INSERT INTO calls VALUES (?, ?, ?, ?, ?, ?)",
+                [(record.seq, record.time, record.app, record.interface,
+                  record.method, json.dumps(_describe_value(record.args)))
+                 for record in self._payloads.values()])
             disk.commit()
-            return rows
+            return len(self._payloads)
         finally:
             disk.close()
 
@@ -249,6 +210,10 @@ class CallLog:
                  "args": json.loads(args_json)}
                 for seq, time, app, interface, method, args_json in rows]
 
-    def close(self) -> None:
-        self._flush()
-        self._db.close()
+
+def _discard(index: Dict, key, seq: int) -> None:
+    """Drop ``seq`` from ``index[key]``, and the key once it is empty."""
+    run = index[key]
+    del run[seq]
+    if not run:
+        del index[key]

@@ -1,6 +1,7 @@
 """Inclusive host time of a migration's entry points, as shares.
 
     PYTHONPATH=src python -m tests.helpers.host_cost --seed 0 --rounds 12
+    PYTHONPATH=src python -m tests.helpers.host_cost --workload fleet
 
 Runs the perfbench handoff-quiet rounds (``perfbench/workloads.py``:
 the four paper device pairs, every migratable app, telemetry planes
@@ -20,6 +21,12 @@ The perfbench layers cover CRIA, record/replay, binder, chunks and the
 telemetry planes; this helper also measures the app-side preparation
 and reintegration path (trim-memory, foreground, GL) that they leave
 out.
+
+``--workload fleet`` instead runs one perfbench fleet epoch
+(``FLEET_EPOCH``: 120 devices, 400 arrivals, telemetry on, after an
+untimed warm-up fleet) and reports the inclusive shares of its phases
+(booting devices, pairing, the scheduler's run, the telemetry export)
+in the epoch's ``run_fleet`` wall time.
 """
 
 from __future__ import annotations
@@ -60,6 +67,16 @@ ENTRY_POINTS: Tuple[Tuple[str, str, str], ...] = (
 TOTAL = ("repro.core.migration.migration", "MigrationService.migrate",
          "migrate")
 
+#: The fleet epoch's phases, and the epoch they are shares of.
+FLEET_PHASES: Tuple[Tuple[str, str, str], ...] = (
+    ("repro.android.device", "Device.__init__", "Device.__init__"),
+    ("repro.core.migration.pairing", "PairingService.pair",
+     "PairingService.pair"),
+    ("repro.sim.scheduler", "Scheduler.run", "Scheduler.run"),
+    ("repro.experiments.scenario", "export", "telemetry.export"),
+)
+FLEET_TOTAL = ("repro.experiments.fleet", "run_fleet", "run_fleet")
+
 
 def perfbench_workloads():
     """perfbench's workload module (perfbench/ is not a package)."""
@@ -70,7 +87,7 @@ def perfbench_workloads():
 
 
 @contextlib.contextmanager
-def handoff_telemetry(quiet: bool):
+def perfbench_telemetry(quiet: bool):
     """perfbench's telemetry knobs (all three ``=0`` when ``quiet``)
     while the context is open; the caller's values come back after."""
     workloads = perfbench_workloads()
@@ -120,10 +137,11 @@ class CollectorCadence:
 
 
 class InclusiveTimer:
-    """Wall seconds and calls per entry point (``ENTRY_POINTS`` and
-    ``migrate``) while the context is open."""
+    """Wall seconds and calls per entry point of ``points`` while the
+    context is open."""
 
-    def __init__(self) -> None:
+    def __init__(self, points: Tuple[Tuple[str, str, str], ...]) -> None:
+        self.points = points
         self.seconds: Dict[str, float] = {}
         self.calls: Dict[str, int] = {}
         self._patches: List[Tuple[object, str, object]] = []
@@ -143,7 +161,7 @@ class InclusiveTimer:
         return timed
 
     def __enter__(self) -> "InclusiveTimer":
-        for module_name, path, name in ENTRY_POINTS + (TOTAL,):
+        for module_name, path, name in self.points:
             owner = importlib.import_module(module_name)
             *classes, attr = path.split(".")
             for class_name in classes:
@@ -168,14 +186,15 @@ def measure(seed: int = 0, rounds: int = 12) -> Dict:
     that total and its calls per migration, and the collector's cadence
     (:meth:`CollectorCadence.summary`)."""
     workloads = perfbench_workloads()
-    with handoff_telemetry(True):
+    with perfbench_telemetry(True):
         worlds = workloads.build_pair_worlds(seed)
         orders = workloads.handoff_orders(seed, rounds)
         window = workloads.Window()
         workloads.run_rounds(worlds, orders[:1], window, [hashlib.sha256()])
         window = workloads.Window()
         gc.collect()    # the cadence starts from empty young generations
-        with InclusiveTimer() as timer, CollectorCadence() as cadence:
+        with InclusiveTimer(ENTRY_POINTS + (TOTAL,)) as timer, \
+                CollectorCadence() as cadence:
             workloads.run_rounds(worlds, orders[1:], window,
                                  [hashlib.sha256()])
     total = timer.seconds["migrate"]
@@ -190,6 +209,41 @@ def measure(seed: int = 0, rounds: int = 12) -> Dict:
                                 for _, _, name in ENTRY_POINTS},
         "collector": cadence.summary(migrations),
     }
+
+
+def measure_fleet(seed: int = 0) -> Dict:
+    """Run perfbench's first fleet epoch for ``seed`` (telemetry on, as
+    the fleet workload runs) after one untimed warm-up fleet; returns
+    the demand count, the epoch's ``run_fleet`` seconds, and per phase
+    its inclusive share of them and its calls."""
+    from repro.experiments import fleet
+    from repro.sim.rng import derive_seed
+
+    workloads = perfbench_workloads()
+    with perfbench_telemetry(False):
+        fleet.run_fleet(workloads.fleet_spec(seed, workloads.FLEET_WARMUP))
+        spec = workloads.fleet_spec(derive_seed(seed, "perfbench", "0"),
+                                    workloads.FLEET_EPOCH)
+        gc.collect()
+        with InclusiveTimer(FLEET_PHASES + (FLEET_TOTAL,)) as timer:
+            result = fleet.run_fleet(spec)
+    total = timer.seconds["run_fleet"]
+    return {
+        "demands": len(result.rows),
+        "epoch_s": total,
+        "shares": {name: timer.seconds[name] / total
+                   for _, _, name in FLEET_PHASES},
+        "calls": {name: timer.calls[name] for _, _, name in FLEET_PHASES},
+    }
+
+
+def format_fleet_report(result: Dict) -> str:
+    lines = [f"{result['demands']} demands, {result['epoch_s']:.3f} s "
+             "in run_fleet"]
+    for name, share in result["shares"].items():
+        lines.append(f"  {name:<28} {share:6.1%}  "
+                     f"{result['calls'][name]:6d} calls")
+    return "\n".join(lines)
 
 
 def format_report(result: Dict) -> str:
@@ -211,10 +265,16 @@ def format_report(result: Dict) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", choices=("handoff-quiet", "fleet"),
+                        default="handoff-quiet")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rounds", type=int, default=12)
+    parser.add_argument("--rounds", type=int, default=12,
+                        help="timed handoff rounds (handoff-quiet only)")
     args = parser.parse_args(argv)
-    print(format_report(measure(args.seed, args.rounds)))
+    if args.workload == "fleet":
+        print(format_fleet_report(measure_fleet(args.seed)))
+    else:
+        print(format_report(measure(args.seed, args.rounds)))
     return 0
 
 

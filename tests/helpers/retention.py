@@ -26,7 +26,8 @@ import sys
 import tracemalloc
 from typing import Dict
 
-from tests.helpers.host_cost import ROOT, handoff_telemetry, perfbench_workloads
+from tests.helpers.host_cost import (ROOT, perfbench_telemetry,
+                                     perfbench_workloads)
 
 #: Rounds run before the first snapshot (the warm-up round included),
 #: and the round after which the second is taken: 8 rounds of 64
@@ -42,7 +43,7 @@ def measure(seed: int = 0, quiet: bool = True,
     workloads = perfbench_workloads()
     tracemalloc.start()
     try:
-        with handoff_telemetry(quiet):
+        with perfbench_telemetry(quiet):
             worlds = workloads.build_pair_worlds(seed)
             orders = workloads.handoff_orders(seed, last - 1)
             workloads.run_rounds(worlds, orders[:first], workloads.Window(),

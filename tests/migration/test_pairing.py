@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.android.storage.filesystem import _Signer
 from repro.core.cria.errors import MigrationError, MigrationRefusal
 from repro.core.migration.pairing import flux_root
 from repro.sim import units
@@ -17,6 +18,33 @@ class TestFrameworkSync:
         # 123 MB delta compressed at the calibrated ratio lands on 56 MB.
         assert report.constant_bytes_compressed == pytest.approx(
             units.mb(56), rel=0.02)
+
+    def test_fresh_pairing_signs_no_framework_tree(self, device_pair,
+                                                   monkeypatch):
+        """Ratchet: into an empty guest area nothing can already be in
+        sync, so pairing takes no digest of the 800 framework and vendor
+        files on either side.  The report is the paper's all the same,
+        and the mirror, signed when first asked, matches home's tree."""
+        home, guest = device_pair
+        install_demo(home)
+        signed = []
+        add = _Signer.add
+
+        def counting_add(self, relatives, hashes, sizes):
+            relatives = list(relatives)
+            signed.extend(relatives)
+            return add(self, relatives, hashes, sizes)
+
+        monkeypatch.setattr(_Signer, "add", counting_add)
+        report = home.pairing_service.pair(guest)
+        monkeypatch.undo()
+        assert len(signed) < 800
+        assert report.constant_bytes_total == units.mb(215)
+        assert report.constant_bytes_after_linking == units.mb(123)
+        assert report.constant_bytes_compressed == pytest.approx(
+            units.mb(56), rel=0.02)
+        mirror = guest.storage.tree_signature(f"{flux_root(home.name)}/system")
+        assert mirror == home.storage.tree_signature("/system")
 
     def test_pairing_is_symmetricly_recorded(self, device_pair):
         home, guest = device_pair
@@ -82,6 +110,18 @@ class TestVerification:
         with pytest.raises(MigrationError) as excinfo:
             home.pairing_service.verify_app(guest, DEMO_PACKAGE)
         assert excinfo.value.reason is MigrationRefusal.NOT_PAIRED
+
+    def test_api_refusal_leaves_the_guest_untouched(self, device_pair):
+        home, guest = device_pair
+        install_demo(home, "com.future", api_level=99)
+        home.pairing_service.pair(guest)
+        before = guest.storage.tree_signature(flux_root(home.name))
+        with pytest.raises(MigrationError) as excinfo:
+            home.pairing_service.verify_app(guest, "com.future")
+        assert excinfo.value.reason is \
+            MigrationRefusal.API_LEVEL_INCOMPATIBLE
+        assert guest.storage.tree_signature(flux_root(home.name)) == before
+        assert not guest.package_service.is_installed("com.future")
 
     def test_verify_moves_nothing_when_clean(self, device_pair):
         home, guest = device_pair

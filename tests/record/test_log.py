@@ -1,4 +1,8 @@
-"""CallLog: SQLite-indexed append/prune store."""
+"""CallLog: the in-memory append/prune store and its SQLite export."""
+
+import itertools
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, strategies as st
@@ -88,6 +92,84 @@ def test_count_invariant_appended_minus_dropped(methods):
     log.remove(to_drop)
     assert log.count("app") == log.appended - log.dropped
     assert log.count("app") == len(methods) - len(to_drop)
+
+
+APPS = ["a", "b", "c"]
+INTERFACES = ["I", "J"]
+METHODS = ["m", "n", "o"]
+
+log_ops = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.sampled_from(APPS),
+              st.sampled_from(INTERFACES), st.sampled_from(METHODS)),
+    # Indexes into every seq appended so far (removed ones included),
+    # plus seqs the log never issued.
+    st.tuples(st.just("remove"),
+              st.lists(st.integers(0, 40), max_size=6)),
+    st.tuples(st.just("remove_app"), st.sampled_from(APPS + ["z"])),
+), max_size=40)
+method_lists = st.lists(st.sampled_from(METHODS + ["p"]), max_size=4)
+
+
+def _check_reads(log, model, methods):
+    """Every read of ``log`` against the model: a list of its live
+    records in append order."""
+    def pick(app, interface=None, method=None):
+        return [r for r in model if r.app == app
+                and interface in (None, r.interface)
+                and method in (None, r.method)]
+
+    for app in APPS + ["z"]:
+        for interface, method in itertools.product(INTERFACES + [None, "K"],
+                                                   METHODS + [None, "p"]):
+            assert log.entries(app, interface, method) == \
+                pick(app, interface, method)
+        for interface in INTERFACES:
+            assert log.entries_for_methods(app, interface, methods) == [
+                r for r in pick(app, interface) if r.method in methods]
+        assert log.count(app) == len(pick(app))
+        assert log.size_bytes(app) == sum(r.estimated_size()
+                                          for r in pick(app))
+    assert log.count() == len(model)
+    assert log.apps() == sorted({r.app for r in model})
+
+
+@given(log_ops, method_lists)
+def test_log_matches_a_list_model(ops, methods):
+    """Interleaved appends, removals by seq and per-app removals read
+    back exactly as a plain list of the surviving records would, in seq
+    order under every filter, and export as that list."""
+    log, model, issued = CallLog(), [], []
+    removed = 0
+    for op in ops:
+        if op[0] == "append":
+            _, app, interface, method = op
+            record = log.append(float(len(issued)), app, interface, method,
+                                {"n": len(issued)})
+            assert record.seq == len(issued) + 1
+            issued.append(record.seq)
+            model.append(record)
+        elif op[0] == "remove":
+            seqs = [issued[i] if i < len(issued) else 1000 + i
+                    for i in op[1]]
+            doomed = {r.seq for r in model} & set(seqs)
+            assert log.remove(seqs) == len(doomed)
+            model = [r for r in model if r.seq not in doomed]
+            removed += len(doomed)
+        else:
+            gone = [r for r in model if r.app == op[1]]
+            assert log.remove_app(op[1]) == len(gone)
+            model = [r for r in model if r.app != op[1]]
+            removed += len(gone)
+        _check_reads(log, model, methods)
+    assert (log.appended, log.dropped) == (len(issued), removed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "calllog.db")
+        assert log.export_index(path) == len(model)
+        assert [(row["seq"], row["time"], row["app"], row["interface"],
+                 row["method"], row["args"])
+                for row in CallLog.read_exported(path)] == [
+            (r.seq, r.time, r.app, r.interface, r.method, r.args)
+            for r in model]
 
 
 class TestExport:
