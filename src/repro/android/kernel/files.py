@@ -138,7 +138,7 @@ class NetworkFile(FileObject):
 
     def read_remote(self, nbytes: int, link, clock) -> int:
         """Fetch ``nbytes`` from the host; returns seconds charged."""
-        result = link.transfer(nbytes, clock)
+        result = link.plan(nbytes).apply_sync(clock)
         self.offset += nbytes
         self.remote_reads += 1
         return result.seconds

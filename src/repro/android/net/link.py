@@ -111,30 +111,21 @@ class Link:
         self.retries = 0
         self.faulted = False
         self.telemetry = telemetry or Telemetry.null()
-        #: When set, scheduled flow ops on this link share the medium's
+        #: When set, scheduled deliveries on this link share the medium's
         #: bandwidth fairly with every other flow on it; when None, each
         #: flow gets a private (uncontended) medium.
         self.medium: Optional["Medium"] = None
 
-    def _deliver(self, payload_bytes: int, seconds: float, clock=None,
+    def _deliver(self, payload_bytes: int, seconds: float,
                  fault: bool = False):
         """Account and emit one completed delivery.
 
-        The single advance+account+telemetry sequence shared by
-        :meth:`transfer`, :meth:`trip_fault`, :meth:`record_transfer`
-        and the flow arbiter.  With a ``clock`` the wire time is charged
-        inline (the synchronous path); without one the caller already
-        sits at the completion instant (a medium flow finishing on its
-        timer).  Returns a :class:`TransferResult`, or for ``fault``
-        deliveries the :class:`LinkDownError` for the caller to raise
-        (or reject a waiter with).
+        The caller already sits at the completion instant: a
+        :class:`Delivery` applied inline has advanced the clock, a medium
+        flow finishes on its timer.  Returns a :class:`TransferResult`,
+        or for ``fault`` deliveries the :class:`LinkDownError` for the
+        caller to raise (or reject a waiter with).
         """
-        if payload_bytes < 0:
-            raise LinkError(f"negative payload {payload_bytes!r}")
-        if clock is not None:
-            self._sample_busy(1.0)
-            clock.advance(seconds)
-            self._sample_busy(0.0)
         self.bytes_transferred += payload_bytes
         self.transfers += 1
         if fault:
@@ -150,6 +141,8 @@ class Link:
                 f"link {self.name!r} dropped after {payload_bytes} bytes "
                 "of the failing transfer",
                 delivered_bytes=payload_bytes, seconds=seconds)
+        # A zero-byte payload is a latency-only control round trip: it
+        # exercises no goodput, so its effective rate is 0.0.
         effective = (payload_bytes * 8 / seconds / units.MBPS
                      if payload_bytes > 0 and seconds > 0 else 0.0)
         self._account(payload_bytes, effective)
@@ -157,7 +150,7 @@ class Link:
                               effective_mbps=effective)
 
     def _sample_busy(self, value: float) -> None:
-        """Wire-occupancy edge for the synchronous (inline) path.
+        """Wire-occupancy edge for a delivery applied inline.
 
         Scheduled flows are sampled by the medium instead (shares and
         active-flow counts already describe their occupancy).  The
@@ -217,16 +210,6 @@ class Link:
             return None
         return max(0, plan.drop_after_bytes - self.bytes_transferred)
 
-    def trip_fault(self, delivered_bytes: int, seconds: float,
-                   clock) -> None:
-        """Account a partial delivery, then raise :class:`LinkDownError`.
-
-        Used by callers that schedule multi-part transfers themselves
-        (the chunked burst): they compute how much crossed before the
-        drop and hand the partial accounting back to the link.
-        """
-        raise self._deliver(delivered_bytes, seconds, clock, fault=True)
-
     # -- transfers -----------------------------------------------------------
 
     def transfer_time(self, payload_bytes: int) -> float:
@@ -246,40 +229,24 @@ class Link:
         goodput = units.mbps(self.bandwidth_mbps) * factor
         return self.latency_s + units.transfer_seconds(payload_bytes, goodput)
 
-    def transfer(self, payload_bytes: int, clock) -> TransferResult:
-        """Move a payload, charging wire time to the clock.
-
-        Raises :class:`LinkDownError` when the armed fault plan trips
-        inside this transfer; the partial slice up to the drop point is
-        charged and accounted first.
-        """
-        seconds, fault_bytes, fault_seconds = self._plan_transfer(payload_bytes)
-        if fault_bytes is not None:
-            self.trip_fault(fault_bytes, fault_seconds, clock)
-        # Zero-byte payloads deliver at effective rate 0.0: a latency-only
-        # control round trip exercises no goodput (avoid the 0/seconds
-        # artifact).  _deliver computes exactly that.
-        return self._deliver(payload_bytes, seconds, clock)
-
-    def _plan_transfer(self, payload_bytes: int):
-        """``(solo_seconds, fault_bytes, fault_seconds)`` for one payload.
+    def plan(self, payload_bytes: int, session: str = "") -> "Delivery":
+        """The :class:`Delivery` that moves one whole payload.
 
         Draws the congestion jitter (so call order matches the RNG
-        stream contract) and consults the fault budget.  ``fault_bytes``
-        is None when the whole payload fits under the armed budget;
-        otherwise the transfer dies ``fault_seconds`` in, having
-        delivered ``fault_bytes``.
+        stream contract) and consults the fault budget: a payload that
+        crosses the armed drop point becomes a fault delivery of the
+        budget's bytes, dying the matching fraction of the way in.
         """
         seconds = self.transfer_time(payload_bytes)
         budget = self.fault_budget()
         if budget is None or payload_bytes <= budget:
-            return seconds, None, None
+            return Delivery(self, payload_bytes, seconds, session=session)
         if payload_bytes > 0:
             fraction = budget / payload_bytes
             partial = self.latency_s + (seconds - self.latency_s) * fraction
         else:
             partial = self.latency_s
-        return seconds, budget, partial
+        return Delivery(self, budget, partial, fault=True, session=session)
 
     # -- chunked (pipelined) transfers ---------------------------------------
 
@@ -299,18 +266,6 @@ class Link:
         return [units.transfer_seconds(size, goodput)
                 for size in chunk_bytes]
 
-    def record_transfer(self, payload_bytes: int, seconds: float,
-                        clock) -> TransferResult:
-        """Account a transfer whose duration was computed externally
-        (e.g. a pipelined chunk schedule), charging it to the clock.
-
-        This is an accounting primitive: fault plans are *not* checked
-        here — a caller that schedules its own burst consults
-        :meth:`fault_budget` and reports the partial delivery through
-        :meth:`trip_fault`.
-        """
-        return self._deliver(payload_bytes, seconds, clock)
-
 
 # -- fair-share flow arbitration ---------------------------------------------
 
@@ -322,8 +277,8 @@ class _Flow:
     ``solo_seconds`` is the wire time the delivery would take alone
     (jitter already drawn) — its *work*.  ``progress`` is how much of
     that work has completed; with n concurrent flows each accrues
-    elapsed/n work per elapsed second.  A fault milestone, when set,
-    terminates the flow early with ``fault_bytes`` delivered.
+    elapsed/n work per elapsed second.  A ``fault`` flow ends in a link
+    drop once its work is done, with ``payload_bytes`` delivered.
 
     ``session`` is the owning migration's label (for dilation blame);
     ``peak_others`` is the most *other* flows this one ever shared the
@@ -337,16 +292,10 @@ class _Flow:
     waiter: Waiter
     submitted_at: float
     progress: float = 0.0
-    fault_bytes: Optional[int] = None
-    fault_seconds: Optional[float] = None
+    fault: bool = False
     contended: bool = field(default=False)
     session: str = ""
     peak_others: int = 0
-
-    @property
-    def milestone(self) -> float:
-        return (self.fault_seconds if self.fault_seconds is not None
-                else self.solo_seconds)
 
 
 class Medium:
@@ -361,7 +310,7 @@ class Medium:
     over wall time.
 
     Completion is event-driven: one clock timer is kept at the earliest
-    projected milestone crossing; every submit/finish re-settles accrued
+    projected completion; every submit/finish re-settles accrued
     progress and reschedules.  Flows that finish in the same sweep are
     finalised in submission order, and all link accounting happens
     before any waiter resumes, so event timestamps land at the true
@@ -394,12 +343,10 @@ class Medium:
         return self.dilation_by_session.get(session, 0.0)
 
     def submit(self, link: Link, payload_bytes: int, solo_seconds: float,
-               fault_bytes: Optional[int] = None,
-               fault_seconds: Optional[float] = None,
-               session: str = "") -> Waiter:
+               fault: bool = False, session: str = "") -> Waiter:
         """Start a flow; the returned waiter resolves with the
-        :class:`TransferResult` (or rejects with the planned
-        :class:`LinkDownError`) at the completion instant."""
+        :class:`TransferResult` (or, for a ``fault`` flow, rejects with
+        the :class:`LinkDownError`) at the completion instant."""
         if payload_bytes < 0:
             raise LinkError(f"negative payload {payload_bytes!r}")
         if solo_seconds < 0:
@@ -410,8 +357,7 @@ class Medium:
                      solo_seconds=solo_seconds,
                      waiter=Waiter(f"flow#{self._seq} on {link.name}",
                                    kind="flow"),
-                     submitted_at=self.clock.now,
-                     fault_bytes=fault_bytes, fault_seconds=fault_seconds,
+                     submitted_at=self.clock.now, fault=fault,
                      session=session)
         self._flows.append(flow)
         if len(self._flows) > 1:
@@ -456,7 +402,7 @@ class Medium:
         if not self._flows:
             return
         n = len(self._flows)
-        shortfall = min(f.milestone - f.progress for f in self._flows)
+        shortfall = min(f.solo_seconds - f.progress for f in self._flows)
         self._timer = self.clock.call_after(max(shortfall, 0.0) * n,
                                             self._fire)
 
@@ -464,7 +410,7 @@ class Medium:
         self._timer = None
         self._settle()
         done = [f for f in self._flows
-                if f.progress >= f.milestone - self.EPS]
+                if f.progress >= f.solo_seconds - self.EPS]
         if done:
             self._flows = [f for f in self._flows if f not in done]
             if self._flows:
@@ -475,21 +421,21 @@ class Medium:
             outcomes = []
             for flow in done:
                 # An uncontended flow reports its exact solo figures so
-                # the synchronous path's floats reproduce bit-for-bit;
+                # the inline path's floats reproduce bit-for-bit;
                 # contended flows report true wall elapsed time.
                 seconds = (self.clock.now - flow.submitted_at
-                           if flow.contended else flow.milestone)
+                           if flow.contended else flow.solo_seconds)
                 if flow.contended:
                     # Dilation: wall seconds beyond the flow's solo work
                     # — time other flows' shares cost this session.
-                    dilation = max(0.0, seconds - flow.milestone)
+                    dilation = max(0.0, seconds - flow.solo_seconds)
                     key = flow.session or f"flow#{flow.seq}"
                     self.dilation_by_session[key] = (
                         self.dilation_by_session.get(key, 0.0) + dilation)
                     flow.link.telemetry.events.emit(
                         "link.dilation", link=flow.link.name,
                         session=flow.session,
-                        solo=round(flow.milestone, 6),
+                        solo=round(flow.solo_seconds, 6),
                         wall=round(seconds, 6),
                         dilation=round(dilation, 6),
                         others=flow.peak_others)
@@ -497,12 +443,8 @@ class Medium:
                     self.timeline.sample("link/share", 0.0,
                                          medium=self.name,
                                          session=flow.session)
-                if flow.fault_bytes is not None:
-                    outcomes.append((flow, flow.link._deliver(
-                        flow.fault_bytes, seconds, fault=True)))
-                else:
-                    outcomes.append((flow, flow.link._deliver(
-                        flow.payload_bytes, seconds)))
+                outcomes.append((flow, flow.link._deliver(
+                    flow.payload_bytes, seconds, flow.fault)))
                 self.completed_flows += 1
             self._sample_state()
             for flow, outcome in outcomes:
@@ -514,80 +456,45 @@ class Medium:
 
 
 @dataclass(frozen=True)
-class TransferOp:
-    """A whole-payload transfer, schedulable as a fair-share flow.
+class Delivery:
+    """One delivery of ``payload_bytes`` taking ``seconds`` of wire time.
 
-    ``apply_sync`` is today's :meth:`Link.transfer`; ``submit`` plans
-    the same payload (same jitter draw, same fault budget math) as a
-    flow on the link's medium — or a private uncontended one.
-    """
-
-    link: Link
-    payload_bytes: int
-    session: str = ""
-
-    def apply_sync(self, clock: SimClock) -> TransferResult:
-        return self.link.transfer(self.payload_bytes, clock)
-
-    def submit(self, clock: SimClock) -> Waiter:
-        seconds, fault_bytes, fault_seconds = self.link._plan_transfer(
-            self.payload_bytes)
-        medium = self.link.medium or Medium(clock,
-                                            name=f"solo:{self.link.name}")
-        return medium.submit(self.link, self.payload_bytes, seconds,
-                             fault_bytes=fault_bytes,
-                             fault_seconds=fault_seconds,
-                             session=self.session)
-
-
-@dataclass(frozen=True)
-class RecordOp:
-    """An externally-scheduled delivery (pipelined burst) as a flow.
-
-    Mirrors :meth:`Link.record_transfer`: no fault-budget check — the
-    caller planned the burst and reports partials via :class:`FaultOp`.
+    The only way wire time is charged.  :meth:`Link.plan` builds one for
+    a whole payload; a caller that schedules its own burst (the
+    pipelined transfer) builds one from the burst's schedule.  A
+    ``fault`` delivery moves the bytes that crossed before the drop and
+    then raises :class:`LinkDownError`.  Yield it from a session:
+    :func:`~repro.sim.scheduler.drive_sync` runs :meth:`apply_sync`, a
+    :class:`~repro.sim.scheduler.Scheduler` runs :meth:`submit`.
     """
 
     link: Link
     payload_bytes: int
     seconds: float
+    fault: bool = False
     session: str = ""
 
+    def __post_init__(self) -> None:
+        if self.payload_bytes < 0:
+            raise LinkError(f"negative payload {self.payload_bytes!r}")
+
     def apply_sync(self, clock: SimClock) -> TransferResult:
-        return self.link.record_transfer(self.payload_bytes, self.seconds,
-                                         clock)
+        """Charge the wire time inline, then account the delivery."""
+        link = self.link
+        link._sample_busy(1.0)
+        clock.advance(self.seconds)
+        link._sample_busy(0.0)
+        outcome = link._deliver(self.payload_bytes, self.seconds, self.fault)
+        if self.fault:
+            raise outcome
+        return outcome
 
     def submit(self, clock: SimClock) -> Waiter:
+        """Run as a flow on the link's medium, or a private solo one."""
         medium = self.link.medium or Medium(clock,
                                             name=f"solo:{self.link.name}")
         return medium.submit(self.link, self.payload_bytes, self.seconds,
-                             session=self.session)
-
-
-@dataclass(frozen=True)
-class FaultOp:
-    """A planned partial delivery ending in a link drop.
-
-    ``apply_sync`` is :meth:`Link.trip_fault`; as a flow it occupies the
-    wire for ``seconds`` of solo work, then rejects the session's waiter
-    with the :class:`LinkDownError`.
-    """
-
-    link: Link
-    delivered_bytes: int
-    seconds: float
-    session: str = ""
-
-    def apply_sync(self, clock: SimClock) -> None:
-        self.link.trip_fault(self.delivered_bytes, self.seconds, clock)
-
-    def submit(self, clock: SimClock) -> Waiter:
-        medium = self.link.medium or Medium(clock,
-                                            name=f"solo:{self.link.name}")
-        return medium.submit(self.link, self.delivered_bytes, self.seconds,
-                             fault_bytes=self.delivered_bytes,
-                             fault_seconds=self.seconds,
-                             session=self.session)
+                             fault=self.fault, session=self.session)
 
 
 #: Goodput fraction of infrastructure WiFi achieved in ad-hoc mode

@@ -19,6 +19,7 @@ from repro.android.net.link import Link, link_between
 from repro.android.storage.sync import RsyncEngine, SyncResult
 from repro.core.cria.errors import MigrationError, MigrationRefusal
 from repro.core.migration import costs
+from repro.sim.scheduler import Charge, drive_sync
 from repro.sim.telemetry import Telemetry
 
 
@@ -87,8 +88,13 @@ class PairingService:
 
     def pair(self, guest, link: Optional[Link] = None) -> PairingReport:
         """Pair this home device with ``guest``; returns the report."""
+        return drive_sync(self._pair_steps(guest, link or self._link(guest)),
+                          self.device.clock)
+
+    def _pair_steps(self, guest, link: Link):
+        """:meth:`pair` as a session: yields its CPU charges and link
+        deliveries, returns the :class:`PairingReport`."""
         home = self.device
-        link = link or self._link(guest)
         started = home.clock.now
         rsync = RsyncEngine()
 
@@ -98,9 +104,9 @@ class PairingService:
             home.storage, "/system",
             guest.storage, f"{flux_root(home.name)}/system",
             link_dest_prefix="/system")
-        home.clock.advance(costs.pairing_scan_cost(
+        yield Charge(costs.pairing_scan_cost(
             framework_sync.files_considered, home.profile.cpu_factor))
-        link.transfer(framework_sync.bytes_compressed, home.clock)
+        yield link.plan(framework_sync.bytes_compressed)
 
         report = PairingReport(home=home.name, guest=guest.name,
                                framework_sync=framework_sync)
@@ -112,7 +118,7 @@ class PairingService:
                 report.incompatible.append(info.package)
                 continue
             report.apps.append(
-                self._pair_app(guest, link, rsync, info))
+                (yield from self._pair_app(guest, link, rsync, info)))
 
         report.seconds = home.clock.now - started
         self._paired_with[guest.name] = report
@@ -121,8 +127,7 @@ class PairingService:
             guest_pairing._paired_with.setdefault(home.name, report)
         return report
 
-    def _pair_app(self, guest, link: Link, rsync: RsyncEngine,
-                  info) -> PairedApp:
+    def _pair_app(self, guest, link: Link, rsync: RsyncEngine, info):
         home = self.device
         package = info.package
         root = flux_root(home.name)
@@ -138,15 +143,15 @@ class PairingService:
         payload = (apk_sync.bytes_compressed + data_sync.bytes_compressed
                    + sd_sync.bytes_compressed)
         if payload:
-            link.transfer(payload, home.clock)
+            yield link.plan(payload)
 
         if not (guest.package_service.is_installed(package)
                 and not guest.package_service.is_pseudo(package)):
             # No wrapper needed when the guest has a native install; the
             # migrated instance is kept distinct from it (paper §3.4).
             guest.package_service.pseudo_install(info)
-        home.clock.advance(costs.PAIRING_PSEUDO_INSTALL_COST
-                           / home.profile.cpu_factor)
+        yield Charge(costs.PAIRING_PSEUDO_INSTALL_COST
+                     / home.profile.cpu_factor)
         return PairedApp(
             package=package, version_code=info.version_code,
             apk_synced_bytes=apk_sync.bytes_delta,

@@ -31,13 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.android.net.link import (
-    FaultOp,
-    Link,
-    LinkDownError,
-    RecordOp,
-    TransferOp,
-)
+from repro.android.net.link import Delivery, Link, LinkDownError
 from repro.core.cria.checkpoint import checkpoint_app
 from repro.core.cria.errors import (
     CheckpointError,
@@ -52,7 +46,7 @@ from repro.core.cria.restore import (
 from repro.core.extensions import FluxExtensions
 from repro.core.migration import costs
 from repro.core.replay.engine import replay_log
-from repro.sim.scheduler import Charge, drive_sync
+from repro.sim.scheduler import Charge
 
 
 @dataclass
@@ -90,14 +84,14 @@ class Stage:
 
     The forward action is :meth:`steps` — a generator that *yields* its
     charge points (:class:`~repro.sim.scheduler.Charge` for CPU work,
-    link flow ops for wire time) instead of advancing the clock
-    directly, so a scheduler can suspend the migration at every charge
-    and interleave it with others.  It must either complete or leave
-    nothing behind that ``rollback`` (its own, for partial effects, plus
-    earlier stages') cannot erase.  ``rollback`` is best-effort
-    synchronous compensation and must be idempotent: the pipeline calls
-    it on the faulted stage first, then on completed stages in reverse
-    order.
+    :class:`~repro.android.net.link.Delivery` for wire time) instead of
+    advancing the clock directly, so a scheduler can suspend the
+    migration at every charge and interleave it with others.  It must
+    either complete or leave nothing behind that ``rollback`` (its own,
+    for partial effects, plus earlier stages') cannot erase.
+    ``rollback`` is best-effort synchronous compensation and must be
+    idempotent: the pipeline calls it on the faulted stage first, then
+    on completed stages in reverse order.
     """
 
     name: str = "?"
@@ -127,9 +121,12 @@ class PreparationStage(Stage):
             view_count, context_count, home.profile.cpu_factor))
 
     def rollback(self, ctx: MigrationContext) -> None:
-        # The app was only backgrounded; bringing it to the foreground
-        # rebuilds surfaces and resumes it on the home device.
+        # The app was only backgrounded, but the trim-memory chain
+        # destroyed its view roots: the same conditional initialization
+        # reintegration uses rebuilds them, then foregrounding recreates
+        # the surfaces and resumes (and draws) the app on home.
         try:
+            ctx.thread.rebuild_view_roots()
             ctx.home.activity_service.foreground_app(ctx.package)
         except Exception:
             pass
@@ -203,8 +200,8 @@ class TransferStage(Stage):
                 yield from self._pipelined(ctx)
             else:
                 report.image_wire_bytes = report.image_compressed_bytes
-                yield TransferOp(link, report.transferred_bytes,
-                                 session=ctx.session)
+                yield link.plan(report.transferred_bytes,
+                                session=ctx.session)
                 self._index_serial(ctx)
         except LinkDownError as error:
             if not ctx.extensions.pipelined_transfer:
@@ -260,9 +257,8 @@ class TransferStage(Stage):
 
         # Digest negotiation + the data delta ride one round trip.
         negotiation_bytes = costs.CHUNK_DIGEST_BYTES * len(plan)
-        yield TransferOp(link,
-                         report.data_delta_bytes + negotiation_bytes,
-                         session=ctx.session)
+        yield link.plan(report.data_delta_bytes + negotiation_bytes,
+                        session=ctx.session)
 
         wire_sizes = [c.wire_bytes for c in missing]
         compress_times = [costs.chunk_compress_cost(
@@ -292,7 +288,7 @@ class TransferStage(Stage):
                 category="chunk", wire_bytes=chunk.wire_bytes)
             _emit(ctx, "link.chunk", digest=chunk.digest[:12],
                   label=chunk.label, wire_bytes=chunk.wire_bytes)
-        yield RecordOp(link, total_wire, burst_seconds,
+        yield Delivery(link, total_wire, burst_seconds,
                        session=ctx.session)
         report.image_wire_bytes = total_wire + negotiation_bytes
 
@@ -337,8 +333,8 @@ class TransferStage(Stage):
         guest.chunk_store.add_many(arrived)
         home.chunk_store.add_many(arrived)
         ctx.report.image_wire_bytes = budget + negotiation_bytes
-        yield FaultOp(link, budget, link.latency_s + drop_offset,
-                      session=ctx.session)
+        yield Delivery(link, budget, link.latency_s + drop_offset,
+                       fault=True, session=ctx.session)
 
 
 class RestoreStage(Stage):
@@ -448,10 +444,6 @@ class StagePipeline:
     def __init__(self, stages: Optional[List[Stage]] = None) -> None:
         self.stages = list(stages) if stages is not None \
             else default_stages()
-
-    def run(self, ctx: MigrationContext) -> None:
-        """Run-to-completion form: drives :meth:`steps` inline."""
-        drive_sync(self.steps(ctx), ctx.home.clock)
 
     def steps(self, ctx: MigrationContext):
         """The pipeline as a cooperative session (yields charge points).

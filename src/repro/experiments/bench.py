@@ -178,12 +178,6 @@ def build_payload(sweep: SweepResult, wall: Dict[str, float],
     }
 
 
-def _relative_drift(current: float, baseline: float) -> float:
-    if baseline == 0:
-        return 0.0 if current == 0 else float("inf")
-    return abs(current - baseline) / abs(baseline)
-
-
 def check(current: Dict, baseline: Dict,
           tolerance: float = SIM_TOLERANCE) -> List[str]:
     """Problems (empty = pass) comparing ``current`` vs ``baseline``.
@@ -218,10 +212,10 @@ def check(current: Dict, baseline: Dict,
     # One formatter for every drift message, shared with flux-sim diff:
     # the gate and the diff engine describe the same delta in the same
     # words, band edges included.
-    from repro.sim.diffing import format_delta
+    from repro.sim.diffing import format_delta, relative_drift
     for field in ("avg_total_seconds", "avg_perceived_seconds",
                   "avg_non_transfer_seconds"):
-        drift = _relative_drift(sim[field], base_sim.get(field, 0))
+        drift = relative_drift(sim[field], base_sim.get(field, 0))
         if drift > tolerance:
             problems.append(format_delta(field, base_sim.get(field, 0),
                                          sim[field], tolerance))
@@ -230,7 +224,7 @@ def check(current: Dict, baseline: Dict,
     for key, value in sim["counters"].items():
         if key not in base_counters:
             continue            # counter added since the baseline: fine
-        drift = _relative_drift(value, base_counters[key])
+        drift = relative_drift(value, base_counters[key])
         if drift > tolerance:
             problems.append(format_delta(f"counter {key}",
                                          base_counters[key], value,

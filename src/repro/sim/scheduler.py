@@ -9,18 +9,20 @@ A *session* is a generator that yields instead of advancing the shared
 * :class:`Waiter` — a one-shot future.  The session resumes with the
   waiter's value when someone resolves it, or the exception is thrown
   back into the generator when someone rejects it.
-* any object with ``submit(clock) -> Waiter`` — an asynchronous
-  operation (e.g. a link flow) that the scheduler submits and then
-  waits on.
+* an op with ``submit(clock) -> Waiter`` and ``apply_sync(clock)`` —
+  an operation with a duration of its own.  The one op is
+  :class:`repro.android.net.link.Delivery`, a link's wire time.
 
-Two drivers exist for the same generators:
+Two drivers run the same generators:
 
-* :func:`drive_sync` replays a session inline — every charge becomes an
+* :func:`drive_sync` runs a session inline — every charge becomes an
   immediate ``clock.advance``, every op runs via its ``apply_sync``.
-  This is the legacy run-to-completion path and is byte-identical to
-  the pre-session code.
+  Single migrations, pairing and the experiments use it.
 * :class:`Scheduler` interleaves many sessions on clock timers so that
   concurrent migrations contend for shared resources deterministically.
+  It runs each op via its ``submit`` and waits on the returned waiter.
+  For one session on an uncontended medium it reaches the same clock,
+  results and link accounting as :func:`drive_sync`, to the bit.
 
 Determinism contract: sessions are resumed only by clock timers and
 waiter resolutions, both of which fire in deadline order with FIFO
@@ -445,11 +447,9 @@ def drive_sync(gen: Generator, clock: SimClock) -> Any:
     """Run a session generator to completion inline.
 
     Charges become immediate ``clock.advance`` calls and ops run through
-    their ``apply_sync`` — exactly the pre-session synchronous code
-    path, so a single session driven this way is byte-identical to the
-    old run-to-completion implementation.  Returns the generator's
-    return value; exceptions (including op failures thrown back in)
-    propagate to the caller.
+    their ``apply_sync``.  Returns the generator's return value;
+    exceptions (including op failures thrown back in) propagate to the
+    caller.
     """
     value: Any = None
     error: Optional[BaseException] = None

@@ -11,7 +11,10 @@ import pytest
 
 from repro.android.app.activity import ActivityState
 from repro.android.app.notification import Notification
+from repro.android.device import Device
+from repro.android.hardware.profiles import NEXUS_4, NEXUS_7_2013
 from repro.android.net.link import LinkFaultPlan, link_between
+from repro.apps.games import FLAPPY_BIRD
 from repro.core.cria.errors import MigrationError, MigrationRefusal
 from repro.core.cria.restore import RestoreFaultPlan
 from repro.core.extensions import FluxExtensions
@@ -23,8 +26,9 @@ from repro.core.migration.stages import (
     StagePipeline,
     default_stages,
 )
-from repro.sim import units
-from repro.sim.scheduler import Charge
+from repro.sim import SimClock, units
+from repro.sim.rng import RngFactory
+from repro.sim.scheduler import Charge, drive_sync
 from tests.conftest import DEMO_PACKAGE, launch_demo
 
 
@@ -212,6 +216,49 @@ class TestRestoreFaultRollback:
             RestoreFaultPlan(fail_after_steps=-1)
 
 
+def _ui(device, package):
+    """(GL contexts, views) of the app's UI on ``device``."""
+    thread = device.thread_of(package)
+    contexts = device.vendor_gl.live_context_count(thread.process.pid)
+    views = sum(activity.view_root.view_count()
+                for activity in thread.activities.values()
+                if activity.view_root is not None)
+    return contexts, views
+
+
+class TestRollbackRestoresUi:
+    """Flappy Bird Nexus 4 -> Nexus 7 (2013), rolled back by a fault:
+    preparation's trim-memory chain destroyed the app's views and GL
+    contexts, and the rollback must build them again, so the app on
+    home draws as it did before the migration and a retry succeeds."""
+
+    @pytest.mark.parametrize("fault", ["restore", "link"])
+    def test_home_app_renders_after_rollback(self, fault):
+        clock, rngs = SimClock(), RngFactory(5)
+        nexus_4 = Device(NEXUS_4, clock, rngs, name="nexus-4")
+        nexus_7 = Device(NEXUS_7_2013, clock, rngs, name="nexus-7")
+        package = FLAPPY_BIRD.package
+        FLAPPY_BIRD.install_and_launch(nexus_4)
+        nexus_4.pairing_service.pair(nexus_7)
+        before = _ui(nexus_4, package)
+        assert before[0] > 0 and before[1] > 0
+
+        kwargs = ({"restore_fault": RestoreFaultPlan(fail_after_steps=2)}
+                  if fault == "restore" else
+                  {"link": armed_link(nexus_4, nexus_7,
+                                      drop_after_bytes=100_000)})
+        with pytest.raises(MigrationError):
+            nexus_4.migration_service.migrate(nexus_7, package, **kwargs)
+
+        assert _ui(nexus_4, package) == before
+        for activity in nexus_4.thread_of(package).activities.values():
+            assert activity.state is ActivityState.RESUMED
+            activity.render()
+        report = nexus_4.migration_service.migrate(nexus_7, package)
+        assert report.success
+        assert nexus_7.running_packages() == [package]
+
+
 class _Boom(Stage):
     name = "boom"
 
@@ -251,7 +298,7 @@ class TestPipelineMechanics:
         home, ctx = self._context(device_pair)
         flaky = _Flaky()
         with pytest.raises(RuntimeError, match="kaboom"):
-            StagePipeline([flaky, _Boom()]).run(ctx)
+            drive_sync(StagePipeline([flaky, _Boom()]).steps(ctx), home.clock)
         assert flaky.rolled_back
         errors = home.events.events("stage.rollback_error")
         assert len(errors) == 1 and errors[0].attrs["stage"] == "flaky"
@@ -271,7 +318,8 @@ class TestPipelineMechanics:
         boom = _Boom()
         boom.rollback = lambda c: order.append("boom")
         with pytest.raises(RuntimeError):
-            StagePipeline([witness("a"), witness("b"), boom]).run(ctx)
+            drive_sync(StagePipeline([witness("a"), witness("b"), boom])
+                       .steps(ctx), ctx.home.clock)
         assert order == ["boom", "b", "a"]
 
     def test_faulted_stage_still_timed(self, device_pair):
@@ -286,5 +334,5 @@ class TestPipelineMechanics:
 
         slow.steps = steps
         with pytest.raises(RuntimeError):
-            StagePipeline([slow]).run(ctx)
+            drive_sync(StagePipeline([slow]).steps(ctx), home.clock)
         assert ctx.report.stages["slow"] == pytest.approx(2.5)

@@ -19,7 +19,7 @@ class TestLink:
         link = Link(bandwidth_mbps=8.0, latency_s=0.0, congestion=1.0,
                     rng_factory=RngFactory(0))
         clock = SimClock()
-        result = link.transfer(units.mb(1), clock)
+        result = link.plan(units.mb(1)).apply_sync(clock)
         assert clock.now == pytest.approx(result.seconds)
         # 1 MB at ~8 Mbps (±10% jitter) is ~1.05 s.
         assert 0.9 <= result.seconds <= 1.25
@@ -41,8 +41,8 @@ class TestLink:
     def test_accounting(self):
         link = Link(10.0, rng_factory=RngFactory(0))
         clock = SimClock()
-        link.transfer(100, clock)
-        link.transfer(200, clock)
+        link.plan(100).apply_sync(clock)
+        link.plan(200).apply_sync(clock)
         assert link.bytes_transferred == 300
         assert link.transfers == 2
 
@@ -78,7 +78,7 @@ class TestZeroByteTransfer:
     def test_charges_latency_only(self):
         link = Link(10.0, latency_s=0.25, rng_factory=RngFactory(0))
         clock = SimClock()
-        result = link.transfer(0, clock)
+        result = link.plan(0).apply_sync(clock)
         assert result.seconds == pytest.approx(0.25)
         assert clock.now == pytest.approx(0.25)
         assert result.effective_mbps == 0.0   # no 0/seconds artifact
@@ -88,12 +88,12 @@ class TestZeroByteTransfer:
         # next real transfer times identically with or without it.
         a = Link(10.0, rng_factory=RngFactory(7), name="x")
         b = Link(10.0, rng_factory=RngFactory(7), name="x")
-        a.transfer(0, SimClock())
+        a.plan(0).apply_sync(SimClock())
         assert a.transfer_time(units.mb(2)) == b.transfer_time(units.mb(2))
 
     def test_still_counts_as_a_transfer(self):
         link = Link(10.0, rng_factory=RngFactory(0))
-        link.transfer(0, SimClock())
+        link.plan(0).apply_sync(SimClock())
         assert link.transfers == 1
         assert link.bytes_transferred == 0
 
@@ -116,7 +116,7 @@ class TestFaultPlans:
         healthy = Link(10.0, latency_s=0.0, rng_factory=RngFactory(0))
         full_time = healthy.transfer_time(1000)
         with pytest.raises(LinkDownError) as exc:
-            link.transfer(1000, clock)
+            link.plan(1000).apply_sync(clock)
         assert exc.value.delivered_bytes == 500
         assert link.bytes_transferred == 500
         assert link.faulted
@@ -127,9 +127,9 @@ class TestFaultPlans:
         link = Link(10.0, rng_factory=RngFactory(0))
         clock = SimClock()
         link.inject_fault(LinkFaultPlan(drop_after_transfers=1))
-        link.transfer(100, clock)   # transfer 0 completes
+        link.plan(100).apply_sync(clock)   # transfer 0 completes
         with pytest.raises(LinkDownError) as exc:
-            link.transfer(100, clock)
+            link.plan(100).apply_sync(clock)
         assert exc.value.delivered_bytes == 0
         assert link.bytes_transferred == 100
 
@@ -138,7 +138,7 @@ class TestFaultPlans:
         assert link.fault_budget() is None
         link.inject_fault(LinkFaultPlan(drop_after_bytes=300))
         assert link.fault_budget() == 300
-        link.transfer(200, SimClock())
+        link.plan(200).apply_sync(SimClock())
         assert link.fault_budget() == 100
 
     def test_fault_budget_zero_after_transfer_count(self):
@@ -151,10 +151,10 @@ class TestFaultPlans:
                     fault_plan=LinkFaultPlan(drop_after_bytes=0))
         link.inject_fault(None)
         assert link.fault_budget() is None
-        link.transfer(1000, SimClock())   # does not raise
+        link.plan(1000).apply_sync(SimClock())   # does not raise
 
     def test_transfer_below_budget_survives(self):
         link = Link(10.0, rng_factory=RngFactory(0))
         link.inject_fault(LinkFaultPlan(drop_after_bytes=1000))
-        link.transfer(1000, SimClock())   # exactly at the offset: ok
+        link.plan(1000).apply_sync(SimClock())   # exactly at the offset: ok
         assert not link.faulted

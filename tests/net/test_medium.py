@@ -1,19 +1,18 @@
-"""Fair-share bandwidth arbitration (Medium) and the flow ops."""
+"""Fair-share bandwidth arbitration (Medium) and link deliveries."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.android.net.link import (
-    FaultOp,
+    Delivery,
     Link,
     LinkDownError,
+    LinkFaultPlan,
     Medium,
-    RecordOp,
-    TransferOp,
 )
 from repro.sim import SimClock, units
 from repro.sim.rng import RngFactory
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import Scheduler, drive_sync
 
 
 def _link(seed=0, name="wifi"):
@@ -38,7 +37,7 @@ def _run_flows(specs):
 
     def submit(i, payload_bytes, seed):
         link = _link(seed=seed, name=f"wifi{seed}")
-        solo, _, _ = link._plan_transfer(payload_bytes)
+        solo = link.plan(payload_bytes).seconds
         solos[i] = solo
         waiter = medium.submit(link, payload_bytes, solo)
         waiter.add_done(lambda w, i=i: ends.__setitem__(i, clock.now))
@@ -87,21 +86,87 @@ def _reference_processor_sharing(flows):
     return ends
 
 
+#: One delivery of a session: a payload the link plans (``None``
+#: seconds: jitter and fault budget apply) or one whose wire time the
+#: caller scheduled itself, as the pipelined burst does.
+_DELIVERIES = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=units.mb(4)),
+              st.one_of(st.none(),
+                        st.floats(min_value=0.0, max_value=5.0))),
+    min_size=1, max_size=6)
+
+_FAULT_PLANS = st.one_of(
+    st.none(),
+    st.tuples(st.one_of(st.none(),
+                        st.integers(min_value=0, max_value=units.mb(8))),
+              st.one_of(st.none(), st.integers(min_value=0, max_value=4)))
+    .filter(lambda clauses: clauses != (None, None))
+    .map(lambda clauses: LinkFaultPlan(*clauses)))
+
+
+def _deliveries_session(link, deliveries, outcomes):
+    """Yield each delivery; note its result or the drop, then go on."""
+    for payload, seconds in deliveries:
+        try:
+            if seconds is None:
+                result = yield link.plan(payload)
+            else:
+                result = yield Delivery(link, payload, seconds)
+        except LinkDownError as error:
+            outcomes.append(("down", error.delivered_bytes, error.seconds))
+        else:
+            outcomes.append(("ok", result.payload_bytes, result.seconds))
+
+
+class TestDrivers:
+    @settings(max_examples=60, deadline=None)
+    @given(deliveries=_DELIVERIES, fault_plan=_FAULT_PLANS,
+           bandwidth=st.floats(min_value=0.5, max_value=100.0),
+           latency=st.floats(min_value=0.0, max_value=0.05),
+           shared_medium=st.booleans())
+    def test_inline_and_scheduled_drivers_agree(
+            self, deliveries, fault_plan, bandwidth, latency,
+            shared_medium):
+        def link():
+            return Link(bandwidth_mbps=bandwidth, latency_s=latency,
+                        rng_factory=RngFactory(3), name="wifi",
+                        fault_plan=fault_plan)
+
+        sync_link, sync_clock, sync_outcomes = link(), SimClock(), []
+        drive_sync(_deliveries_session(sync_link, deliveries,
+                                       sync_outcomes), sync_clock)
+
+        flow_link, clock, outcomes = link(), SimClock(), []
+        if shared_medium:
+            flow_link.medium = Medium(clock)
+        scheduler = Scheduler(clock)
+        handle = scheduler.spawn(_deliveries_session(flow_link, deliveries,
+                                                     outcomes))
+        scheduler.run()
+
+        assert handle.error is None
+        assert outcomes == sync_outcomes
+        assert clock.now == sync_clock.now
+        assert flow_link.bytes_transferred == sync_link.bytes_transferred
+        assert flow_link.transfers == sync_link.transfers
+        assert flow_link.faulted == sync_link.faulted
+
+
 class TestSingleFlow:
     def test_solo_timing_matches_the_synchronous_path_exactly(self):
         sync_link = _link()
         sync_clock = SimClock()
-        sync_result = sync_link.transfer(units.mb(4), sync_clock)
+
+        def session(link):
+            result = yield link.plan(units.mb(4))
+            return result
+
+        sync_result = drive_sync(session(sync_link), sync_clock)
 
         flow_link = _link()
         clock = SimClock()
         scheduler = Scheduler(clock)
-
-        def session():
-            result = yield TransferOp(flow_link, units.mb(4))
-            return result
-
-        handle = scheduler.spawn(session())
+        handle = scheduler.spawn(session(flow_link))
         scheduler.run()
         assert handle.result.seconds == sync_result.seconds
         assert handle.result.payload_bytes == sync_result.payload_bytes
@@ -111,28 +176,28 @@ class TestSingleFlow:
     def test_record_op_matches_record_transfer(self):
         sync_link = _link()
         sync_clock = SimClock()
-        sync_result = sync_link.record_transfer(units.mb(2), 1.25,
-                                                sync_clock)
+        sync_result = Delivery(sync_link, units.mb(2),
+                               1.25).apply_sync(sync_clock)
         flow_link = _link()
         clock = SimClock()
         scheduler = Scheduler(clock)
 
         def session():
-            yield RecordOp(flow_link, units.mb(2), 1.25)
+            yield Delivery(flow_link, units.mb(2), 1.25)
 
         handle = scheduler.spawn(session())
         scheduler.run()
         assert handle.error is None
         assert clock.now == sync_clock.now == sync_result.seconds
 
-    def test_fault_op_rejects_with_link_down(self):
+    def test_fault_delivery_rejects_with_link_down(self):
         link = _link()
         clock = SimClock()
         scheduler = Scheduler(clock)
 
         def session():
             try:
-                yield FaultOp(link, units.mb(1), 0.5)
+                yield Delivery(link, units.mb(1), 0.5, fault=True)
             except LinkDownError:
                 return ("down", clock.now)
 
@@ -160,8 +225,7 @@ class TestFairShare:
         links = [_link(seed=i, name=f"wifi{i}") for i in range(3)]
         payloads = [units.mb(1), units.mb(2), units.mb(3)]
         for link, payload in zip(links, payloads):
-            solo, _, _ = link._plan_transfer(payload)
-            medium.submit(link, payload, solo)
+            medium.submit(link, payload, link.plan(payload).seconds)
         while clock.next_deadline() is not None:
             clock.advance_to(clock.next_deadline())
         assert [link.bytes_transferred for link in links] == payloads
