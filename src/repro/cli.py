@@ -273,22 +273,10 @@ def cmd_migrate(args) -> int:
 def _migrate_metrics_document(merged: dict, report) -> dict:
     """One migration's merged metrics + critical path, JSON-ready."""
     from repro.sim.metrics import rollup_counters
+    from repro.sim.rows import MIGRATE_FIELDS, write_fields
     return {
         "schema": 1,
-        "migration": {
-            "package": report.package,
-            "success": report.success,
-            "refusal": report.refusal.value if report.refusal else None,
-            "faulted_stage": report.faulted_stage,
-            "stages": {s: round(v, 6) for s, v in report.stages.items()},
-            "dominant_stage": report.dominant_stage,
-            "critical_path": report.critical_path,
-            "transferred_bytes": report.transferred_bytes,
-            "chunk_hit_rate": round(report.chunk_hit_rate, 4),
-            "wait_profile": ({k: round(v, 6) for k, v in
-                              sorted(report.wait_profile.items())}
-                             if report.wait_profile else None),
-        },
+        "migration": write_fields(report, MIGRATE_FIELDS),
         "metrics": merged,
         "rollup": rollup_counters(merged),
     }
@@ -412,10 +400,10 @@ def cmd_explain(args) -> int:
     if args.metrics:
         try:
             with open(args.metrics, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except (OSError, ValueError) as error:
+                critical_path = critical_path_from_metrics(
+                    json.load(handle), args.package)
+        except (OSError, ValueError, BundleError) as error:
             raise SystemExit(f"cannot read {args.metrics!r}: {error}")
-        critical_path = critical_path_from_metrics(document, args.package)
     try:
         if bundle is not None and critical_path is None:
             postmortem = postmortem_from_bundle(bundle,
@@ -427,7 +415,7 @@ def cmd_explain(args) -> int:
                                           last=args.last,
                                           critical_path=critical_path,
                                           session=args.session)
-    except PostmortemError as error:
+    except (PostmortemError, BundleError) as error:
         raise SystemExit(f"{args.events}: {error}")
     print(render_postmortem(postmortem))
     return 0
@@ -445,6 +433,7 @@ def cmd_diff(args) -> int:
         exit_code,
         render_diff,
     )
+    from repro.sim.events import EventsError
     tolerance = (DEFAULT_TOLERANCE if args.tolerance is None
                  else args.tolerance)
     context = DEFAULT_CONTEXT if args.context is None else args.context
@@ -454,7 +443,7 @@ def cmd_diff(args) -> int:
         document = diff_bundles(bundle_a, bundle_b,
                                 tolerance=tolerance,
                                 context=context)
-    except (BundleError, DiffError) as error:
+    except (BundleError, DiffError, EventsError) as error:
         raise SystemExit(str(error))
     print(render_diff(document, limit=args.limit))
     if args.json_out:

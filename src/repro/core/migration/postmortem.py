@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.sim.rows import migration_rows
+
 #: Low-layer events that directly cause a stage fault; the causal chain
 #: starts at the last one seen before ``stage.fault``.
 TRIGGER_KINDS = ("link.fault", "cria.restore_fault")
@@ -329,41 +331,23 @@ def build_blame(events: List[Dict[str, Any]], session: str
 
 def critical_path_from_metrics(document: Dict[str, Any],
                                package: Optional[str] = None,
-                               session: Optional[str] = None
+                               session: Optional[str] = None,
+                               source: str = "metrics document"
                                ) -> Optional[List[Dict[str, Any]]]:
     """Pull a critical path out of a ``--metrics-out`` document.
 
-    Understands all three shapes: a single migration's document
-    (``{"migration": {...}}``, from ``flux-sim migrate``), a sweep
-    document (``{"migrations": [...]}``), and a scenario document
-    (``{"scenario": {"sessions": [...]}}``).  For the multi-row shapes,
-    ``session`` (exact label) or ``package`` selects the row; else the
-    first row wins.
+    A document of one migration needs no choosing.  Among several rows,
+    ``session`` (an exact label) or else ``package`` selects the first
+    match; with neither, the first row wins.  Rows come from
+    :func:`repro.sim.rows.migration_rows`, so a malformed document
+    raises :class:`~repro.sim.rows.BundleError`.
     """
-    migration = document.get("migration")
-    if isinstance(migration, dict):
-        return migration.get("critical_path") or None
-
-    def _pick(rows: List[Dict[str, Any]]) -> Optional[List[Dict[str, Any]]]:
-        for row in rows:
-            if session is not None:
-                if row.get("session") == session:
-                    return row.get("critical_path") or None
-                continue
-            if package is None or row.get("package") == package:
-                return row.get("critical_path") or None
-        return None
-
-    rows = document.get("migrations")
-    if isinstance(rows, list):
-        return _pick(rows)
-    scenario = document.get("scenario")
-    if isinstance(scenario, dict):
-        return _pick(scenario.get("sessions") or [])
-    fleet = document.get("fleet")
-    if isinstance(fleet, dict):
-        return _pick(fleet.get("sessions") or [])
-    return None
+    rows = migration_rows(document, source)
+    if len(rows) > 1:
+        rows = [row for row in rows
+                if (row["session"] == session if session is not None
+                    else package in (None, row["package"]))]
+    return (rows[0]["critical_path"] or None) if rows else None
 
 
 def postmortem_from_bundle(bundle, package: Optional[str] = None,
@@ -377,14 +361,13 @@ def postmortem_from_bundle(bundle, package: Optional[str] = None,
     path is looked up for the migration the post-mortem actually
     selected — not for the caller's (possibly absent) filter — so the
     annotation always belongs to the explained attempt.  ``bundle`` is
-    any object with ``events()`` and ``metrics_document()`` (duck-typed
-    so this core module never imports the sim layer).
+    any object with ``events()`` and ``metrics_document()``.
     """
     pm = build_postmortem(bundle.events(), package=package, last=last,
                           session=session)
     pm["critical_path"] = critical_path_from_metrics(
         bundle.metrics_document(), package=pm.get("package"),
-        session=pm.get("session")) or []
+        session=pm.get("session"), source="metrics.json") or []
     return pm
 
 

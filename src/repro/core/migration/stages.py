@@ -79,6 +79,19 @@ def _emit(ctx: MigrationContext, kind: str, **attrs) -> None:
     ctx.home.events.emit(kind, **attrs)
 
 
+def _record_chunks(ctx: MigrationContext, chunks, windows,
+                   burst_start: float) -> None:
+    """One ``chunk`` span and one ``link.chunk`` event per chunk sent,
+    each span over its pipeline window after the link latency."""
+    tracer, offset = ctx.home.tracer, burst_start + ctx.link.latency_s
+    for chunk, (start, end) in zip(chunks, windows):
+        tracer.add_span(f"chunk:{chunk.label or chunk.digest[:8]}",
+                        offset + start, offset + end,
+                        category="chunk", wire_bytes=chunk.wire_bytes)
+        _emit(ctx, "link.chunk", digest=chunk.digest[:12],
+              label=chunk.label, wire_bytes=chunk.wire_bytes)
+
+
 class Stage:
     """One migration stage: a forward action plus its compensation.
 
@@ -241,7 +254,6 @@ class TransferStage(Stage):
         from repro.core.migration.chunks import chunk_image
 
         home, guest, link, report = ctx.home, ctx.guest, ctx.link, ctx.report
-        tracer = home.tracer
         plan = chunk_image(ctx.image)
         cached, missing = guest.chunk_store.split(plan)
         report.transfer_chunks_total = len(plan)
@@ -280,14 +292,7 @@ class TransferStage(Stage):
         if cached:
             _emit(ctx, "link.chunks_cached", count=len(cached),
                   bytes=sum(c.wire_bytes for c in cached))
-        for chunk, (start, end) in zip(missing, windows):
-            tracer.add_span(
-                f"chunk:{chunk.label or chunk.digest[:8]}",
-                burst_start + link.latency_s + start,
-                burst_start + link.latency_s + end,
-                category="chunk", wire_bytes=chunk.wire_bytes)
-            _emit(ctx, "link.chunk", digest=chunk.digest[:12],
-                  label=chunk.label, wire_bytes=chunk.wire_bytes)
+        _record_chunks(ctx, missing, windows, burst_start)
         yield Delivery(link, total_wire, burst_seconds,
                        session=ctx.session)
         report.image_wire_bytes = total_wire + negotiation_bytes
@@ -309,7 +314,6 @@ class TransferStage(Stage):
         not fit, then the link raises.
         """
         home, guest, link = ctx.home, ctx.guest, ctx.link
-        tracer = home.tracer
         delivered = 0
         cumulative = 0
         drop_offset = 0.0
@@ -322,14 +326,7 @@ class TransferStage(Stage):
             delivered += 1
             drop_offset = end
         arrived = missing[:delivered]
-        for chunk, (start, end) in zip(arrived, windows):
-            tracer.add_span(
-                f"chunk:{chunk.label or chunk.digest[:8]}",
-                burst_start + link.latency_s + start,
-                burst_start + link.latency_s + end,
-                category="chunk", wire_bytes=chunk.wire_bytes)
-            _emit(ctx, "link.chunk", digest=chunk.digest[:12],
-                  label=chunk.label, wire_bytes=chunk.wire_bytes)
+        _record_chunks(ctx, arrived, windows, burst_start)
         guest.chunk_store.add_many(arrived)
         home.chunk_store.add_many(arrived)
         ctx.report.image_wire_bytes = budget + negotiation_bytes

@@ -42,11 +42,17 @@ import json
 import os
 import statistics
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.harness import SweepResult, run_sweep
+from repro.experiments.harness import (
+    SweepResult,
+    run_sweep,
+    sweep_metrics_document,
+)
 from repro.sim.metrics import rollup_counters
+from repro.sim.rows import migration_rows
 
 
 SCHEMA_VERSION = 5
@@ -150,31 +156,47 @@ def build_payload(sweep: SweepResult, wall: Dict[str, float],
                   workers: int = WORKERS,
                   fleet_row: Optional[Dict] = None) -> Dict:
     """The schema-5 ``BENCH_sweep.json`` document for one sweep run;
-    ``wall`` is :func:`measure_sweep`'s."""
-    rollup = rollup_counters(sweep.merged_metrics())
-    dominant: Dict[str, int] = {}
-    for report in sweep.all_reports():
-        stage = report.dominant_stage or "?"
-        dominant[stage] = dominant.get(stage, 0) + 1
+    ``wall`` is :func:`measure_sweep`'s.  Its ``sim`` section is read
+    from the sweep's metrics document, as a sweep bundle's is."""
+    document = sweep_metrics_document(sweep)
+    # The fleet section is informational only: check() never reads it.
+    return _payload(migration_rows(document), document["rollup"], workers,
+                    "process", os.cpu_count() or 1, dict(wall),
+                    fleet_row or {})
+
+
+def _payload(rows: List[Dict], rollup: Dict, workers, executor,
+             cpu_count: int, wall: Dict, fleet: Dict) -> Dict:
+    """A schema-5 payload whose gated ``sim`` section comes from a
+    sweep's normalized migration rows and its counter rollup."""
+    totals = [row["total_seconds"] for row in rows]
+    # Preparation and checkpoint hide behind the target menu (§4).
+    perceived = [total - (row["stages"].get("preparation", 0.0)
+                          + row["stages"].get("checkpoint", 0.0))
+                 for total, row in zip(totals, rows)]
+    non_transfer = [seconds - row["stages"].get("transfer", 0.0)
+                    for seconds, row in zip(perceived, rows)]
+    dominant = Counter(row["dominant_stage"] or "?" for row in rows)
+
+    def _avg(values: List[float]) -> float:
+        return sum(values) / len(values) if values else 0.0
+
     return {
         "benchmark": "fig12_sweep_wall_clock",
         "schema": SCHEMA_VERSION,
         "workers": workers,
-        "executor": "process",
-        "cpu_count": os.cpu_count() or 1,
-        "cells": len(sweep.reports),
-        "wall": dict(wall),
+        "executor": executor,
+        "cpu_count": cpu_count,
+        "cells": len(rows),
+        "wall": wall,
         "sim": {
-            "avg_total_seconds": round(sweep.average_total_seconds(), 4),
-            "avg_perceived_seconds": round(
-                sweep.average_perceived_seconds(), 4),
-            "avg_non_transfer_seconds": round(
-                sweep.average_non_transfer_seconds(), 4),
+            "avg_total_seconds": round(_avg(totals), 4),
+            "avg_perceived_seconds": round(_avg(perceived), 4),
+            "avg_non_transfer_seconds": round(_avg(non_transfer), 4),
             "dominant_stages": dict(sorted(dominant.items())),
             "counters": {key: rollup.get(key, 0) for key in GATED_COUNTERS},
         },
-        # Informational only — check() never compares this section.
-        "fleet": fleet_row or {},
+        "fleet": fleet,
     }
 
 
@@ -281,50 +303,15 @@ def sim_payload_from_bundle(bundle) -> Dict:
     """A gateable payload rebuilt from a sweep run bundle.
 
     The bundle's metrics document carries everything the ``sim``
-    section gates on: per-migration stage maps (for the averages and
-    the dominant-stage mix) and the counter rollup.  Wall clock was
-    *not* captured — bundles are wall-free by design — so the ``wall``
-    section is empty and ``cpu_count`` is pinned to 1, which skips the
-    process-speedup gate.
+    section gates on.  Wall clock was *not* captured — bundles are
+    wall-free by design — so the ``wall`` section is empty and
+    ``cpu_count`` is pinned to 1, which skips the process-speedup gate.
     """
-    document = bundle.metrics_document()
-    rows = document.get("migrations") or []
-    totals: List[float] = []
-    perceived: List[float] = []
-    non_transfer: List[float] = []
-    dominant: Dict[str, int] = {}
-    for row in rows:
-        stages = row.get("stages") or {}
-        total = float(row.get("total_seconds") or 0.0)
-        hidden = (stages.get("preparation", 0.0)
-                  + stages.get("checkpoint", 0.0))
-        totals.append(total)
-        perceived.append(total - hidden)
-        non_transfer.append(total - hidden - stages.get("transfer", 0.0))
-        stage = row.get("dominant_stage") or "?"
-        dominant[stage] = dominant.get(stage, 0) + 1
-
-    def _avg(values: List[float]) -> float:
-        return sum(values) / len(values) if values else 0.0
-
-    rollup = document.get("rollup") or rollup_counters(bundle.snapshot())
-    return {
-        "benchmark": "fig12_sweep_wall_clock",
-        "schema": SCHEMA_VERSION,
-        "workers": bundle.fingerprint.get("workers"),
-        "executor": bundle.fingerprint.get("executor"),
-        "cpu_count": 1,
-        "cells": len(rows),
-        "wall": {},
-        "sim": {
-            "avg_total_seconds": round(_avg(totals), 4),
-            "avg_perceived_seconds": round(_avg(perceived), 4),
-            "avg_non_transfer_seconds": round(_avg(non_transfer), 4),
-            "dominant_stages": dict(sorted(dominant.items())),
-            "counters": {key: rollup.get(key, 0) for key in GATED_COUNTERS},
-        },
-        "fleet": {},
-    }
+    rollup = (bundle.metrics_document().get("rollup")
+              or rollup_counters(bundle.snapshot()))
+    return _payload(bundle.migration_rows(), rollup,
+                    bundle.fingerprint.get("workers"),
+                    bundle.fingerprint.get("executor"), 1, {}, {})
 
 
 def run_check(baseline_path: Optional[Path] = None, update: bool = False,
@@ -354,7 +341,10 @@ def run_check(baseline_path: Optional[Path] = None, update: bool = False,
         if not path.exists():
             return 2, (f"no baseline at {path}; run 'flux-sim bench-check "
                        f"--update' first")
-        current = sim_payload_from_bundle(loaded)
+        try:
+            current = sim_payload_from_bundle(loaded)
+        except BundleError as error:
+            return 2, str(error)
         baseline = json.loads(path.read_text())
         problems = check(current, baseline, tolerance=tolerance)
         return ((1 if problems else 0),

@@ -49,6 +49,7 @@ from repro.experiments.harness import fan_out, format_table, resolve_workers
 from repro.experiments.scenario import ScenarioSpec, SessionSpec, run_scenario
 from repro.sim.metrics import merge_snapshots, rollup_counters
 from repro.sim.rng import RngFactory, derive_seed
+from repro.sim.rows import session_fields
 from repro.sim.timeline import series_key, split_series_key
 
 
@@ -232,8 +233,9 @@ def place_site(spec: FleetSpec, site: Site, demands: Sequence[Demand]
     """Route every demand through the engine; compile the accepted ones.
 
     Returns ``(sessions, rows)`` where each row carries the demand, the
-    decision, and a provisional status (``placed`` rows are finalized
-    from the scenario outcome by :func:`run_site`).
+    decision, a provisional status and every session field at its
+    no-report value (``placed`` rows are finalized from the scenario
+    outcome by :func:`run_site`).
     """
     engine = engine_for(spec.policy)
     ledger = LoadLedger()
@@ -255,10 +257,9 @@ def place_site(spec: FleetSpec, site: Site, demands: Sequence[Demand]
             "guest": decision.guest,
             "package": demand.package,
             "placement": dict(decision.attrs()),
-            "status": "placed",
-            "session": None,
-            "refusal": None,
+            **session_fields(None),
         }
+        row["status"] = "placed"
         if decision.guest is None:
             row["status"] = "refused"
             row["refusal"] = decision.refusal.value
@@ -316,35 +317,9 @@ def run_site(spec: FleetSpec, site: Site) -> SiteOutcome:
     result = run_scenario(scenario_spec)
     by_route = {(o.spec.home, o.spec.package): o for o in result.sessions}
     for row in rows:
-        if row["status"] != "placed":
-            row.update(submitted=None, queued_seconds=None,
-                       wait_profile=None, stages={}, critical_path=[],
-                       faulted_stage=None, total_seconds=None,
-                       transferred_bytes=0)
-            continue
-        outcome = by_route[(row["home"], row["package"])]
-        report = outcome.report
-        row.update({
-            "status": outcome.status,
-            "session": outcome.session or None,
-            "refusal": (outcome.refusal.value if outcome.refusal
-                        else None),
-            "submitted": round(outcome.submitted, 6),
-            "queued_seconds": round(outcome.queued_seconds, 6),
-            "wait_profile": ({k: round(v, 6) for k, v in
-                              sorted(outcome.wait_profile.items())}
-                             if outcome.wait_profile else None),
-            "stages": ({s: round(v, 6) for s, v in report.stages.items()}
-                       if report is not None else {}),
-            "critical_path": (report.critical_path
-                              if report is not None else []),
-            "faulted_stage": (report.faulted_stage
-                              if report is not None else None),
-            "total_seconds": (round(report.total_seconds, 6)
-                              if report is not None else None),
-            "transferred_bytes": (report.transferred_bytes
-                                  if report is not None else 0),
-        })
+        if row["status"] == "placed":
+            row.update(session_fields(by_route[(row["home"],
+                                                row["package"])]))
     makespan = round(result.makespan, 6)
     busy = _medium_busy_seconds(result.timeline)
     return SiteOutcome(

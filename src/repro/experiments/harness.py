@@ -29,6 +29,7 @@ from repro.sim.metrics import (
     snapshot_by_label,
 )
 from repro.sim.rng import RngFactory
+from repro.sim.rows import SWEEP_FIELDS, write_fields
 from repro.sim.telemetry import export
 
 T = TypeVar("T")
@@ -354,19 +355,9 @@ def sweep_metrics_document(sweep: SweepResult) -> Dict:
     its dominant stage and critical path.
     """
     merged = sweep.merged_metrics()
-    migrations = []
-    for (pair, package) in sorted(sweep.reports):
-        report = sweep.reports[(pair, package)]
-        migrations.append({
-            "pair": pair,
-            "package": package,
-            "total_seconds": round(report.total_seconds, 6),
-            "stages": {s: round(v, 6) for s, v in report.stages.items()},
-            "dominant_stage": report.dominant_stage,
-            "critical_path": report.critical_path,
-            "transferred_bytes": report.transferred_bytes,
-            "chunk_hit_rate": round(report.chunk_hit_rate, 4),
-        })
+    migrations = [{"pair": pair, "package": package,
+                   **write_fields(report, SWEEP_FIELDS)}
+                  for (pair, package), report in sorted(sweep.reports.items())]
     return {
         "schema": 1,
         "pairs": dict(sorted(sweep.pair_metrics.items())),

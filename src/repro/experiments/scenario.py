@@ -356,32 +356,9 @@ def scenario_metrics_document(spec: ScenarioSpec,
     regressions with.
     """
     from repro.sim.metrics import rollup_counters
-    sessions = []
-    for outcome in result.sessions:
-        report = outcome.report
-        sessions.append({
-            "home": outcome.spec.home,
-            "guest": outcome.spec.guest,
-            "package": outcome.spec.package,
-            "status": outcome.status,
-            "session": outcome.session or None,
-            "refusal": outcome.refusal.value if outcome.refusal else None,
-            "submitted": round(outcome.submitted, 6),
-            "queued_seconds": round(outcome.queued_seconds, 6),
-            "wait_profile": ({k: round(v, 6) for k, v
-                              in sorted(outcome.wait_profile.items())}
-                             if outcome.wait_profile else None),
-            "stages": ({s: round(v, 6) for s, v in report.stages.items()}
-                       if report is not None else {}),
-            "critical_path": (report.critical_path
-                              if report is not None else []),
-            "faulted_stage": (report.faulted_stage
-                              if report is not None else None),
-            "total_seconds": (round(report.total_seconds, 6)
-                              if report is not None else None),
-            "transferred_bytes": (report.transferred_bytes
-                                  if report is not None else 0),
-        })
+    from repro.sim.rows import ROUTE_FIELDS, session_fields, write_fields
+    sessions = [{**write_fields(outcome.spec, ROUTE_FIELDS),
+                 **session_fields(outcome)} for outcome in result.sessions]
     return {
         "schema": 1,
         "scenario": {

@@ -46,6 +46,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.sim.events import parse_jsonl
 from repro.sim.metrics import empty_snapshot
+from repro.sim.rows import BundleError, migration_rows
 from repro.sim.timeline import parse_timeline_document, timeline_document
 
 #: On-disk bundle format version; readers reject any other value.
@@ -64,10 +65,6 @@ _TAR_SUFFIXES = (".tar.gz", ".tgz")
 #: byte-identical archives.
 _MEMBER_ORDER = (MANIFEST_NAME, "metrics.json", "events.jsonl",
                  "timeline.json", "trace.json", "profile.txt")
-
-
-class BundleError(Exception):
-    """Unreadable, corrupt, or schema-incompatible run bundles."""
 
 
 def _sha256(data: bytes) -> str:
@@ -291,6 +288,13 @@ class RunBundle:
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise BundleError(f"{path}: corrupt {MANIFEST_NAME}: "
                               f"{error}") from error
+        if not isinstance(manifest, dict):
+            raise BundleError(f"{path}: corrupt {MANIFEST_NAME}: expected "
+                              f"an object, got {type(manifest).__name__}")
+        for field in ("files", "fingerprint"):
+            if not isinstance(manifest.get(field, {}), dict):
+                raise BundleError(f"{path}: corrupt {MANIFEST_NAME}: "
+                                  f"{field!r} is not an object")
         schema = manifest.get("schema")
         if schema != BUNDLE_SCHEMA:
             raise BundleError(
@@ -310,10 +314,11 @@ class RunBundle:
                 raise BundleError(f"{self.path}: member {name!r} listed "
                                   f"in the manifest but missing")
             digest = _sha256(data)
-            if digest != meta.get("sha256"):
+            expected = meta.get("sha256") if isinstance(meta, dict) else None
+            if digest != expected:
                 raise BundleError(
                     f"{self.path}: member {name!r} digest mismatch "
-                    f"(manifest {meta.get('sha256')}, actual {digest}) "
+                    f"(manifest {expected}, actual {digest}) "
                     f"— the bundle was modified after it was written")
 
     # -- identity -----------------------------------------------------------
@@ -350,7 +355,11 @@ class RunBundle:
 
     def metrics_document(self) -> Dict[str, Any]:
         """The bundled ``--metrics-out`` document (shape varies by kind)."""
-        return self.read_json("metrics.json")
+        document = self.read_json("metrics.json")
+        if not isinstance(document, dict):
+            raise BundleError(f"{self.path}/metrics.json: expected an "
+                              f"object, got {type(document).__name__}")
+        return document
 
     def events(self) -> List[Dict[str, Any]]:
         """The bundled causal event log ([] when the run had none)."""
@@ -384,109 +393,19 @@ class RunBundle:
         return metrics if isinstance(metrics, dict) else empty_snapshot()
 
     def migration_rows(self) -> List[Dict[str, Any]]:
-        """One normalized row per migration attempt in the bundle.
-
-        Keys: ``key`` (stable join key for diffing), ``package``,
-        ``outcome``, ``stages`` (stage -> wall seconds),
-        ``self_seconds`` (stage -> critical-path self time, when the
-        run recorded a critical path), ``total_seconds``,
-        ``faulted_stage``, ``session`` (scenario only).
-        """
+        """One normalized row per migration attempt in the bundle (see
+        :func:`repro.sim.rows.migration_rows`)."""
         if not self.has("metrics.json"):
             return []
-        document = self.metrics_document()
-        rows: List[Dict[str, Any]] = []
-        migration = document.get("migration")
-        if isinstance(migration, dict):        # flux-sim migrate
-            rows.append(self._normalize_row(
-                key=migration.get("package", "?"), source=migration))
-        for row in document.get("migrations") or []:   # flux-sim sweep
-            rows.append(self._normalize_row(
-                key=f"{row.get('pair', '?')}/{row.get('package', '?')}",
-                source=row))
-        scenario = document.get("scenario")
-        if isinstance(scenario, dict):          # flux-sim scenario
-            for session in scenario.get("sessions", []):
-                key = (f"{session.get('home', '?')}->"
-                       f"{session.get('guest', '?')}:"
-                       f"{session.get('package', '?')}")
-                rows.append(self._normalize_row(key=key, source=session))
-        fleet = document.get("fleet")
-        if isinstance(fleet, dict):             # flux-sim fleet
-            for session in fleet.get("sessions", []):
-                key = (f"{session.get('site', '?')}/"
-                       f"{session.get('home', '?')}->"
-                       f"{session.get('guest') or '-'}:"
-                       f"{session.get('package', '?')}")
-                rows.append(self._normalize_row(key=key, source=session))
-        return rows
-
-    @staticmethod
-    def _normalize_row(key: str, source: Dict[str, Any]) -> Dict[str, Any]:
-        self_seconds = {entry["name"]: float(entry["self_seconds"])
-                        for entry in source.get("critical_path") or []
-                        if "self_seconds" in entry}
-        stages = {stage: float(seconds) for stage, seconds
-                  in (source.get("stages") or {}).items()}
-        if "status" in source:                  # scenario session row
-            outcome = source["status"]
-        elif source.get("success") is False:
-            outcome = ("faulted" if source.get("faulted_stage")
-                       else "refused")
-        else:
-            outcome = "migrated"
-        total = source.get("total_seconds")
-        return {
-            "key": key,
-            "package": source.get("package", "?"),
-            "outcome": outcome,
-            "faulted_stage": source.get("faulted_stage"),
-            "session": source.get("session"),
-            "stages": stages,
-            "self_seconds": self_seconds,
-            "total_seconds": (float(total) if total is not None
-                              else sum(stages.values())),
-        }
+        return migration_rows(self.metrics_document(),
+                              source=f"{self.path}/metrics.json")
 
     def wait_profiles(self) -> Dict[str, Dict[str, float]]:
-        """Per-session wait profiles (queued/resource/dilation/active).
-
-        Populated by scenario bundles; a migrate/sweep bundle (whose
-        synchronous migrations never wait) returns ``{}``.
-        """
-        if not self.has("metrics.json"):
-            return {}
-        document = self.metrics_document()
-        profiles: Dict[str, Dict[str, float]] = {}
-        scenario = document.get("scenario")
-        if isinstance(scenario, dict):
-            for session in scenario.get("sessions", []):
-                profile = session.get("wait_profile")
-                if profile:
-                    label = (session.get("session")
-                             or f"{session.get('home', '?')}->"
-                                f"{session.get('guest', '?')}:"
-                                f"{session.get('package', '?')}")
-                    profiles[label] = {k: float(v)
-                                       for k, v in profile.items()}
-        fleet = document.get("fleet")
-        if isinstance(fleet, dict):
-            for session in fleet.get("sessions", []):
-                profile = session.get("wait_profile")
-                if profile:
-                    label = (session.get("session")
-                             or f"{session.get('site', '?')}/"
-                                f"{session.get('home', '?')}->"
-                                f"{session.get('guest') or '-'}:"
-                                f"{session.get('package', '?')}")
-                    profiles[label] = {k: float(v)
-                                       for k, v in profile.items()}
-        migration = document.get("migration")
-        if isinstance(migration, dict) and migration.get("wait_profile"):
-            profiles[migration.get("package", "?")] = {
-                k: float(v)
-                for k, v in migration["wait_profile"].items()}
-        return profiles
+        """Per-session wait profiles (queued/resource/dilation/active)
+        by session label, else join key; ``{}`` for a sweep bundle, whose
+        synchronous migrations never wait."""
+        return {row["session"] or row["key"]: row["wait_profile"]
+                for row in self.migration_rows() if row["wait_profile"]}
 
 
 def fingerprint_differences(a: Mapping[str, Any], b: Mapping[str, Any]

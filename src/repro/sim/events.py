@@ -51,7 +51,7 @@ DEFAULT_CAPACITY = 65536
 
 
 class EventsError(Exception):
-    """Flight-recorder misuse (bad capacity, unbalanced txn stack)."""
+    """Flight-recorder misuse or an unreadable event log."""
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,8 @@ def parse_jsonl(lines: Iterable[str], source: str = "<events>"
 
     A corrupt artifact raises :class:`EventsError` carrying the source
     name and 1-based line number (instead of a bare
-    ``json.JSONDecodeError`` with no idea *which* of 50k lines broke).
+    ``json.JSONDecodeError`` with no idea *which* of 50k lines broke),
+    and so does a line that is valid JSON but not an event object.
     """
     events: List[Dict[str, Any]] = []
     for lineno, line in enumerate(lines, start=1):
@@ -255,6 +256,10 @@ def parse_jsonl(lines: Iterable[str], source: str = "<events>"
                 f"{source}:{lineno}: malformed event line "
                 f"({error.msg} at column {error.colno}): "
                 f"{line[:80]!r}") from error
+        if not isinstance(event, dict):
+            raise EventsError(
+                f"{source}:{lineno}: event line is not a JSON object "
+                f"(got {type(event).__name__}): {line[:80]!r}")
         events.append(event)
     return events
 

@@ -149,6 +149,63 @@ class TestVerification:
             RunBundle.load(str(tmp_path / "plain"))
 
 
+class TestHostileManifests:
+    @pytest.mark.parametrize("layout", ["run", "run.tar.gz"])
+    @pytest.mark.parametrize("manifest", [[1, 2], "x", 3, None])
+    def test_non_object_manifest_is_a_bundle_error(self, tmp_path, layout,
+                                                   manifest):
+        import io
+        import tarfile
+        path = tmp_path / layout
+        data = json.dumps(manifest).encode()
+        if layout.endswith(".tar.gz"):
+            with tarfile.open(path, mode="w:gz") as tar:
+                info = tarfile.TarInfo("manifest.json")
+                info.size = len(data)
+                tar.addfile(info, io.BytesIO(data))
+        else:
+            path.mkdir()
+            (path / "manifest.json").write_bytes(data)
+        with pytest.raises(BundleError, match="corrupt manifest.json: "
+                                              "expected an object"):
+            RunBundle.load(str(path))
+
+    @pytest.mark.parametrize("field, value", [
+        ("files", [1]), ("fingerprint", "x")])
+    def test_non_object_manifest_fields(self, tmp_path, field, value):
+        path = _write(tmp_path / "run")
+        manifest_path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[field] = value
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(BundleError, match=f"'{field}' is not an object"):
+            RunBundle.load(path)
+
+    def test_non_object_file_entry_is_a_digest_mismatch(self, tmp_path):
+        path = _write(tmp_path / "run")
+        manifest_path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"]["metrics.json"] = 7
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(BundleError, match="metrics.json.*mismatch"):
+            RunBundle.load(path)
+
+    def test_non_object_metrics_document(self, tmp_path):
+        bundle = RunBundle.load(_write(tmp_path / "run", metrics=[1]))
+        with pytest.raises(BundleError, match="metrics.json: expected an "
+                                              "object, got list"):
+            bundle.migration_rows()
+
+    def test_hostile_rows_name_the_member(self, tmp_path):
+        bundle = RunBundle.load(_write(
+            tmp_path / "run", metrics={"migrations": [3]}))
+        with pytest.raises(BundleError, match=r"run/metrics.json: "
+                                              r"migrations\[0\]"):
+            bundle.migration_rows()
+        with pytest.raises(BundleError):
+            bundle.wait_profiles()
+
+
 class TestIsBundlePath:
     def test_detects_directories_and_tarballs(self, tmp_path):
         path = _write(tmp_path / "run")

@@ -193,6 +193,13 @@ class TestMalformedLines:
         with pytest.raises(EventsError, match="<events>:1:"):
             parse_jsonl(["not json"])
 
+    @pytest.mark.parametrize("line", ["3", '"x"', "[1]", "null"])
+    def test_non_object_lines_are_rejected(self, line):
+        from repro.sim.events import parse_jsonl
+        with pytest.raises(EventsError, match=r"^log.jsonl:2: event line "
+                                              r"is not a JSON object"):
+            parse_jsonl(['{"seq": 1}', line], source="log.jsonl")
+
     def test_long_lines_are_truncated_in_the_error(self, tmp_path):
         from repro.sim.events import parse_jsonl
         with pytest.raises(EventsError) as excinfo:

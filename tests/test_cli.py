@@ -345,3 +345,61 @@ class TestScenario:
             main(["scenario", "--migrate", "home:guest"])  # no app
         with pytest.raises(SystemExit):
             main(["scenario", "--migrate", "home:guest:bubble@soon"])
+
+
+class TestHostileInputs:
+    """Malformed artifacts end in a message naming them, not a traceback."""
+
+    EVENTS = [
+        {"t": 0.0, "device": "home", "seq": 1, "kind": "migration.start",
+         "attrs": {"package": "com.example"}},
+        {"t": 1.0, "device": "home", "seq": 2, "kind": "migration.done",
+         "attrs": {"package": "com.example"}},
+    ]
+
+    def _bundle(self, path, kind="migrate", metrics=None):
+        from repro.sim.bundle import collect_fingerprint, write_bundle
+        return write_bundle(str(path), kind=kind,
+                            fingerprint=collect_fingerprint(kind),
+                            metrics=metrics or {"migrations": [3]},
+                            events=self.EVENTS)
+
+    def test_explain_non_object_event_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"seq": 1, "kind": "x"}\n3\n')
+        with pytest.raises(SystemExit, match=f"{path}:2: event line is not "
+                                             f"a JSON object"):
+            main(["explain", str(path)])
+
+    def test_explain_bundle_with_hostile_rows(self, tmp_path):
+        bundle = self._bundle(tmp_path / "run")
+        with pytest.raises(SystemExit, match=r"metrics.json: "
+                                             r"migrations\[0\]: expected "
+                                             r"dict, got int"):
+            main(["explain", bundle])
+
+    def test_explain_non_object_metrics_file(self, tmp_path):
+        from repro.sim.events import write_jsonl
+        events = tmp_path / "events.jsonl"
+        write_jsonl(str(events), self.EVENTS)
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text("[1]\n")
+        with pytest.raises(SystemExit, match="metrics.json': metrics "
+                                             "document: expected dict"):
+            main(["explain", str(events), "--metrics", str(metrics)])
+
+    def test_diff_with_hostile_rows(self, tmp_path):
+        a = self._bundle(tmp_path / "a")
+        b = self._bundle(tmp_path / "b")
+        with pytest.raises(SystemExit, match=r"migrations\[0\]"):
+            main(["diff", a, b])
+
+    def test_bench_check_bundle_with_hostile_rows(self, tmp_path, capsys):
+        bundle = self._bundle(tmp_path / "run", kind="sweep",
+                              metrics={"migrations": [{"stages": [1]}]})
+        baseline = tmp_path / "BENCH_sweep.json"
+        baseline.write_text("{}\n")
+        assert main(["bench-check", "--bundle", bundle,
+                     "--baseline", str(baseline)]) == 2
+        assert "migrations[0].stages: expected dict" in \
+            capsys.readouterr().out
