@@ -371,22 +371,16 @@ def cmd_explain(args) -> int:
     )
     from repro.sim.bundle import BundleError, RunBundle, is_bundle_path
     from repro.sim.events import EventsError, read_jsonl
-    bundle = None
-    if is_bundle_path(args.events):
-        # A run bundle: the events (and, unless --metrics overrides,
-        # the critical path) come from the bundle alone.
-        try:
-            bundle = RunBundle.load(args.events)
-            events = bundle.events()
-        except (BundleError, EventsError) as error:
-            raise SystemExit(str(error))
-    else:
-        try:
-            events = read_jsonl(args.events)
-        except OSError as error:
-            raise SystemExit(f"cannot read {args.events!r}: {error}")
-        except EventsError as error:
-            raise SystemExit(str(error))
+    # From a run bundle, the events (and, unless --metrics overrides,
+    # the critical path) come from the bundle alone.
+    try:
+        bundle = (RunBundle.load(args.events)
+                  if is_bundle_path(args.events) else None)
+        events = bundle.events() if bundle else read_jsonl(args.events)
+    except OSError as error:
+        raise SystemExit(f"cannot read {args.events!r}: {error}")
+    except (BundleError, EventsError) as error:
+        raise SystemExit(str(error))
     if args.why:
         # Blame mode: rank where the session's wall time went, resolved
         # from the event log alone (no live scheduler state needed).

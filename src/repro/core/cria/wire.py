@@ -22,6 +22,7 @@ from typing import Any, Dict, List, Tuple
 
 from repro.core.cria.errors import CheckpointError
 from repro.core.cria.image import CheckpointImage
+from repro.sim.shapes import check
 
 
 MAGIC = b"FLUXIMG1"
@@ -36,6 +37,13 @@ WIRE_VERSION = 2
 
 class WireError(CheckpointError):
     """Frame corruption or version mismatch."""
+
+
+#: The metadata the guest reads before it restores; a valid checksum
+#: proves nothing about its shape, as any sender can compute one.
+_METADATA = {"package": str, "processes": [{
+    "virtual_pid": int, "regions": [{"name": str, "offset": int,
+                                     "length": int, "digest": str}]}]}
 
 
 def _describe_value(value: Any) -> Any:
@@ -138,8 +146,10 @@ def _verify_and_split(blob: bytes) -> Tuple[Dict[str, Any], bytes]:
         metadata = json.loads(metadata_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as error:
         raise WireError(f"metadata undecodable: {error}") from error
-    if metadata.get("version") != WIRE_VERSION:
-        raise WireError(f"unsupported image version {metadata.get('version')}")
+    version = check(metadata, dict, "frame metadata", WireError).get("version")
+    if version != WIRE_VERSION:
+        raise WireError(f"unsupported image version {version}")
+    check(metadata, _METADATA, "frame metadata", WireError)
     return metadata, body[_HEADER.size + metadata_len:]
 
 

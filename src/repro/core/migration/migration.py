@@ -41,6 +41,13 @@ from repro.sim.scheduler import drive_sync
 STAGES = ("preparation", "checkpoint", "transfer", "restore", "reintegration")
 
 
+def perceived_seconds(total: float, stages: Dict[str, float]) -> float:
+    """Total minus the stages hidden behind the target menu (§4); a
+    report and a metrics row both read perceived time through here."""
+    return total - stages.get("preparation", 0.0) \
+        - stages.get("checkpoint", 0.0)
+
+
 @dataclass
 class MigrationReport:
     package: str
@@ -94,8 +101,7 @@ class MigrationReport:
     @property
     def perceived_seconds(self) -> float:
         """Total minus the stages hidden behind the target menu (§4)."""
-        return self.total_seconds - self.stages.get("preparation", 0.0) \
-            - self.stages.get("checkpoint", 0.0)
+        return perceived_seconds(self.total_seconds, self.stages)
 
     @property
     def non_transfer_seconds(self) -> float:

@@ -332,20 +332,24 @@ def build_blame(events: List[Dict[str, Any]], session: str
 def critical_path_from_metrics(document: Dict[str, Any],
                                package: Optional[str] = None,
                                session: Optional[str] = None,
-                               source: str = "metrics document"
+                               source: str = "metrics document",
+                               pair: Optional[str] = None
                                ) -> Optional[List[Dict[str, Any]]]:
     """Pull a critical path out of a ``--metrics-out`` document.
 
     A document of one migration needs no choosing.  Among several rows,
     ``session`` (an exact label) or else ``package`` selects the first
-    match; with neither, the first row wins.  Rows come from
+    match; with neither, the first row wins.  A row with no session (a
+    sweep's) matches by its ``{pair}/{package}`` key.  Rows come from
     :func:`repro.sim.rows.migration_rows`, so a malformed document
     raises :class:`~repro.sim.rows.BundleError`.
     """
     rows = migration_rows(document, source)
     if len(rows) > 1:
         rows = [row for row in rows
-                if (row["session"] == session if session is not None
+                if (row["key"] == f"{pair}/{package}"
+                    if pair is not None and row["session"] is None
+                    else row["session"] == session if session is not None
                     else package in (None, row["package"]))]
     return (rows[0]["critical_path"] or None) if rows else None
 
@@ -367,7 +371,8 @@ def postmortem_from_bundle(bundle, package: Optional[str] = None,
                           session=session)
     pm["critical_path"] = critical_path_from_metrics(
         bundle.metrics_document(), package=pm.get("package"),
-        session=pm.get("session"), source="metrics.json") or []
+        session=pm.get("session"), source="metrics.json",
+        pair=pm.get("pair")) or []
     return pm
 
 

@@ -46,6 +46,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.migration.migration import perceived_seconds
 from repro.experiments.harness import (
     SweepResult,
     run_sweep,
@@ -170,10 +171,8 @@ def _payload(rows: List[Dict], rollup: Dict, workers, executor,
     """A schema-5 payload whose gated ``sim`` section comes from a
     sweep's normalized migration rows and its counter rollup."""
     totals = [row["total_seconds"] for row in rows]
-    # Preparation and checkpoint hide behind the target menu (§4).
-    perceived = [total - (row["stages"].get("preparation", 0.0)
-                          + row["stages"].get("checkpoint", 0.0))
-                 for total, row in zip(totals, rows)]
+    perceived = [perceived_seconds(row["total_seconds"], row["stages"])
+                 for row in rows]
     non_transfer = [seconds - row["stages"].get("transfer", 0.0)
                     for seconds, row in zip(perceived, rows)]
     dominant = Counter(row["dominant_stage"] or "?" for row in rows)

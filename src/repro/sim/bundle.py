@@ -47,6 +47,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 from repro.sim.events import parse_jsonl
 from repro.sim.metrics import empty_snapshot
 from repro.sim.rows import BundleError, migration_rows
+from repro.sim.shapes import check
 from repro.sim.timeline import parse_timeline_document, timeline_document
 
 #: On-disk bundle format version; readers reject any other value.
@@ -65,6 +66,15 @@ _TAR_SUFFIXES = (".tar.gz", ".tgz")
 #: byte-identical archives.
 _MEMBER_ORDER = (MANIFEST_NAME, "metrics.json", "events.jsonl",
                  "timeline.json", "trace.json", "profile.txt")
+
+#: What readers require of a manifest (``verify`` compares each ``files``
+#: entry whole) and of a metrics document's counter sections.
+_MANIFEST = {"files?": {str: object}, "fingerprint?": dict}
+_SNAPSHOT = ({"counters?": {str: float}, "gauges?": {str: float},
+              "histograms?": {str: ({"count": (float, None),
+                                     "sum": (float, None)}, None)}}, None)
+_METRICS = {"totals": _SNAPSHOT, "metrics": _SNAPSHOT,
+            "rollup": ({str: float}, None)}
 
 
 def _sha256(data: bytes) -> str:
@@ -283,25 +293,16 @@ class RunBundle:
         if MANIFEST_NAME not in members:
             raise BundleError(f"{path}: not a run bundle "
                               f"(no {MANIFEST_NAME} member)")
-        try:
-            manifest = json.loads(members[MANIFEST_NAME].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
-            raise BundleError(f"{path}: corrupt {MANIFEST_NAME}: "
-                              f"{error}") from error
-        if not isinstance(manifest, dict):
-            raise BundleError(f"{path}: corrupt {MANIFEST_NAME}: expected "
-                              f"an object, got {type(manifest).__name__}")
-        for field in ("files", "fingerprint"):
-            if not isinstance(manifest.get(field, {}), dict):
-                raise BundleError(f"{path}: corrupt {MANIFEST_NAME}: "
-                                  f"{field!r} is not an object")
-        schema = manifest.get("schema")
+        bundle = cls(path, {}, members)
+        bundle.manifest = check(bundle.read_json(MANIFEST_NAME), _MANIFEST,
+                                f"{path}: corrupt {MANIFEST_NAME}",
+                                BundleError)
+        schema = bundle.manifest.get("schema")
         if schema != BUNDLE_SCHEMA:
             raise BundleError(
                 f"{path}: unsupported bundle schema {schema!r} (this "
                 f"build reads schema {BUNDLE_SCHEMA}); regenerate the "
                 f"bundle or upgrade")
-        bundle = cls(path, manifest, members)
         if verify:
             bundle.verify()
         return bundle
@@ -313,12 +314,11 @@ class RunBundle:
             if data is None:
                 raise BundleError(f"{self.path}: member {name!r} listed "
                                   f"in the manifest but missing")
-            digest = _sha256(data)
-            expected = meta.get("sha256") if isinstance(meta, dict) else None
-            if digest != expected:
+            actual = {"bytes": len(data), "sha256": _sha256(data)}
+            if meta != actual:               # whatever the entry's shape
                 raise BundleError(
                     f"{self.path}: member {name!r} digest mismatch "
-                    f"(manifest {expected}, actual {digest}) "
+                    f"(manifest {meta}, actual {actual}) "
                     f"— the bundle was modified after it was written")
 
     # -- identity -----------------------------------------------------------
@@ -355,11 +355,8 @@ class RunBundle:
 
     def metrics_document(self) -> Dict[str, Any]:
         """The bundled ``--metrics-out`` document (shape varies by kind)."""
-        document = self.read_json("metrics.json")
-        if not isinstance(document, dict):
-            raise BundleError(f"{self.path}/metrics.json: expected an "
-                              f"object, got {type(document).__name__}")
-        return document
+        return check(self.read_json("metrics.json"), _METRICS,
+                     f"{self.path}/metrics.json", BundleError)
 
     def events(self) -> List[Dict[str, Any]]:
         """The bundled causal event log ([] when the run had none)."""
@@ -381,16 +378,14 @@ class RunBundle:
     def snapshot(self) -> Dict[str, Any]:
         """The run's merged metrics snapshot, whatever the kind.
 
-        ``migrate`` and ``scenario`` documents carry it under
+        ``migrate``, ``scenario`` and ``fleet`` documents carry it under
         ``metrics``; ``sweep`` documents under ``totals``.
         """
         if not self.has("metrics.json"):
             return empty_snapshot()
         document = self.metrics_document()
-        if isinstance(document.get("totals"), dict):
-            return document["totals"]
-        metrics = document.get("metrics")
-        return metrics if isinstance(metrics, dict) else empty_snapshot()
+        return (document.get("totals") or document.get("metrics")
+                or empty_snapshot())
 
     def migration_rows(self) -> List[Dict[str, Any]]:
         """One normalized row per migration attempt in the bundle (see

@@ -45,6 +45,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.sim.shapes import check
+
 #: Ring capacity when ``FLUX_EVENTS_CAP`` is unset (see
 #: :mod:`repro.sim.telemetry`, which reads the knobs).
 DEFAULT_CAPACITY = 65536
@@ -235,6 +237,11 @@ def write_jsonl(path: str, events: Iterable[Dict[str, Any]]) -> int:
     return count
 
 
+#: The fields readers of an event log use, each checked where present.
+_EVENT = {"t?": float, "seq?": int, "kind?": str, "device?": str,
+          "attrs?": dict}
+
+
 def parse_jsonl(lines: Iterable[str], source: str = "<events>"
                 ) -> List[Dict[str, Any]]:
     """Parse JSONL event lines, locating malformed ones precisely.
@@ -242,7 +249,7 @@ def parse_jsonl(lines: Iterable[str], source: str = "<events>"
     A corrupt artifact raises :class:`EventsError` carrying the source
     name and 1-based line number (instead of a bare
     ``json.JSONDecodeError`` with no idea *which* of 50k lines broke),
-    and so does a line that is valid JSON but not an event object.
+    and so does a line that is not an event object (:data:`_EVENT`).
     """
     events: List[Dict[str, Any]] = []
     for lineno, line in enumerate(lines, start=1):
@@ -256,11 +263,8 @@ def parse_jsonl(lines: Iterable[str], source: str = "<events>"
                 f"{source}:{lineno}: malformed event line "
                 f"({error.msg} at column {error.colno}): "
                 f"{line[:80]!r}") from error
-        if not isinstance(event, dict):
-            raise EventsError(
-                f"{source}:{lineno}: event line is not a JSON object "
-                f"(got {type(event).__name__}): {line[:80]!r}")
-        events.append(event)
+        events.append(check(event, _EVENT, f"{source}:{lineno}",
+                            EventsError))
     return events
 
 

@@ -32,7 +32,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.sim.timeline import append_sample, sample_pairs
+from repro.sim.timeline import (append_sample, chrome_counter_events,
+                                sample_pairs)
 
 
 class MetricsError(Exception):
@@ -308,16 +309,9 @@ class MetricsRegistry:
         (counters), levels (gauges) or observation counts (histograms)
         at each distinct virtual timestamp.
         """
-        events: List[Dict[str, Any]] = []
-        for key in sorted(self._samples):
-            for time, value in sample_pairs(self._samples[key]):
-                events.append({
-                    "name": key, "cat": "metric", "ph": "C",
-                    "pid": 1, "tid": 1,
-                    "ts": round(time * 1e6, 3),
-                    "args": {"value": value},
-                })
-        return events
+        return chrome_counter_events(
+            {key: sample_pairs(series)
+             for key, series in self._samples.items()}, cat="metric")
 
     # -- snapshots ------------------------------------------------------------
 

@@ -17,6 +17,8 @@ from collections import defaultdict
 from copy import copy
 from typing import Any, Callable, Dict, List, NamedTuple, Sequence
 
+from repro.sim.shapes import check
+
 
 class BundleError(Exception):
     """Unreadable, corrupt, or schema-incompatible bundles or documents."""
@@ -83,44 +85,22 @@ def session_fields(outcome: Any) -> Dict[str, Any]:
                            SESSION_REPORT_FIELDS)}
 
 
-#: Where each shape keeps its rows (``[]``: a list of rows) and the
-#: row's join key, stable across runs of one configuration.
-_SHAPES = (("migration", "{package}"),
-           ("migrations[]", "{pair}/{package}"),
-           ("scenario.sessions[]", "{home}->{guest}:{package}"),
-           ("fleet.sessions[]", "{site}/{home}->{guest}:{package}"))
+#: What the reader requires of a row: every other field it reads is
+#: copied as it is.
+_ROW = {"stages": ({str: float}, None), "wait_profile": ({str: float}, None),
+        "critical_path": ([{"name": str, "self_seconds?": float}], None),
+        "total_seconds": (float, None), "status?": str}
+_SESSIONS = ({"sessions": ([_ROW], None)}, None)
+_DOCUMENT = {"migration": (_ROW, None), "migrations": ([_ROW], None),
+             "scenario": _SESSIONS, "fleet": _SESSIONS}
 
 
-def _expect(value: Any, kind: Any, where: str, what: str = "") -> Any:
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise BundleError(f"{where}: expected {what or kind.__name__}, "
-                          f"got {type(value).__name__}")
-    return value
-
-
-def _number(value: Any, where: str) -> float:
-    return float(_expect(value, (int, float), where, "a number"))
-
-
-def _seconds_map(value: Any, where: str) -> Dict[str, float]:
-    return {name: _number(seconds, f"{where}.{name}")
-            for name, seconds in _expect(value, dict, where).items()}
-
-
-def _normalize(where: str, row: Any, template: str) -> Dict[str, Any]:
-    row = _expect(row, dict, where)
-    path = _expect(row.get("critical_path") or [], list,
-                   f"{where}.critical_path")
-    self_seconds = {}
-    for index, entry in enumerate(path):
-        at = f"{where}.critical_path[{index}]"
-        if "self_seconds" in _expect(entry, dict, at):
-            name = _expect(entry.get("name"), str, f"{at}.name")
-            self_seconds[name] = _number(entry["self_seconds"],
-                                         f"{at}.self_seconds")
-    stages = _seconds_map(row.get("stages") or {}, f"{where}.stages")
+def _normalize(row: Dict[str, Any], template: str) -> Dict[str, Any]:
+    path = row.get("critical_path") or []
+    stages = {name: float(seconds)
+              for name, seconds in (row.get("stages") or {}).items()}
     if "status" in row:                         # scenario/fleet session
-        outcome = _expect(row["status"], str, f"{where}.status")
+        outcome = row["status"]
     elif row.get("success") is False:
         outcome = "faulted" if row.get("faulted_stage") else "refused"
     else:
@@ -133,11 +113,13 @@ def _normalize(where: str, row: Any, template: str) -> Dict[str, Any]:
         "key": key, "package": row.get("package", "?"), "outcome": outcome,
         "faulted_stage": row.get("faulted_stage"),
         "session": row.get("session"), "stages": stages,
-        "self_seconds": self_seconds,
+        "self_seconds": {entry["name"]: float(entry["self_seconds"])
+                         for entry in path if "self_seconds" in entry},
         "total_seconds": (sum(stages.values()) if total is None
-                          else _number(total, f"{where}.total_seconds")),
+                          else float(total)),
         "dominant_stage": row.get("dominant_stage"), "critical_path": path,
-        "wait_profile": (_seconds_map(profile, f"{where}.wait_profile")
+        "wait_profile": ({name: float(seconds)
+                          for name, seconds in profile.items()}
                          if profile else None),
     }
 
@@ -154,20 +136,16 @@ def migration_rows(document: Any, source: str = "metrics document"
     document, row or row field of the wrong JSON type raises
     :class:`BundleError` naming ``source`` and the row's place.
     """
-    rows: List[Dict[str, Any]] = []
-    _expect(document, dict, source)
-    for path, template in _SHAPES:
-        single = not path.endswith("[]")
-        *outer, name = path.rstrip("[]").split(".")
-        value = document
-        for member in outer:            # scenario, fleet: an object
-            value = _expect(value.get(member) or {}, dict,
-                            f"{source}: {member}")
-        value, where = value.get(name), f"{source}: {path.rstrip('[]')}"
-        if value is None:
-            continue
-        for index, row in enumerate([value] if single else
-                                    _expect(value, list, where)):
-            rows.append(_normalize(where if single else f"{where}[{index}]",
-                                   row, template))
-    return rows
+    check(document, _DOCUMENT, source, BundleError)
+    migration = document.get("migration")
+    scenario, fleet = document.get("scenario"), document.get("fleet")
+    # Where each shape keeps its rows, and the row's join key, stable
+    # across runs of one configuration.
+    shapes = (([] if migration is None else [migration], "{package}"),
+              (document.get("migrations"), "{pair}/{package}"),
+              (scenario and scenario.get("sessions"),
+               "{home}->{guest}:{package}"),
+              (fleet and fleet.get("sessions"),
+               "{site}/{home}->{guest}:{package}"))
+    return [_normalize(row, template)
+            for rows, template in shapes for row in rows or ()]

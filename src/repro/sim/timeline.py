@@ -31,6 +31,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
+from repro.sim.shapes import check
+
 #: On-disk document version written by :func:`write_timeline`; readers
 #: reject any other value (forward-compat contract for run bundles).
 TIMELINE_SCHEMA = 1
@@ -143,19 +145,17 @@ def merge_timelines(*exports: Dict[str, List[List[float]]]
     return {key: merged[key] for key in sorted(merged)}
 
 
-def chrome_counter_events(export: Dict[str, List[List[float]]]
+def chrome_counter_events(export: Mapping[str, Any], cat: str = "timeline"
                           ) -> List[Dict[str, Any]]:
-    """An exported timeline as Chrome-trace counter ("C"-phase) tracks.
-
-    One counter track per series key, same shape as the metrics
-    registry's counter tracks so both planes render side by side in
-    Perfetto.
-    """
+    """``(time, value)`` series as Chrome-trace counter ("C"-phase)
+    tracks, one per key; the timeline and the metrics registry (``cat``
+    "metric") both render here, so both planes sit side by side in
+    Perfetto."""
     events: List[Dict[str, Any]] = []
     for key in sorted(export):
         for time, value in export[key]:
             events.append({
-                "name": key, "cat": "timeline", "ph": "C",
+                "name": key, "cat": cat, "ph": "C",
                 "pid": 1, "tid": 1,
                 "ts": round(time * 1e6, 3),
                 "args": {"value": value},
@@ -182,17 +182,14 @@ def parse_timeline_document(document: Any,
     silently misreading a future format — run bundles may outlive the
     code that wrote them.
     """
-    if not isinstance(document, dict):
-        raise TimelineError(f"{source}: not a timeline document "
-                            f"(expected a JSON object, got "
-                            f"{type(document).__name__})")
-    schema = document.get("schema")
+    schema = check(document, dict, source, TimelineError).get("schema")
     if schema != TIMELINE_SCHEMA:
         raise TimelineError(
             f"{source}: unsupported timeline schema {schema!r} "
             f"(this build reads schema {TIMELINE_SCHEMA}); regenerate "
             f"the artifact or upgrade")
-    return document.get("series", {})
+    return check(document, {"series": ({str: [[float]]}, None)}, source,
+                 TimelineError).get("series") or {}
 
 
 def write_timeline(path: str, export: Dict[str, List[List[float]]],

@@ -98,6 +98,20 @@ def test_sweep_and_its_gated_section(tmp_path, capsys):
             == bench.sim_payload_from_bundle(loaded)["sim"])
 
 
+def test_explain_shows_a_sweep_rows_critical_path(tmp_path, capsys):
+    from repro.core.migration.postmortem import postmortem_from_bundle
+    bundle = tmp_path / "sweep"
+    assert main(["sweep", "--bundle-out", str(bundle)]) == 0
+    capsys.readouterr()
+    assert main(["explain", str(bundle)]) == 0
+    assert "critical path: " in capsys.readouterr().out
+    # Sweep rows carry no session: the row is the post-mortem's pair's.
+    postmortem = postmortem_from_bundle(RunBundle.load(str(bundle)))
+    report = run_sweep().reports[(postmortem["pair"],
+                                  postmortem["package"])]
+    assert postmortem["critical_path"] == report.critical_path != []
+
+
 def _check_session(row, outcome):
     assert row["outcome"] == outcome.status
     assert row["session"] == (outcome.session or None)

@@ -167,7 +167,7 @@ class TestHostileManifests:
             path.mkdir()
             (path / "manifest.json").write_bytes(data)
         with pytest.raises(BundleError, match="corrupt manifest.json: "
-                                              "expected an object"):
+                                              "expected dict, got"):
             RunBundle.load(str(path))
 
     @pytest.mark.parametrize("field, value", [
@@ -178,7 +178,8 @@ class TestHostileManifests:
         manifest = json.loads(manifest_path.read_text())
         manifest[field] = value
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(BundleError, match=f"'{field}' is not an object"):
+        with pytest.raises(BundleError, match=f"corrupt manifest.json: "
+                                              f"{field}: expected dict"):
             RunBundle.load(path)
 
     def test_non_object_file_entry_is_a_digest_mismatch(self, tmp_path):
@@ -192,8 +193,8 @@ class TestHostileManifests:
 
     def test_non_object_metrics_document(self, tmp_path):
         bundle = RunBundle.load(_write(tmp_path / "run", metrics=[1]))
-        with pytest.raises(BundleError, match="metrics.json: expected an "
-                                              "object, got list"):
+        with pytest.raises(BundleError, match="metrics.json: expected "
+                                              "dict, got list"):
             bundle.migration_rows()
 
     def test_hostile_rows_name_the_member(self, tmp_path):

@@ -196,8 +196,8 @@ class TestMalformedLines:
     @pytest.mark.parametrize("line", ["3", '"x"', "[1]", "null"])
     def test_non_object_lines_are_rejected(self, line):
         from repro.sim.events import parse_jsonl
-        with pytest.raises(EventsError, match=r"^log.jsonl:2: event line "
-                                              r"is not a JSON object"):
+        with pytest.raises(EventsError, match=r"^log.jsonl:2: expected "
+                                              r"dict, got"):
             parse_jsonl(['{"seq": 1}', line], source="log.jsonl")
 
     def test_long_lines_are_truncated_in_the_error(self, tmp_path):

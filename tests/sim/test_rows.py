@@ -136,6 +136,16 @@ class TestCriticalPathSelection:
         assert critical_path_from_metrics(self.SWEEP, session="x/a@1") \
             is None
 
+    def test_rows_without_sessions_select_by_pair(self):
+        sweep = {"migrations": [
+            {**row, "pair": pair} for pair in ("x", "y")
+            for row in self.SWEEP["migrations"]]}
+        sweep["migrations"][3]["critical_path"] = [{"name": "z"}]
+        assert critical_path_from_metrics(sweep, "b", "h/b@4", pair="y") \
+            == [{"name": "z"}]
+        assert critical_path_from_metrics(sweep, "c", "h/c@4",
+                                          pair="y") is None
+
     def test_rejects_non_objects(self):
         with pytest.raises(BundleError, match="expected dict, got list"):
             critical_path_from_metrics([1])

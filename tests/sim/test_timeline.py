@@ -135,7 +135,8 @@ class TestSchemaVersioning:
         from repro.sim.timeline import TimelineError
         path = tmp_path / "list.json"
         path.write_text(json.dumps([1, 2, 3]))
-        with pytest.raises(TimelineError, match="not a timeline document"):
+        with pytest.raises(TimelineError, match="list.json: expected dict, "
+                                                "got list"):
             read_timeline(path)
 
     def test_meta_rides_along(self, tmp_path):

@@ -367,8 +367,8 @@ class TestHostileInputs:
     def test_explain_non_object_event_line(self, tmp_path):
         path = tmp_path / "events.jsonl"
         path.write_text('{"seq": 1, "kind": "x"}\n3\n')
-        with pytest.raises(SystemExit, match=f"{path}:2: event line is not "
-                                             f"a JSON object"):
+        with pytest.raises(SystemExit, match=f"{path}:2: expected dict, "
+                                             f"got int"):
             main(["explain", str(path)])
 
     def test_explain_bundle_with_hostile_rows(self, tmp_path):
@@ -403,3 +403,33 @@ class TestHostileInputs:
                      "--baseline", str(baseline)]) == 2
         assert "migrations[0].stages: expected dict" in \
             capsys.readouterr().out
+
+    def test_diff_with_non_object_counters(self, tmp_path):
+        metrics = {"totals": {"counters": [1]}, "migrations": []}
+        a = self._bundle(tmp_path / "a", kind="sweep", metrics=metrics)
+        b = self._bundle(tmp_path / "b", kind="sweep", metrics=metrics)
+        with pytest.raises(SystemExit, match=r"a/metrics.json: "
+                                             r"totals.counters: expected "
+                                             r"dict, got list"):
+            main(["diff", a, b])
+
+    @pytest.mark.parametrize("command", [[], ["--why", "home/x@1"]],
+                             ids=["explain", "why"])
+    def test_explain_event_with_non_object_attrs(self, tmp_path, command):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"seq": 1, "kind": "x"}\n'
+                        '{"seq": 2, "kind": "x", "attrs": []}\n')
+        with pytest.raises(SystemExit, match=f"{path}:2: attrs: expected "
+                                             f"dict, got list"):
+            main(["explain", str(path)] + command)
+
+    def test_diff_event_with_non_object_attrs(self, tmp_path):
+        from repro.sim.bundle import collect_fingerprint, write_bundle
+        bundles = [write_bundle(
+            str(tmp_path / name), kind="migrate",
+            fingerprint=collect_fingerprint("migrate"),
+            events=self.EVENTS + [{"seq": 3, "attrs": []}])
+            for name in ("a", "b")]
+        with pytest.raises(SystemExit, match=r"a/events.jsonl:3: attrs: "
+                                             r"expected dict, got list"):
+            main(["diff"] + bundles)
