@@ -37,8 +37,14 @@ VENDOR_PREFIX = "/system/vendor"
 
 
 def _spread(total: int, count: int, rng) -> List[int]:
-    """Split ``total`` bytes into ``count`` file sizes, deterministically."""
-    weights = [rng.uniform(0.2, 1.8) for _ in range(count)]
+    """Split ``total`` bytes into ``count`` file sizes, deterministically.
+
+    Each weight is ``rng.uniform(0.2, 1.8)`` computed with ``uniform``'s
+    own arithmetic from one bound ``random`` method, so the sizes are
+    bit-identical without a Python-level ``uniform`` call per file.
+    """
+    random = rng.random
+    weights = [0.2 + (1.8 - 0.2) * random() for _ in range(count)]
     scale = total / sum(weights)
     sizes = [max(1024, int(w * scale)) for w in weights]
     sizes[-1] += total - sum(sizes)      # exact total

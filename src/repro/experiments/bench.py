@@ -54,6 +54,7 @@ from repro.experiments.harness import (
 )
 from repro.sim.metrics import rollup_counters
 from repro.sim.rows import migration_rows
+from repro.sim.shapes import check as check_shape
 
 
 SCHEMA_VERSION = 5
@@ -199,6 +200,29 @@ def _payload(rows: List[Dict], rollup: Dict, workers, executor,
     }
 
 
+class BenchError(Exception):
+    """A baseline file that is not a bench document."""
+
+
+#: The baseline fields :func:`check` and :func:`format_report` read.
+_BASELINE = {"sim?": ({"avg_total_seconds?": float,
+                       "avg_perceived_seconds?": float,
+                       "avg_non_transfer_seconds?": float,
+                       "counters?": {str: float}}, None),
+             "wall?": dict}
+
+
+def load_baseline(path: Path) -> Dict:
+    """The baseline document at ``path``; :class:`BenchError` naming
+    the file if it is not JSON or not shaped as :data:`_BASELINE`."""
+    try:
+        document = json.loads(path.read_text())
+    except json.JSONDecodeError as error:
+        raise BenchError(f"{path}: not JSON ({error.msg} at line "
+                         f"{error.lineno})") from error
+    return check_shape(document, _BASELINE, str(path), BenchError)
+
+
 def check(current: Dict, baseline: Dict,
           tolerance: float = SIM_TOLERANCE) -> List[str]:
     """Problems (empty = pass) comparing ``current`` vs ``baseline``.
@@ -341,22 +365,27 @@ def run_check(baseline_path: Optional[Path] = None, update: bool = False,
             return 2, (f"no baseline at {path}; run 'flux-sim bench-check "
                        f"--update' first")
         try:
+            baseline = load_baseline(path)
             current = sim_payload_from_bundle(loaded)
-        except BundleError as error:
+        except (BenchError, BundleError) as error:
             return 2, str(error)
-        baseline = json.loads(path.read_text())
         problems = check(current, baseline, tolerance=tolerance)
         return ((1 if problems else 0),
                 format_report(current, baseline, problems))
+    baseline = None
+    if not update and path.exists():
+        try:
+            baseline = load_baseline(path)
+        except BenchError as error:
+            return 2, str(error)
     sweep, wall = measure_sweep(workers=workers)
     current = build_payload(sweep, wall, workers=workers,
                             fleet_row=measure_fleet())
 
-    if update or not path.exists():
+    if baseline is None:
         path.write_text(json.dumps(current, indent=2) + "\n")
         return 0, (f"wrote baseline {path} (schema {SCHEMA_VERSION}, "
                    f"{current['cells']} cells)")
 
-    baseline = json.loads(path.read_text())
     problems = check(current, baseline, tolerance=tolerance)
     return (1 if problems else 0), format_report(current, baseline, problems)

@@ -73,7 +73,7 @@ def _events_digest(result: ScenarioResult) -> str:
     import hashlib
     import json
 
-    payload = json.dumps(result.events, sort_keys=True).encode()
+    payload = json.dumps(list(result.events), sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
 
 

@@ -47,6 +47,7 @@ from repro.core.migration.placement import (
 )
 from repro.experiments.harness import fan_out, format_table, resolve_workers
 from repro.experiments.scenario import ScenarioSpec, SessionSpec, run_scenario
+from repro.sim.events import EventLog
 from repro.sim.metrics import merge_snapshots, rollup_counters
 from repro.sim.rng import RngFactory, derive_seed
 from repro.sim.rows import session_fields
@@ -108,12 +109,13 @@ class Site(NamedTuple):
 
 
 class SiteOutcome(NamedTuple):
-    """What one site's simulation produced (picklable, JSON-able)."""
+    """What one site's simulation produced (picklable; the event log
+    reads as JSON-ready dicts)."""
 
     site: str
     rows: List[Dict]
     metrics: Dict
-    events: List[Dict]
+    events: EventLog
     timeline: Dict[str, List[List[float]]]
     makespan: float
     device_utilization: Dict[str, float]
@@ -130,10 +132,10 @@ class FleetResult:
     #: decision plus (for compiled sessions) the scenario outcome.
     rows: List[Dict]
     metrics: Dict
-    #: Every site's event stream, site-labeled, concatenated in site
+    #: Every site's event log, site-labeled, concatenated in site
     #: order (sites are independent clocks; merging by time would be
-    #: meaningless — same shape as the sweep's pair-labeled stream).
-    events: List[Dict]
+    #: meaningless — same shape as the sweep's pair-labeled log).
+    events: EventLog
     #: Every site's timeline, ``site=<name>`` folded into the keys.
     timeline: Dict[str, List[List[float]]] = field(default_factory=dict)
     makespan_by_site: Dict[str, float] = field(default_factory=dict)
@@ -378,18 +380,12 @@ def merge_site_outcomes(spec: FleetSpec, sites: Sequence[Site],
     callers keep in global site-index order; that is the whole
     shard-merge determinism story."""
     rows: List[Dict] = []
-    events: List[Dict] = []
     timeline: Dict[str, List[List[float]]] = {}
     makespans: Dict[str, float] = {}
     device_utilization: Dict[str, float] = {}
     medium_utilization: Dict[str, float] = {}
     for outcome in outcomes:
         rows.extend(outcome.rows)
-        # Tagged in place: a copy per event would hold the epoch's
-        # events twice while the merge runs.
-        for event in outcome.events:
-            event["site"] = outcome.site
-        events.extend(outcome.events)
         for key, samples in outcome.timeline.items():
             name, labels = split_series_key(key)
             labels["site"] = outcome.site
@@ -403,7 +399,8 @@ def merge_site_outcomes(spec: FleetSpec, sites: Sequence[Site],
         sites=[site.name for site in sites],
         rows=rows,
         metrics=metrics,
-        events=events,
+        events=EventLog.labeled("site", ((outcome.site, outcome.events)
+                                         for outcome in outcomes)),
         timeline={key: timeline[key] for key in sorted(timeline)},
         makespan_by_site=makespans,
         device_utilization=device_utilization,

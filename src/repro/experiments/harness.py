@@ -22,6 +22,7 @@ from repro.apps.common import AppSpec
 from repro.core.cria.errors import MigrationError, MigrationRefusal
 from repro.core.migration.migration import MigrationReport
 from repro.sim import SimClock
+from repro.sim.events import EventLog
 from repro.sim.metrics import (
     empty_snapshot,
     merge_snapshots,
@@ -50,9 +51,9 @@ class SweepResult:
         default_factory=dict)
     #: pair_label -> merged (home + guest) metrics snapshot for the pair.
     pair_metrics: Dict[str, Dict] = field(default_factory=dict)
-    #: pair_label -> the pair's causally-merged home+guest event stream
+    #: pair_label -> the pair's causally-merged home+guest event log
     #: (see :mod:`repro.sim.events`); empty when ``FLUX_EVENTS=0``.
-    pair_events: Dict[str, List[Dict]] = field(default_factory=dict)
+    pair_events: Dict[str, EventLog] = field(default_factory=dict)
     #: pair_label -> the pair's merged time-series export (see
     #: :mod:`repro.sim.timeline`); empty when ``FLUX_TIMELINE=0``.
     pair_timelines: Dict[str, Dict[str, List[List[float]]]] = field(
@@ -111,21 +112,17 @@ class SweepResult:
         ``app`` label (device-level series land under ``""``)."""
         return snapshot_by_label(self.merged_metrics(), "app")
 
-    def merged_events(self) -> List[Dict]:
-        """Every pair's event stream, pair-labeled, in pair order.
+    def merged_events(self) -> EventLog:
+        """Every pair's event log, pair-labeled, in pair order.
 
         Each pair is an independent simulation with its own clock and
         device names, so cross-pair merging by time would be
-        meaningless; instead each event gains a ``pair`` key and the
-        streams concatenate in ``pair_labels`` order — deterministic
+        meaningless; instead each event reads with a ``pair`` key and
+        the logs concatenate in ``pair_labels`` order — deterministic
         regardless of sweep parallelism."""
-        labeled: List[Dict] = []
-        for label in self.pair_labels:
-            for event in self.pair_events.get(label) or []:
-                tagged = dict(event)
-                tagged["pair"] = label
-                labeled.append(tagged)
-        return labeled
+        return EventLog.labeled("pair", (
+            (label, self.pair_events[label]) for label in self.pair_labels
+            if label in self.pair_events))
 
     def merged_timelines(self) -> Dict[str, Dict[str, List[List[float]]]]:
         """Every pair's timeline export, keyed by pair label, in pair
@@ -144,9 +141,9 @@ class PairOutcome(NamedTuple):
     refusals: Dict[str, MigrationRefusal]
     #: Merged home + guest metrics snapshot for this pair's simulation.
     metrics: Dict
-    #: Causally-merged home + guest event stream (same virtual clock,
+    #: Causally-merged home + guest event log (same virtual clock,
     #: so ``merge_streams`` yields one deterministic interleaving).
-    events: List[Dict]
+    events: EventLog
     #: Merged home + guest edge-sampled time series (associative
     #: ``merge_timelines``); ``{}`` when ``FLUX_TIMELINE=0``.
     timeline: Dict[str, List[List[float]]]
@@ -282,7 +279,7 @@ def merge_pair_outcomes(
     reports: Dict[Tuple[str, str], MigrationReport] = {}
     refusals: Dict[Tuple[str, str], MigrationRefusal] = {}
     pair_metrics: Dict[str, Dict] = {}
-    pair_events: Dict[str, List[Dict]] = {}
+    pair_events: Dict[str, EventLog] = {}
     pair_timelines: Dict[str, Dict[str, List[List[float]]]] = {}
     for (home_profile, guest_profile), outcome in zip(pairs, pair_results):
         label = pair_label(home_profile, guest_profile)

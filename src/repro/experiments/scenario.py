@@ -40,6 +40,7 @@ from repro.core.cria.errors import MigrationError, MigrationRefusal
 from repro.core.extensions import FluxExtensions
 from repro.core.migration.migration import MigrationReport
 from repro.sim import SimClock
+from repro.sim.events import EventLog
 from repro.sim.rng import RngFactory
 from repro.sim.scheduler import Resource, Scheduler, Session
 from repro.sim.telemetry import Telemetry, export
@@ -168,7 +169,7 @@ class ScenarioResult:
     #: Merged snapshot over every device, in listed device order.
     metrics: Dict
     #: All devices' events causally merged (one shared clock).
-    events: List[Dict]
+    events: EventLog
     #: The world's edge-sampled time series (shares, queue depths,
     #: active flows, sessions in flight), exported.
     timeline: Dict[str, List[List[float]]] = field(default_factory=dict)

@@ -175,7 +175,7 @@ def is_tar_path(path: str) -> bool:
 
 def write_bundle(path: str, *, kind: str, fingerprint: Dict[str, Any],
                  metrics: Optional[Dict[str, Any]] = None,
-                 events: Optional[List[Dict[str, Any]]] = None,
+                 events: Optional[Iterable[Dict[str, Any]]] = None,
                  timeline: Optional[Dict[str, List[List[float]]]] = None,
                  trace: Optional[Any] = None,
                  profile: Optional[str] = None) -> str:

@@ -40,9 +40,11 @@ explains it.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.sim.shapes import check
@@ -93,8 +95,9 @@ class FlightRecorder:
     ``keys`` names the attrs in order and is interned per recorder, so
     events emitted from one call site share one key tuple.  ``seq``
     is not stored: it follows from the position in the ring, and
-    ``device`` from the recorder.  :meth:`export`, :meth:`events` and
-    iteration build the dicts and :class:`CausalEvent` objects.
+    ``device`` from the recorder.  :meth:`events` and iteration build
+    :class:`CausalEvent` objects; :meth:`export` hands the records to an
+    :class:`EventLog`, which builds the event dicts when it is read.
     """
 
     def __init__(self, clock=None, device: str = "",
@@ -195,35 +198,106 @@ class FlightRecorder:
         return [self._event(seq, record) for seq, record in self._numbered()
                 if kind is None or record[1] == kind]
 
-    def export(self) -> List[Dict[str, Any]]:
-        """The retained events as JSON-ready dicts, in emission order.
+    def export(self) -> "EventLog":
+        """The retained events as a one-stream :class:`EventLog`.
 
-        The key set is fixed, so JSONL lines are uniform.
+        The log shares the ring's records, so exporting builds nothing
+        per event.
         """
-        device = self.device
-        return [{"seq": seq, "t": record[0], "device": device,
-                 "kind": record[1], "txn": record[2], "span": record[3],
-                 "attrs": dict(zip(record[4], record[5:]))}
-                for seq, record in self._numbered()]
+        records = tuple(self._ring)
+        first = self.emitted - len(records) + 1
+        return EventLog(((None, ((self.device, first, records),)),))
 
     def clear(self) -> None:
         self._ring.clear()
 
 
-def merge_streams(*streams: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Merge exported per-device streams into one causal ordering.
+class EventLog:
+    """Exported events, kept as the flight recorders' own records.
 
-    Devices in one simulation share a virtual clock, so sorting by
+    A log is a run of *sections*, each ``(label, streams)``: the events
+    of one simulation.  A stream is one recorder's retained records,
+    ``(device, first_seq, records)``, where ``records`` are the ring's
+    ``(time, kind, txn, span, keys, *values)`` tuples in emission order.
+    ``label`` is ``None`` or one ``(key, value)`` pair that every event
+    of the section carries (the sweep's ``pair``, the fleet's ``site``),
+    stored once per section, not once per event.
+
+    Nothing is built per event until something reads the log.  Iteration
+    yields one fresh JSON-ready dict per event, keyed ``seq``, ``t``,
+    ``device``, ``kind``, ``txn``, ``span``, ``attrs`` and the label's
+    key (a fixed key set, so JSONL lines are uniform): sections in
+    order, and each section's streams merged by ``(t, device, seq)``.
+    A recorder reads a clock that never moves backwards, so each stream
+    is already in that order and the merge is a streaming one.  A log
+    equals another log, or a list, holding the same event dicts in the
+    same order, and pickles as its records.
+    """
+
+    __slots__ = ("_sections",)
+
+    def __init__(self, sections: Iterable[tuple] = ()) -> None:
+        self._sections = tuple(sections)
+
+    @classmethod
+    def labeled(cls, key: str, logs: Iterable[Tuple[Any, "EventLog"]]
+                ) -> "EventLog":
+        """The ``(value, log)`` logs concatenated in the given order,
+        every event of ``log`` carrying ``key: value``."""
+        return cls(((key, value), streams)
+                   for value, log in logs for _, streams in log._sections)
+
+    def _streams(self):
+        return (stream for _, streams in self._sections for stream in streams)
+
+    def __len__(self) -> int:
+        return sum(len(records) for _, _, records in self._streams())
+
+    def __iter__(self) -> Iterator[Dict[str, Any]]:
+        for label, streams in self._sections:
+            ordered = (_numbered(*streams[0]) if len(streams) == 1
+                       else heapq.merge(*(_numbered(*stream)
+                                          for stream in streams),
+                                        key=_CAUSAL_ORDER))
+            for time, device, seq, record in ordered:
+                event = {"seq": seq, "t": time, "device": device,
+                         "kind": record[1], "txn": record[2],
+                         "span": record[3],
+                         "attrs": dict(zip(record[4], record[5:]))}
+                if label is not None:
+                    event[label[0]] = label[1]
+                yield event
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (EventLog, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __reduce__(self):
+        return EventLog, (self._sections,)
+
+
+#: The causal order of merged streams: ``(t, device, seq)``.
+_CAUSAL_ORDER = itemgetter(0, 1, 2)
+
+
+def _numbered(device: str, first: int, records: tuple):
+    return ((record[0], device, seq, record)
+            for seq, record in enumerate(records, first))
+
+
+def merge_streams(*logs: EventLog) -> EventLog:
+    """Merge exported per-device logs into one causal ordering.
+
+    Devices in one simulation share a virtual clock, so ordering by
     ``(t, device, seq)`` yields a deterministic interleaving that
     preserves each device's own emission order (``seq`` is per-device
     monotonic).  The merge is therefore identical whether the streams
-    came from a serial or a parallel sweep.
+    came from a serial or a parallel sweep.  The result is one
+    unlabeled section holding every stream of ``logs``.
     """
-    merged: List[Dict[str, Any]] = []
-    for stream in streams:
-        merged.extend(stream)
-    merged.sort(key=lambda e: (e["t"], e["device"], e["seq"]))
-    return merged
+    return EventLog(((None, tuple(stream for log in logs
+                                  for stream in log._streams())),))
 
 
 def write_jsonl(path: str, events: Iterable[Dict[str, Any]]) -> int:
@@ -239,7 +313,7 @@ def write_jsonl(path: str, events: Iterable[Dict[str, Any]]) -> int:
 
 #: The fields readers of an event log use, each checked where present.
 _EVENT = {"t?": float, "seq?": int, "kind?": str, "device?": str,
-          "attrs?": dict}
+          "pair?": str, "site?": str, "attrs?": {"session?": str}}
 
 
 def parse_jsonl(lines: Iterable[str], source: str = "<events>"

@@ -28,7 +28,8 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.sim.events import DEFAULT_CAPACITY, FlightRecorder, merge_streams
+from repro.sim.events import (DEFAULT_CAPACITY, EventLog, FlightRecorder,
+                              merge_streams)
 from repro.sim.metrics import MetricsRegistry, merge_snapshots
 from repro.sim.timeline import Timeline, merge_timelines
 
@@ -99,11 +100,12 @@ class Telemetry:
 
 
 def export(devices: Iterable[Any], world: Optional[Telemetry] = None
-           ) -> Tuple[Dict[str, Any], List[Dict[str, Any]],
+           ) -> Tuple[Dict[str, Any], EventLog,
                       Dict[str, List[List[float]]]]:
     """``(metrics, events, timeline)`` of one world's devices.
 
-    Metrics snapshots merge, event streams merge in causal order and
+    Metrics snapshots merge, event streams merge in causal order (an
+    :class:`~repro.sim.events.EventLog` holding the rings' records) and
     timelines merge by time.  ``world`` adds the handle of the world
     the devices live in.  A timeline the devices share is exported
     once.

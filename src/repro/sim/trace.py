@@ -298,7 +298,8 @@ def chrome_instant_events(events) -> List[Dict[str, Any]]:
     """A causal event stream as Chrome-trace instant ("i") events.
 
     ``events`` is a :class:`repro.sim.events.FlightRecorder` or an
-    iterable of exported event dicts.  Each becomes a thread-scoped
+    iterable of event dicts (an :class:`~repro.sim.events.EventLog`,
+    or a log read back from JSONL).  Each becomes a thread-scoped
     (``"s": "t"``) instant whose args carry the per-device sequence
     number, the Binder transaction id (when inside one) and the event's
     attributes — the same fields the ``--events-out`` JSONL records, so

@@ -40,7 +40,7 @@ def _fingerprint(sweep: SweepResult) -> bytes:
                      for (pair, pkg), refusal
                      in sorted(sweep.refusals.items())},
         "metrics": sweep.merged_metrics(),
-        "events": sweep.merged_events(),
+        "events": list(sweep.merged_events()),
         "timelines": sweep.merged_timelines(),
     }
     return json.dumps(doc, sort_keys=True, default=str).encode()

@@ -81,7 +81,7 @@ class TestMetricsAndEvents:
     def test_event_stream_roundtrips(self, outcome):
         clone = _roundtrip(outcome.events)
         assert clone == outcome.events
-        assert _json_bytes(clone) == _json_bytes(outcome.events)
+        assert _json_bytes(list(clone)) == _json_bytes(list(outcome.events))
 
 
 class TestPairOutcome:

@@ -65,7 +65,7 @@ class TestByteIdentity:
         device_events = [e for e in scenario.events
                          if e["device"] != "world"]
         assert json.dumps(device_events, sort_keys=True) == \
-            json.dumps(pair.events, sort_keys=True)
+            json.dumps(list(pair.events), sort_keys=True)
 
     def test_single_session_outcome_shape(self):
         app = APPS[0]
@@ -84,8 +84,8 @@ class TestSubmissionOrderIndependence:
                     for h, g in (("home1", "guest1"), ("home2", "guest2"))]
         forward = run_scenario(_four_device_world(sessions))
         backward = run_scenario(_four_device_world(reversed(sessions)))
-        assert json.dumps(forward.events, sort_keys=True) == \
-            json.dumps(backward.events, sort_keys=True)
+        assert json.dumps(list(forward.events), sort_keys=True) == \
+            json.dumps(list(backward.events), sort_keys=True)
         assert json.dumps(forward.metrics, sort_keys=True) == \
             json.dumps(backward.metrics, sort_keys=True)
 
@@ -94,8 +94,8 @@ class TestSubmissionOrderIndependence:
                     for app in APPS]
         forward = run_scenario(_pair_world(sessions))
         backward = run_scenario(_pair_world(reversed(sessions)))
-        assert json.dumps(forward.events, sort_keys=True) == \
-            json.dumps(backward.events, sort_keys=True)
+        assert json.dumps(list(forward.events), sort_keys=True) == \
+            json.dumps(list(backward.events), sort_keys=True)
 
 
 class TestAdmissionControl:

@@ -158,7 +158,7 @@ class TestTimelineKillSwitch:
         return json.dumps({
             "reports": reports,
             "metrics": result.metrics,
-            "events": result.events,
+            "events": list(result.events),
         }, sort_keys=True, default=str)
 
     def test_disabling_the_timeline_changes_nothing(self, monkeypatch):

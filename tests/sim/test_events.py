@@ -168,7 +168,7 @@ class TestExportAndJsonl:
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 2
         # Sorted keys -> stable byte-level artifacts.
-        assert json.loads(lines[0]) == recorder.export()[0]
+        assert json.loads(lines[0]) == list(recorder.export())[0]
         assert list(json.loads(lines[0])) == sorted(json.loads(lines[0]))
         assert read_jsonl(str(path)) == recorder.export()
 
@@ -199,6 +199,17 @@ class TestMalformedLines:
         with pytest.raises(EventsError, match=r"^log.jsonl:2: expected "
                                               r"dict, got"):
             parse_jsonl(['{"seq": 1}', line], source="log.jsonl")
+
+    @pytest.mark.parametrize("line", [
+        '{"seq": 1, "pair": [1]}', '{"seq": 1, "site": 7}',
+        '{"seq": 1, "attrs": {"session": [1]}}'],
+        ids=["pair", "site", "session"])
+    def test_labels_must_be_strings(self, line):
+        from repro.sim.events import parse_jsonl
+        with pytest.raises(EventsError, match=r"^log.jsonl:1: "
+                                              r"(pair|site|attrs.session): "
+                                              r"expected str, got"):
+            parse_jsonl([line], source="log.jsonl")
 
     def test_long_lines_are_truncated_in_the_error(self, tmp_path):
         from repro.sim.events import parse_jsonl

@@ -6,15 +6,21 @@ and timeline keep flat ``[t0, v0, t1, v1, ...]`` series (DESIGN.md,
 the object-per-event stores showed: position-derived ``seq`` across
 eviction and ``clear()``, context-label precedence and key order, and
 same-timestamp coalescing.  The second half is a memory ratchet: a
-record type that grows back toward a dict per event shows up here.
+record type that grows back toward a dict per event shows up here, and
+so does an exported event log that holds one.
 """
 
+import gc
 import tracemalloc
 
 import pytest
 
+from repro.android.hardware.profiles import PAPER_DEVICE_PAIRS
+from repro.apps import app_by_title
+from repro.experiments.scenario import ScenarioSpec, SessionSpec, run_scenario
 from repro.sim import SimClock
 from repro.sim.events import FlightRecorder
+from repro.sim.telemetry import EVENTS_ENV
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.timeline import Timeline, append_sample, sample_pairs
 from repro.sim.trace import Tracer, chrome_instant_events
@@ -24,6 +30,12 @@ from repro.sim.trace import Tracer, chrome_instant_events
 #: on CPython 3.11: 414 with a frozen dataclass and a merged attrs dict
 #: per event, 183 with flat tuples.
 EVENT_BYTES_BOUND = 200
+
+#: Bytes a scenario result holds per exported event: traced memory held
+#: after the run with events on, minus the same with ``FLUX_EVENTS=0``,
+#: over the events exported.  Measured on CPython 3.11: 525 with a dict
+#: per event in the result, 165-171 with the ring's records.
+RESULT_EVENT_BYTES_BOUND = 200
 
 #: Retained bytes per counter sample at distinct timestamps.  Measured
 #: on CPython 3.11: 118 with a ``(t, v)`` tuple per sample, 72 flat.
@@ -90,8 +102,10 @@ class TestAttrs:
     def test_export_builds_fresh_dicts(self):
         recorder = FlightRecorder(clock=SimClock(), device="home")
         recorder.emit("e", n=1)
-        recorder.export()[0]["attrs"]["n"] = 2
-        assert recorder.export()[0]["attrs"] == {"n": 1}
+        log = recorder.export()
+        list(log)[0]["attrs"]["n"] = 2
+        assert list(log)[0]["attrs"] == {"n": 1}
+        assert list(recorder.export())[0]["attrs"] == {"n": 1}
 
 
 class TestSeries:
@@ -162,6 +176,39 @@ def test_event_bytes_ratchet():
 
     per_event = _retained_bytes(build, fill)
     assert per_event <= EVENT_BYTES_BOUND, per_event
+
+
+def _held_by_scenario(spec):
+    """Traced bytes still allocated once ``run_scenario`` returns (its
+    world collected), and the number of events the result exported."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run_scenario(spec)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0], len(result.events)
+    finally:
+        tracemalloc.stop()
+
+
+def test_result_event_bytes_ratchet(monkeypatch):
+    home, guest = PAPER_DEVICE_PAIRS[0]
+    spec = ScenarioSpec(
+        devices=(("home1", home), ("guest1", guest),
+                 ("home2", home), ("guest2", guest)),
+        sessions=tuple(SessionSpec(h, g, app_by_title(title).package)
+                       for title in ("ZEDGE", "eBay", "Flappy Bird")
+                       for h, g in (("home1", "guest1"),
+                                    ("home2", "guest2"))),
+        seed=3)
+    run_scenario(spec)                  # warm-up: imports and caches
+    monkeypatch.setenv(EVENTS_ENV, "1")
+    with_events, exported = _held_by_scenario(spec)
+    monkeypatch.setenv(EVENTS_ENV, "0")
+    without, none = _held_by_scenario(spec)
+    assert exported > 200 and none == 0
+    per_event = (with_events - without) / exported
+    assert per_event <= RESULT_EVENT_BYTES_BOUND, per_event
 
 
 def test_counter_sample_bytes_ratchet():

@@ -1,5 +1,7 @@
 """The flux-sim command-line front end."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -402,6 +404,43 @@ class TestHostileInputs:
         assert main(["bench-check", "--bundle", bundle,
                      "--baseline", str(baseline)]) == 2
         assert "migrations[0].stages: expected dict" in \
+            capsys.readouterr().out
+
+    @pytest.mark.parametrize("field", ["pair", "site", "attrs.session"])
+    @pytest.mark.parametrize("command", [[], ["--why", "home/x@1"]],
+                             ids=["explain", "why"])
+    def test_explain_event_with_a_list_label(self, tmp_path, field,
+                                            command):
+        event = {"seq": 1, "t": 0.0, "device": "h",
+                 "kind": "migration.start", "attrs": {"package": "p"}}
+        if field == "attrs.session":
+            event["attrs"]["session"] = [1]
+        else:
+            event[field] = [1]
+        path = tmp_path / "events.jsonl"
+        path.write_text(json.dumps(event) + "\n")
+        with pytest.raises(SystemExit, match=f"{path}:1: {field}: expected "
+                                             f"str, got list"):
+            main(["explain", str(path)] + command)
+
+    @pytest.mark.parametrize("bundled", [True, False],
+                             ids=["bundle", "full"])
+    def test_bench_check_non_object_baseline(self, tmp_path, capsys,
+                                             monkeypatch, bundled):
+        from repro.experiments import bench
+
+        def measure_sweep(**_):
+            raise AssertionError("measured before reading the baseline")
+
+        monkeypatch.setattr(bench, "measure_sweep", measure_sweep)
+        baseline = tmp_path / "BENCH_sweep.json"
+        baseline.write_text("[1]\n")
+        bundle = (["--bundle", self._bundle(tmp_path / "run", kind="sweep",
+                                            metrics={"migrations": []})]
+                  if bundled else [])
+        assert main(["bench-check", "--baseline", str(baseline)]
+                    + bundle) == 2
+        assert f"{baseline}: expected dict, got list" in \
             capsys.readouterr().out
 
     def test_diff_with_non_object_counters(self, tmp_path):
