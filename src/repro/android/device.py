@@ -93,12 +93,9 @@ class Device:
                  rng_factory: Optional[RngFactory] = None,
                  name: Optional[str] = None,
                  flux_enabled: bool = True,
-                 extensions=None,
                  timeline: Optional[Timeline] = None) -> None:
-        from repro.core.extensions import FluxExtensions
         self.profile = profile
         self.name = name or profile.name
-        self.extensions = extensions or FluxExtensions.none()
         self.clock = clock or SimClock()
         self.rng_factory = rng_factory or RngFactory()
         self.tracer = Tracer(self.clock)

@@ -50,7 +50,7 @@ from typing import List, Optional
 
 from repro.android.device import Device
 from repro.android.hardware.profiles import ALL_PROFILES, profile_by_name
-from repro.apps import TOP_APPS, app_by_title
+from repro.apps import TOP_APPS, AppSpec
 from repro.core.cria.errors import MigrationError
 from repro.core.extensions import FluxExtensions
 from repro.experiments.harness import format_table, parse_workers
@@ -188,15 +188,7 @@ def _write_migrate_outputs(args, home, guest, report) -> None:
 
 
 def cmd_migrate(args) -> int:
-    try:
-        spec = app_by_title(args.app)
-    except KeyError:
-        matching = [a.title for a in TOP_APPS
-                    if args.app.lower() in a.title.lower()]
-        if len(matching) != 1:
-            raise SystemExit(f"unknown app {args.app!r}; "
-                             f"try one of {[a.title for a in TOP_APPS]}")
-        spec = app_by_title(matching[0])
+    spec = _resolve_app(args.app)
     extensions = _parse_extensions(args.extensions)
     home, guest = _boot_pair(args.home, args.guest, args.seed)
     spec.install_and_launch(home)
@@ -307,9 +299,9 @@ def cmd_sweep(args) -> int:
         resolve_workers,
         run_sweep,
         sweep_metrics_document,
-        sweep_timeline_series,
         sweep_workers,
     )
+    from repro.sim.timeline import labeled_timelines
     workers = resolve_workers(sweep_workers(args.workers),
                               len(PAPER_DEVICE_PAIRS))
     # The figure modules call run_sweep() with the same cache key, so
@@ -340,7 +332,7 @@ def cmd_sweep(args) -> int:
              workers=workers),
         metrics=sweep_metrics_document(sweep),
         events=sweep.merged_events(),
-        timeline=sweep_timeline_series(sweep),
+        timeline=labeled_timelines("pair", sweep.merged_timelines().items()),
         profile=profile_report)
     return 0
 
@@ -447,18 +439,17 @@ def cmd_diff(args) -> int:
     return exit_code(document)
 
 
-def _resolve_package(name: str) -> str:
-    """An app as the CLI spells it: exact package, else title substring."""
-    from repro.apps.catalog import app_by_package
-    try:
-        return app_by_package(name).package
-    except KeyError:
-        pass
+def _resolve_app(name: str) -> AppSpec:
+    """An app as the CLI spells it: exact package, else exact title,
+    else a unique (case-insensitive) title substring."""
+    for app in TOP_APPS:
+        if name in (app.package, app.title):
+            return app
     matching = [a for a in TOP_APPS if name.lower() in a.title.lower()]
     if len(matching) != 1:
-        raise SystemExit(f"unknown app {name!r}; use a package or a "
-                         f"unique title substring from flux-sim apps")
-    return matching[0].package
+        raise SystemExit(f"unknown app {name!r}; use a package, a title "
+                         f"or a unique title substring from flux-sim apps")
+    return matching[0]
 
 
 def _parse_session_arg(raw: str):
@@ -476,7 +467,7 @@ def _parse_session_arg(raw: str):
         except ValueError:
             raise SystemExit(f"bad start offset {offset!r} in "
                              f"--migrate {raw!r}")
-    return home, guest, _resolve_package(app), start
+    return home, guest, _resolve_app(app).package, start
 
 
 def cmd_scenario(args) -> int:
@@ -484,7 +475,10 @@ def cmd_scenario(args) -> int:
         ScenarioError,
         ScenarioSpec,
         SessionSpec,
+        render_sessions,
         run_scenario,
+        scenario_metrics_document,
+        scenario_trace_document,
     )
 
     if args.device:
@@ -519,32 +513,16 @@ def cmd_scenario(args) -> int:
     except ScenarioError as error:
         raise SystemExit(str(error))
 
-    print(f"scenario: {len(devices)} devices, {len(sessions)} sessions, "
-          f"admission={args.admission}, seed={args.seed}")
-    rows = []
-    for outcome in result.sessions:
-        report = outcome.report
-        rows.append((
-            f"{outcome.spec.home}->{outcome.spec.guest}",
-            outcome.spec.package,
-            outcome.status.upper(),
-            outcome.session or "-",
-            f"{outcome.queued_seconds:.3f}",
-            f"{report.total_seconds:.3f}" if report is not None else "-",
-            (units.format_size(report.transferred_bytes)
-             if report is not None and report.success else "-"),
-        ))
-    print(format_table(("route", "package", "status", "session",
-                        "queued (s)", "total (s)", "transferred"), rows))
+    metrics = scenario_metrics_document(spec, result)
+    print(render_sessions(
+        metrics["scenario"]["sessions"],
+        title=f"scenario: {len(devices)} devices, {len(sessions)} "
+              f"sessions, admission={args.admission}, seed={args.seed}"))
     failures = [o for o in result.sessions if o.status != "migrated"]
     for outcome in failures:
         detail = outcome.refusal_detail or (
             outcome.refusal.value if outcome.refusal else "")
         print(f"  {outcome.spec.package}: {outcome.status} ({detail})")
-    from repro.experiments.scenario import (
-        scenario_metrics_document,
-        scenario_trace_document,
-    )
     _write_outputs(
         args, "scenario",
         dict(workload=[s.package for s in sessions],
@@ -559,7 +537,7 @@ def cmd_scenario(args) -> int:
                      f"{s.home}:{s.guest}:{s.package}@{s.start:g}"
                      for s in sessions),
              }),
-        metrics=scenario_metrics_document(spec, result),
+        metrics=metrics,
         events=result.events,
         timeline=result.timeline,
         timeline_meta={"devices": [n for n, _ in spec.devices],
@@ -665,7 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
     migrate.add_argument("--home", default="nexus4")
     migrate.add_argument("--guest", default="nexus7_2013")
     migrate.add_argument("--app", required=True,
-                         help="app title from the catalog (substring ok)")
+                         help="app package, title, or unique title "
+                              "substring from the catalog")
     migrate.add_argument("--extensions", default="",
                          help="comma-separated FluxExtensions flags, "
                               "or 'all'")

@@ -25,9 +25,8 @@ migration keeps the paper-faithful whole-image transfer.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.cria.image import CheckpointImage, IMAGE_COMPRESSION_RATIO
 from repro.sim import units
@@ -115,7 +114,7 @@ def chunk_image(image: CheckpointImage,
 
 
 class ChunkStore:
-    """Digest-indexed record of chunks a device has seen, with LRU cap.
+    """Digest-indexed record of chunks a device has seen.
 
     Persists for the life of the device (across migrations), which is
     what makes ring tests and repeat migrations cheap: the second
@@ -123,16 +122,11 @@ class ChunkStore:
     payload.
     """
 
-    def __init__(self, capacity_bytes: Optional[int] = None,
-                 telemetry: Optional[Telemetry] = None) -> None:
-        if capacity_bytes is not None and capacity_bytes <= 0:
-            raise ValueError(f"bad capacity {capacity_bytes!r}")
-        self.capacity_bytes = capacity_bytes
-        self._chunks: "OrderedDict[str, int]" = OrderedDict()
+    def __init__(self, telemetry: Optional[Telemetry] = None) -> None:
+        self._chunks: Dict[str, int] = {}
         self.bytes_stored = 0
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.metrics = (telemetry or Telemetry.null()).metrics
 
     def __len__(self) -> int:
@@ -142,11 +136,11 @@ class ChunkStore:
         return digest in self._chunks
 
     def add(self, chunk: Chunk) -> None:
-        """Record ``chunk`` as present, refreshing its LRU position."""
+        """Record ``chunk`` as present."""
         self.add_many((chunk,))
 
     def add_many(self, chunks: Iterable[Chunk]) -> None:
-        """Record each chunk as present, refreshing LRU positions.
+        """Record each chunk as present.
 
         The ``store_bytes`` gauge is set once, after the batch, and only
         if the batch stored a new chunk: a batch runs at one instant, so
@@ -155,11 +149,9 @@ class ChunkStore:
         stored = False
         for chunk in chunks:
             if chunk.digest in self._chunks:
-                self._chunks.move_to_end(chunk.digest)
                 continue
             self._chunks[chunk.digest] = chunk.raw_bytes
             self.bytes_stored += chunk.raw_bytes
-            self._evict()
             stored = True
         if stored:
             self.metrics.gauge("chunks", "store_bytes").set(self.bytes_stored)
@@ -175,7 +167,6 @@ class ChunkStore:
         missing: List[Chunk] = []
         for chunk in chunks:
             if chunk.digest in self._chunks:
-                self._chunks.move_to_end(chunk.digest)
                 cached.append(chunk)
                 self.hits += 1
             else:
@@ -197,12 +188,3 @@ class ChunkStore:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def _evict(self) -> None:
-        if self.capacity_bytes is None:
-            return
-        while self.bytes_stored > self.capacity_bytes and self._chunks:
-            _, size = self._chunks.popitem(last=False)
-            self.bytes_stored -= size
-            self.evictions += 1
-            self.metrics.counter("chunks", "store_evictions").inc()

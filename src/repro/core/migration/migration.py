@@ -146,26 +146,15 @@ class MigrationReport:
 class MigrationService:
     """Runs on the home device; drives migrations to paired guests.
 
-    ``extensions`` (per call, else the device's defaults) selects which
-    of the paper's §3.4 extension sketches are active; everything is
-    off by default, matching the published prototype.
+    ``extensions`` (per call) selects which of the paper's §3.4
+    extension sketches are active; everything is off by default,
+    matching the published prototype.
     """
 
-    def __init__(self, device,
-                 extensions: Optional[FluxExtensions] = None) -> None:
+    def __init__(self, device) -> None:
         self.device = device
-        self.extensions = extensions
         #: Migrations started from this device; numbers the sessions.
         self.attempts = 0
-
-    def _extensions(self,
-                    override: Optional[FluxExtensions]) -> FluxExtensions:
-        if override is not None:
-            return override
-        if self.extensions is not None:
-            return self.extensions
-        return getattr(self.device, "extensions", None) \
-            or FluxExtensions.none()
 
     def migrate(self, guest, package: str,
                 link: Optional[Link] = None,
@@ -208,7 +197,7 @@ class MigrationService:
         self.attempts += 1
         try:
             yield from self._migrate(guest, package, link, report,
-                                     self._extensions(extensions),
+                                     extensions or FluxExtensions.none(),
                                      restore_fault)
         except MigrationError as error:
             report.refusal = error.reason

@@ -45,13 +45,14 @@ from repro.core.migration.placement import (
     predict_migration_seconds,
     recorded_needs,
 )
-from repro.experiments.harness import fan_out, format_table, resolve_workers
-from repro.experiments.scenario import ScenarioSpec, SessionSpec, run_scenario
+from repro.experiments.harness import fan_out, resolve_workers
+from repro.experiments.scenario import (ScenarioSpec, SessionSpec,
+                                        render_sessions, run_scenario)
 from repro.sim.events import EventLog
 from repro.sim.metrics import merge_snapshots, rollup_counters
 from repro.sim.rng import RngFactory, derive_seed
 from repro.sim.rows import session_fields
-from repro.sim.timeline import series_key, split_series_key
+from repro.sim.timeline import labeled_timelines, series_key
 
 
 class FleetError(Exception):
@@ -198,7 +199,6 @@ def site_demands(spec: FleetSpec, site: Site) -> List[Demand]:
     """
     factory = RngFactory(spec.seed)
     rng = factory.stream("fleet", site.name, "arrivals")
-    profile_of = dict(site.devices)
     mixes: Dict[str, List[str]] = {}
     for name, profile in site.devices:
         # A device only demands packages it can host itself: the app
@@ -380,16 +380,11 @@ def merge_site_outcomes(spec: FleetSpec, sites: Sequence[Site],
     callers keep in global site-index order; that is the whole
     shard-merge determinism story."""
     rows: List[Dict] = []
-    timeline: Dict[str, List[List[float]]] = {}
     makespans: Dict[str, float] = {}
     device_utilization: Dict[str, float] = {}
     medium_utilization: Dict[str, float] = {}
     for outcome in outcomes:
         rows.extend(outcome.rows)
-        for key, samples in outcome.timeline.items():
-            name, labels = split_series_key(key)
-            labels["site"] = outcome.site
-            timeline[series_key(name, labels)] = samples
         makespans[outcome.site] = outcome.makespan
         device_utilization.update(outcome.device_utilization)
         medium_utilization[outcome.site] = outcome.medium_utilization
@@ -401,7 +396,8 @@ def merge_site_outcomes(spec: FleetSpec, sites: Sequence[Site],
         metrics=metrics,
         events=EventLog.labeled("site", ((outcome.site, outcome.events)
                                          for outcome in outcomes)),
-        timeline={key: timeline[key] for key in sorted(timeline)},
+        timeline=labeled_timelines("site", ((outcome.site, outcome.timeline)
+                                            for outcome in outcomes)),
         makespan_by_site=makespans,
         device_utilization=device_utilization,
         medium_utilization=medium_utilization,
@@ -484,29 +480,15 @@ def fleet_metrics_document(spec: FleetSpec, result: FleetResult,
 
 
 def render_fleet(result: FleetResult) -> str:
-    """The human-readable fleet report ``flux-sim fleet`` prints."""
-    rows = []
-    for row in result.rows:
-        guest = row["guest"] or "-"
-        profile = row.get("wait_profile") or {}
-        rows.append((
-            row["site"],
-            f"{row['home']}->{guest}",
-            row["package"],
-            row["status"].upper(),
-            row["session"] or "-",
-            (f"{profile['wall_s']:.3f}" if profile else "-"),
-            row["placement"].get("detail", "") or row.get("refusal") or "",
-        ))
+    """The human-readable fleet report ``flux-sim fleet`` prints: the
+    session table, then the SLO, utilization and medium lines."""
     slo = result.slo
-    lines = [format_table(
-        ("site", "route", "package", "status", "session", "wall (s)",
-         "why"),
-        rows, title=f"fleet: {result.spec.devices} devices / "
-                    f"{len(result.sites)} sites, "
-                    f"{slo['demands']} demands, "
-                    f"policy={result.spec.policy}, "
-                    f"seed={result.spec.seed}")]
+    lines = [render_sessions(
+        result.rows, title=f"fleet: {result.spec.devices} devices / "
+                           f"{len(result.sites)} sites, "
+                           f"{slo['demands']} demands, "
+                           f"policy={result.spec.policy}, "
+                           f"seed={result.spec.seed}")]
     lines.append("")
     lines.append(
         f"latency: p50 {slo['p50_s']:.3f}s  p95 {slo['p95_s']:.3f}s  "

@@ -368,26 +368,6 @@ def sweep_metrics_document(sweep: SweepResult) -> Dict:
     }
 
 
-def sweep_timeline_series(sweep: SweepResult
-                          ) -> Dict[str, List[List[float]]]:
-    """The sweep's timelines as one flat export, pair folded into labels.
-
-    Each pair is an independent simulation with a private clock, so the
-    per-pair series never merge by time; instead every key gains a
-    ``pair=<label>`` label (via the canonical key grammar), which keeps
-    the flat export collision-free and lets a run bundle store the
-    whole sweep's time-series plane as one standard timeline document.
-    """
-    from repro.sim.timeline import series_key, split_series_key
-    flat: Dict[str, List[List[float]]] = {}
-    for label, series in sweep.merged_timelines().items():
-        for key, samples in series.items():
-            name, labels = split_series_key(key)
-            labels["pair"] = label
-            flat[series_key(name, labels)] = samples
-    return {key: flat[key] for key in sorted(flat)}
-
-
 def format_table(headers: Sequence[str], rows: Sequence[Sequence],
                  title: str = "") -> str:
     """Plain-text table rendering shared by all experiments."""

@@ -39,6 +39,7 @@ from repro.apps.catalog import app_by_package
 from repro.core.cria.errors import MigrationError, MigrationRefusal
 from repro.core.extensions import FluxExtensions
 from repro.core.migration.migration import MigrationReport
+from repro.experiments.harness import format_table
 from repro.sim import SimClock
 from repro.sim.events import EventLog
 from repro.sim.rng import RngFactory
@@ -83,9 +84,6 @@ class ScenarioSpec:
     sessions: Tuple[SessionSpec, ...]
     seed: int = 0
     admission: str = "queue"
-    #: All links share one radio medium, so concurrent transfers
-    #: contend fairly; False gives each link a private, uncontended one.
-    shared_medium: bool = True
 
     def __post_init__(self) -> None:
         if self.admission not in ADMISSION_POLICIES:
@@ -217,8 +215,9 @@ class ScenarioWorld:
                           timeline=self.telemetry.timeline))
             for name, profile in spec.devices)
         self.scheduler = Scheduler(self.clock, telemetry=self.telemetry)
-        self.medium = (Medium(self.clock, telemetry=self.telemetry)
-                       if spec.shared_medium else None)
+        #: All links share one radio medium, so concurrent transfers
+        #: contend fairly.
+        self.medium = Medium(self.clock, telemetry=self.telemetry)
         self._resources = {name: Resource(name, clock=self.clock,
                                           telemetry=self.telemetry)
                            for name in self.devices}
@@ -329,7 +328,7 @@ def _attribute_wait(world: ScenarioWorld, outcome: SessionOutcome,
     blocked_other = sum(seconds for kind, seconds in handle.blocked.items()
                         if kind not in ("resource", "flow"))
     dilation = (world.medium.dilation_for(outcome.session)
-                if world.medium is not None and outcome.session else 0.0)
+                if outcome.session else 0.0)
     profile = {
         "wall_s": wall,
         "admission_queue_s": admission,
@@ -374,6 +373,32 @@ def scenario_metrics_document(spec: ScenarioSpec,
         "metrics": result.metrics,
         "rollup": rollup_counters(result.metrics),
     }
+
+
+def render_sessions(rows: Sequence[Dict], title: str = "") -> str:
+    """The session table ``flux-sim scenario`` and ``flux-sim fleet``
+    print: one line per session row of their metrics documents.
+
+    Reads the row fields of :mod:`repro.sim.rows`, plus ``placement``
+    and ``site`` where a row has them (fleet rows); the ``site`` column
+    appears only when the rows carry one.
+    """
+    sited = any("site" in row for row in rows)
+    table = []
+    for row in rows:
+        profile = row["wait_profile"]
+        table.append(((row["site"],) if sited else ()) + (
+            f"{row['home']}->{row['guest'] or '-'}",
+            row["package"],
+            row["status"].upper(),
+            row["session"] or "-",
+            f"{profile['wall_s']:.3f}" if profile else "-",
+            row.get("placement", {}).get("detail") or row["refusal"] or "",
+        ))
+    return format_table(
+        (("site",) if sited else ())
+        + ("route", "package", "status", "session", "wall (s)", "why"),
+        table, title=title)
 
 
 def scenario_trace_document(result: ScenarioResult) -> List[Dict]:

@@ -4,7 +4,9 @@ The span tree in :mod:`repro.sim.trace` answers "where did the time
 go?"; this registry answers "how much work happened?" — how many Binder
 transactions were interposed, record-log calls pruned, chunks served
 from cache, restore sub-operations replayed.  Every metric is keyed by
-``(subsystem, name, labels)`` and is one of three types:
+``(subsystem, name, labels)``, exported as the flat key
+``series_key("subsystem/name", labels)`` of :mod:`repro.sim.timeline`,
+and is one of three types:
 
 * :class:`Counter` — monotonically increasing integer/float total.
 * :class:`Gauge` — a point-in-time level (chunk-store occupancy).
@@ -33,7 +35,7 @@ from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.sim.timeline import (append_sample, chrome_counter_events,
-                                sample_pairs)
+                                sample_pairs, series_key, split_series_key)
 
 
 class MetricsError(Exception):
@@ -91,28 +93,6 @@ def _canonical_labels(labels: Mapping[str, Any]) -> LabelItems:
     return tuple(items)
 
 
-def metric_key(subsystem: str, name: str, labels: LabelItems = ()) -> str:
-    """Canonical flat key: ``subsystem/name{k=v,...}`` (labels sorted)."""
-    key = f"{subsystem}/{name}"
-    if labels:
-        key += "{" + ",".join(f"{k}={v}" for k, v in labels) + "}"
-    return key
-
-
-def split_key(key: str) -> Tuple[str, str, Dict[str, str]]:
-    """Inverse of :func:`metric_key`: ``(subsystem, name, labels)``."""
-    labels: Dict[str, str] = {}
-    base = key
-    if key.endswith("}") and "{" in key:
-        base, _, label_part = key.partition("{")
-        for item in label_part[:-1].split(","):
-            if item:
-                k, _, v = item.partition("=")
-                labels[k] = v
-    subsystem, _, name = base.partition("/")
-    return subsystem, name, labels
-
-
 class _Metric:
     """Shared identity plumbing; subclasses add the typed state."""
 
@@ -126,7 +106,7 @@ class _Metric:
         self.labels = labels
         # Computed once: every timeline sample stamps the key, so
         # rebuilding it per mutation was a measurable sweep cost.
-        self.key = metric_key(subsystem, name, labels)
+        self.key = series_key(f"{subsystem}/{name}", labels)
 
     def _sample(self, value: float) -> None:
         if self._registry is not None:
@@ -183,7 +163,7 @@ class Histogram(_Metric):
         super().__init__(registry, subsystem, name, labels)
         if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise MetricsError(
-                f"histogram {metric_key(subsystem, name, labels)} needs "
+                f"histogram {series_key(f'{subsystem}/{name}', labels)} needs "
                 f"strictly increasing bounds, got {bounds!r}")
         self.bounds = tuple(float(b) for b in bounds)
         self.counts = [0] * (len(self.bounds) + 1)
@@ -229,11 +209,9 @@ class MetricsRegistry:
     is only ever read, never advanced.
     """
 
-    def __init__(self, clock=None, enabled: bool = True,
-                 timeline: Optional[bool] = None) -> None:
+    def __init__(self, clock=None, enabled: bool = True) -> None:
         self._clock = clock
         self.enabled = enabled
-        self._timeline = (clock is not None) if timeline is None else timeline
         self._metrics: Dict[Tuple[str, str, LabelItems], _Metric] = {}
         #: Flat ``[t0, v0, t1, v1, ...]`` counter tracks per metric key.
         self._samples: Dict[str, List[float]] = {}
@@ -297,7 +275,7 @@ class MetricsRegistry:
     # -- timeline samples -----------------------------------------------------
 
     def _record_sample(self, key: str, value: float) -> None:
-        if not self._timeline or self._clock is None:
+        if self._clock is None:
             return
         append_sample(self._samples.setdefault(key, []), self._clock.now,
                       value)
@@ -389,8 +367,7 @@ def rollup_counters(snapshot: Dict[str, Any]) -> Dict[str, float]:
     """Counters summed across label variants: ``subsystem/name`` totals."""
     totals: Dict[str, float] = {}
     for key, value in snapshot.get("counters", {}).items():
-        subsystem, name, _ = split_key(key)
-        base = f"{subsystem}/{name}"
+        base = split_series_key(key)[0]
         totals[base] = totals.get(base, 0) + value
     return dict(sorted(totals.items()))
 
@@ -405,14 +382,12 @@ def snapshot_by_label(snapshot: Dict[str, Any],
     grouped: Dict[str, Dict[str, Any]] = {}
     for section in ("counters", "gauges", "histograms"):
         for key, value in snapshot.get(section, {}).items():
-            subsystem, name, labels = split_key(key)
+            name, labels = split_series_key(key)
             if label not in labels:
                 continue
             group = labels.pop(label)
             bucket = grouped.setdefault(group, empty_snapshot())
-            new_key = metric_key(subsystem, name, tuple(sorted(
-                labels.items())))
-            bucket[section][new_key] = value
+            bucket[section][series_key(name, labels)] = value
     return {group: {section: dict(sorted(snap[section].items()))
                     for section in ("counters", "gauges", "histograms")}
             for group, snap in sorted(grouped.items())}
@@ -423,5 +398,5 @@ def subsystems_in(snapshot: Dict[str, Any]) -> List[str]:
     seen = set()
     for section in ("counters", "gauges", "histograms"):
         for key in snapshot.get(section, {}):
-            seen.add(split_key(key)[0])
+            seen.add(split_series_key(key)[0].partition("/")[0])
     return sorted(seen)

@@ -22,14 +22,22 @@ two planes:
   sample lists concatenate under a stable sort by timestamp, so a
   parallel sweep merged in pair order equals the serial sweep's merge.
 
-Series are keyed ``name{label=value,...}`` with sorted labels, the same
-flat-key grammar the metrics registry uses.
+This module owns the flat key grammar of every telemetry plane:
+:func:`series_key` writes ``name{label=value,...}`` with sorted labels
+and :func:`split_series_key` reads it back.  Timeline series use it
+directly; metrics keys are ``series_key("subsystem/name", labels)``.
+
+Worlds with private clocks (sweep pairs, fleet sites) never merge by
+time.  :func:`labeled_timelines` folds each world's label (``pair=``,
+``site=``) into its keys instead, the timeline counterpart of
+``EventLog.labeled``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Tuple)
 
 from repro.sim.shapes import check
 
@@ -143,6 +151,24 @@ def merge_timelines(*exports: Dict[str, List[List[float]]]
     for samples in merged.values():
         samples.sort(key=lambda sample: sample[0])
     return {key: merged[key] for key in sorted(merged)}
+
+
+def labeled_timelines(key: str,
+                      exports: Iterable[Tuple[str, Mapping[str, Any]]]
+                      ) -> Dict[str, List[List[float]]]:
+    """One flat export from ``(label, export)`` pairs, ``key=label``
+    folded into every series key, keys sorted.
+
+    For worlds on private clocks (sweep pairs, fleet sites), whose
+    series must not interleave by time; samples are kept as they are.
+    """
+    flat: Dict[str, List[List[float]]] = {}
+    for label, export in exports:
+        for series, samples in export.items():
+            name, labels = split_series_key(series)
+            labels[key] = label
+            flat[series_key(name, labels)] = samples
+    return {series: flat[series] for series in sorted(flat)}
 
 
 def chrome_counter_events(export: Mapping[str, Any], cat: str = "timeline"

@@ -192,55 +192,34 @@ class TestChunkStore:
         assert len(store) == 1
         assert store.bytes_stored == 100
 
-    def test_lru_eviction_by_bytes(self):
-        store = ChunkStore(capacity_bytes=250)
-        for i in range(3):
-            store.add(self._chunk(i))
-        # 300 bytes > 250: oldest chunk evicted.
-        assert store.evictions == 1
-        assert "d0" not in store and "d2" in store
-        assert store.bytes_stored == 200
-
-    def test_split_refreshes_lru_position(self):
-        store = ChunkStore(capacity_bytes=200)
-        store.add(self._chunk(0))
-        store.add(self._chunk(1))
-        store.split([self._chunk(0)])          # d0 becomes most recent
-        store.add(self._chunk(2))              # evicts d1, not d0
-        assert "d0" in store and "d1" not in store
-
     def test_clear(self):
         store = ChunkStore()
         store.add_many(self._chunk(i) for i in range(5))
         store.clear()
         assert len(store) == 0 and store.bytes_stored == 0
 
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            ChunkStore(capacity_bytes=0)
-
     def test_store_gauge_set_once_per_batch_with_a_new_chunk(self,
                                                              monkeypatch):
         clock = SimClock()
         telemetry = dataclasses.replace(Telemetry.null(),
                                         metrics=MetricsRegistry(clock=clock))
-        store = ChunkStore(capacity_bytes=250, telemetry=telemetry)
+        store = ChunkStore(telemetry=telemetry)
         metrics = store.metrics
         lookups = []
         gauge = metrics.gauge
         monkeypatch.setattr(metrics, "gauge",
                             lambda *key: lookups.append(key) or gauge(*key))
-        store.add_many(self._chunk(i) for i in range(4))   # evicts d0, d1
+        store.add_many(self._chunk(i) for i in range(4))
         store.add_many([self._chunk(2), self._chunk(3)])   # nothing new
         clock.advance(1.0)
         store.add(self._chunk(4))
         assert lookups == [("chunks", "store_bytes")] * 2
-        assert store.bytes_stored == 200
-        assert metrics.snapshot()["gauges"] == {"chunks/store_bytes": 200}
+        assert store.bytes_stored == 500
+        assert metrics.snapshot()["gauges"] == {"chunks/store_bytes": 500}
         assert [(e["ts"], e["args"]["value"])
                 for e in metrics.chrome_counter_events()
                 if e["name"] == "chunks/store_bytes"] == [
-            (0.0, 200), (1_000_000.0, 200)]
+            (0.0, 400), (1_000_000.0, 500)]
 
 
 class TestCostModel:

@@ -1,6 +1,8 @@
 """The metrics registry: typing, keys, merging, timeline export."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import SimClock
 from repro.sim.metrics import (
@@ -10,12 +12,17 @@ from repro.sim.metrics import (
     MetricsRegistry,
     empty_snapshot,
     merge_snapshots,
-    metric_key,
     rollup_counters,
     snapshot_by_label,
-    split_key,
     subsystems_in,
 )
+from repro.sim.timeline import series_key, split_series_key
+
+#: Text free of the key grammar's own characters (``{}=,/``).
+_WORDS = st.text(st.characters(exclude_characters="{}=,/",
+                               exclude_categories=("Cs",)), max_size=8)
+#: Label names that cannot collide with the registry's own parameters.
+_LABEL_NAMES = st.from_regex(r"l_[a-z0-9_]{0,6}", fullmatch=True)
 
 
 class TestKeys:
@@ -27,11 +34,30 @@ class TestKeys:
             "binder/transactions{app=com.x,interface=alarm}"
 
     def test_split_key_roundtrip(self):
-        key = metric_key("record", "calls_pruned",
-                         (("app", "com.x"), ("rule", "IFoo.bar")))
-        assert split_key(key) == ("record", "calls_pruned",
-                                  {"app": "com.x", "rule": "IFoo.bar"})
-        assert split_key("link/bytes_total") == ("link", "bytes_total", {})
+        key = series_key("record/calls_pruned",
+                         {"app": "com.x", "rule": "IFoo.bar"})
+        assert split_series_key(key) == (
+            "record/calls_pruned", {"app": "com.x", "rule": "IFoo.bar"})
+        assert split_series_key("link/bytes_total") == (
+            "link/bytes_total", {})
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=_WORDS, labels=st.dictionaries(_WORDS, _WORDS, max_size=4))
+    def test_series_key_round_trips(self, name, labels):
+        assert split_series_key(series_key(name, labels)) == (name, labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(subsystem=_WORDS, name=_WORDS,
+           labels=st.dictionaries(_LABEL_NAMES,
+                                  st.one_of(_WORDS, st.integers()),
+                                  max_size=4),
+           kind=st.sampled_from(["counter", "gauge", "histogram"]))
+    def test_every_metric_key_is_a_series_key(self, subsystem, name, labels,
+                                              kind):
+        metric = getattr(MetricsRegistry(), kind)(subsystem, name, **labels)
+        assert metric.key == series_key(f"{subsystem}/{name}", labels)
+        assert split_series_key(metric.key) == (
+            f"{subsystem}/{name}", {k: str(v) for k, v in labels.items()})
 
     def test_same_labels_same_metric(self):
         registry = MetricsRegistry()

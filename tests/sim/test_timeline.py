@@ -1,14 +1,18 @@
 """The edge-sampled time-series plane: deterministic, associative,
 a null object when disabled, and exportable as Chrome counters."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import SimClock
 from repro.sim.timeline import (
     Timeline,
     chrome_counter_events,
+    labeled_timelines,
     merge_timelines,
     read_timeline,
     series_key,
@@ -84,6 +88,48 @@ class TestMerge:
 
     def test_merge_of_nothing_is_empty(self):
         assert merge_timelines() == {}
+
+
+_NAMES = st.from_regex(r"[a-z]{1,3}(/[a-z]{1,3})?", fullmatch=True)
+#: Label names other than the folded one (``w``).
+_LABELS = st.dictionaries(st.sampled_from(["a", "medium", "session"]),
+                          st.from_regex(r"[a-z0-9@]{0,3}", fullmatch=True),
+                          max_size=2)
+_SAMPLES = st.lists(st.tuples(st.floats(0, 100), st.floats(-5, 5)).map(list),
+                    max_size=3)
+#: Up to three worlds, distinctly labeled, each with a few series given
+#: as ``(name, labels)`` before any key is written.
+_WORLDS = st.lists(
+    st.tuples(st.from_regex(r"[a-z0-9]{1,4}", fullmatch=True),
+              st.lists(st.tuples(_NAMES, _LABELS, _SAMPLES), max_size=4)),
+    max_size=3, unique_by=lambda world: world[0])
+
+
+class TestLabeledTimelines:
+    @settings(max_examples=150, deadline=None)
+    @given(worlds=_WORLDS)
+    def test_folds_the_label_into_every_key(self, worlds):
+        exports = [(label, {series_key(name, labels): samples
+                            for name, labels, samples in series})
+                   for label, series in worlds]
+        before = copy.deepcopy(exports)
+        folded = labeled_timelines("w", exports)
+        # The reference: each series re-keyed from its parts, the
+        # world's label added; last write wins within a world.
+        reference = {}
+        for label, series in worlds:
+            for name, labels, samples in series:
+                reference[series_key(name, {**labels, "w": label})] = samples
+        assert folded == reference
+        assert list(folded) == sorted(folded)
+        assert exports == before
+        for key, samples in folded.items():
+            name, labels = split_series_key(key)
+            world = dict(exports)[labels.pop("w")]
+            assert world[series_key(name, labels)] is samples
+
+    def test_no_worlds_is_empty(self):
+        assert labeled_timelines("pair", []) == {}
 
 
 class TestExports:

@@ -348,6 +348,21 @@ class TestScenario:
         with pytest.raises(SystemExit):
             main(["scenario", "--migrate", "home:guest:bubble@soon"])
 
+    def test_scenario_and_fleet_print_one_session_table(self, capsys):
+        def header(out):
+            lines = out.splitlines()
+            dashes = next(i for i, line in enumerate(lines)
+                          if line.startswith("----"))
+            return [cell.strip() for cell in lines[dashes - 1].split("  ")
+                    if cell.strip()]
+
+        assert main(["scenario"]) == 0
+        scenario = header(capsys.readouterr().out)
+        assert main(["fleet", "--devices", "4", "--arrivals", "3"]) == 0
+        assert header(capsys.readouterr().out) == ["site"] + scenario
+        assert scenario == ["route", "package", "status", "session",
+                            "wall (s)", "why"]
+
 
 class TestHostileInputs:
     """Malformed artifacts end in a message naming them, not a traceback."""
