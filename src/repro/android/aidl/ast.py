@@ -107,9 +107,6 @@ class InterfaceDecl:
     def method_names(self) -> Tuple[str, ...]:
         return tuple(m.name for m in self.methods)
 
-    def recorded_methods(self) -> Tuple[MethodDecl, ...]:
-        return tuple(m for m in self.methods if m.recorded)
-
     @property
     def decoration_loc(self) -> int:
         return sum(m.decoration.source_lines for m in self.methods

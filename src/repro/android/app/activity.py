@@ -118,9 +118,6 @@ class Activity:
     def on_configuration_changed(self, config) -> None:
         pass
 
-    def on_save_instance_state(self, bundle: Dict[str, Any]) -> None:
-        pass
-
     def on_touch(self, event) -> None:
         """Touch input routed by the InputDispatcher; apps override."""
 

@@ -55,9 +55,6 @@ class ContentProvider:
         row = self._rows.get(key)
         return dict(row) if row is not None else None
 
-    def delete(self, key: str) -> bool:
-        return self._rows.pop(key, None) is not None
-
 
 class AppContext:
     """Per-app android.content.Context equivalent."""
@@ -100,10 +97,6 @@ class AppContext:
         for manager in self._managers.values():
             manager.detach_thread()
         self._thread = None
-
-    def reset_service_cache(self) -> None:
-        """Drop cached managers (rarely needed; managers are app state)."""
-        self._managers.clear()
 
     def rebind_managers(self, fixup, recorder) -> None:
         """Fix every cached manager's remote after restore on a guest.

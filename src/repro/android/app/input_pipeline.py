@@ -38,10 +38,6 @@ class InputDispatcher:
         """``listener(event) -> consumed`` sees events before apps do."""
         self._gesture_listeners.append(listener)
 
-    def remove_gesture_listener(self, listener) -> None:
-        if listener in self._gesture_listeners:
-            self._gesture_listeners.remove(listener)
-
     # -- injection & routing --------------------------------------------------------
 
     def inject(self, event: TouchEvent) -> DispatchRecord:

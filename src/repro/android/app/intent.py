@@ -25,10 +25,6 @@ class Intent:
         self.component = component   # explicit target package, when set
         self.extras: Dict[str, Any] = dict(extras)
 
-    def put_extra(self, key: str, value: Any) -> "Intent":
-        self.extras[key] = value
-        return self
-
     def get_extra(self, key: str, default: Any = None) -> Any:
         return self.extras.get(key, default)
 

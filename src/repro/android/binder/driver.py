@@ -103,9 +103,6 @@ class BinderDriver:
     def state(self, process: Process) -> ProcessBinderState:
         return self._states.setdefault(process.pid, ProcessBinderState())
 
-    def has_state(self, pid: int) -> bool:
-        return pid in self._states
-
     # -- node / reference management ------------------------------------------
 
     def create_node(self, owner: Process, service: Any, label: str,
@@ -119,10 +116,6 @@ class BinderDriver:
         if self._context_manager is not None and self._context_manager.alive:
             raise BinderError("context manager already set")
         self._context_manager = node
-
-    @property
-    def context_manager(self) -> Optional[BinderNode]:
-        return self._context_manager
 
     def acquire_ref(self, process: Process, node: BinderNode) -> int:
         """Give ``process`` a reference to ``node``; returns the handle.
@@ -193,12 +186,6 @@ class BinderDriver:
         if ref is None:
             raise BinderError(f"pid {process.pid} holds no handle {handle}")
         return ref.node
-
-    def handle_for_node(self, process: Process, node: BinderNode) -> Optional[int]:
-        for ref in self.state(process).refs.values():
-            if ref.node is node:
-                return ref.handle
-        return None
 
     # -- transactions ----------------------------------------------------------
 

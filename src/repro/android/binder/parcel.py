@@ -69,9 +69,6 @@ class Parcel:
         self._cursor += 1
         return value
 
-    def rewind(self) -> None:
-        self._cursor = 0
-
     def values(self) -> List[Any]:
         return [v for _, v in self._values]
 

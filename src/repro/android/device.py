@@ -310,13 +310,13 @@ class Device:
         """Tear the device down once its results are exported.
 
         Ownership is a tree rooted here; every edge that points back
-        up it (a child's ``device``, a node's ``service``, a metric's
-        ``_registry``) is cut, so once its world also closes the clock
-        (whose pending timers hold callbacks into the device), the
-        whole device is freed by reference counting instead of waiting
-        for the cyclic collector.  Exported data stays readable;
-        nothing else may be called afterwards.  Idempotent.  DESIGN.md,
-        "World ownership and teardown", lists the edges.
+        up it (a child's ``device``, a node's ``service``) is cut, so
+        once its world also closes the clock (whose pending timers hold
+        callbacks into the device), the whole device is freed by
+        reference counting instead of waiting for the cyclic collector.
+        Exported data stays readable; nothing else may be called
+        afterwards.  Idempotent.  DESIGN.md, "World ownership and
+        teardown", lists the edges.
         """
         for package in self.running_packages():
             self.thread_of(package).close()
@@ -325,7 +325,6 @@ class Device:
         self._service_ctx.close()
         self.kernel.close()
         self.vendor_gl.close()
-        self.metrics.close()
         for child in (self.framework, self.input_dispatcher, self.launcher,
                       self.pairing_service, self.migration_service,
                       self.consistency):

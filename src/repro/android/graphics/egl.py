@@ -152,9 +152,6 @@ class VendorGlLibrary:
             size=self.library_state_size))
         self._loaded_into[process.pid] = process
 
-    def is_loaded(self, process) -> bool:
-        return process.pid in self._loaded_into
-
     def unload(self, process) -> None:
         """eglUnload's vendor half: only legal once no contexts remain."""
         if process.pid not in self._loaded_into:

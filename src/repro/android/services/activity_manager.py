@@ -190,9 +190,6 @@ class ActivityManagerService(SystemService):
     def broadcastIntent(self, caller, intent: Intent) -> None:
         self.broadcast(intent)
 
-    def broadcastStickyIntent(self, caller, intent: Intent) -> None:
-        self.broadcast_sticky(intent)
-
     def removeStickyBroadcast(self, caller, action: str) -> None:
         self._sticky.pop(action, None)
 

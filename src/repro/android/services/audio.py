@@ -151,7 +151,3 @@ class AudioService(SystemService):
             "focus_holder": self.focus_holder(),
             "media_buttons": len(self._media_button_receivers),
         }
-
-    def volume_fraction(self, stream_type: int) -> float:
-        """Volume as a fraction of max (used by the replay rescale proxy)."""
-        return self._volumes[stream_type] / self._max_of(stream_type)

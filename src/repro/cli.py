@@ -124,7 +124,7 @@ def cmd_pair(args) -> int:
 
 def _write_outputs(args, kind: str, fingerprint: dict, *, metrics=None,
                    events=None, timeline=None, timeline_meta=None,
-                   trace=None, profile=None) -> None:
+                   trace=None) -> None:
     """Write the planes a command built to the ``--*-out`` paths given.
 
     Each plane goes to its own flag's path (``--metrics-out``,
@@ -160,7 +160,7 @@ def _write_outputs(args, kind: str, fingerprint: dict, *, metrics=None,
         write_bundle(args.bundle_out, kind=kind,
                      fingerprint=collect_fingerprint(kind, **fingerprint),
                      metrics=metrics, events=events, timeline=timeline,
-                     trace=trace, profile=profile)
+                     trace=trace)
         print(f"wrote run bundle to {args.bundle_out} "
               f"(flux-sim diff {args.bundle_out} OTHER)")
 
@@ -315,7 +315,6 @@ def cmd_sweep(args) -> int:
     print(fig14.render())
     print()
     print(fig15.render())
-    profile_report = None
     if args.profile_out:
         from repro.experiments.profiling import top_offenders, write_profile
         profile_report = write_profile(args.profile_out)
@@ -332,8 +331,7 @@ def cmd_sweep(args) -> int:
              workers=workers),
         metrics=sweep_metrics_document(sweep),
         events=sweep.merged_events(),
-        timeline=labeled_timelines("pair", sweep.merged_timelines().items()),
-        profile=profile_report)
+        timeline=labeled_timelines("pair", sweep.merged_timelines().items()))
     return 0
 
 

@@ -35,7 +35,7 @@ tested code:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,3 @@ class FluxExtensions:
         return cls(multi_process=True, gl_record_replay=True,
                    content_provider_replay=True, sdcard_network_mount=True,
                    gps_tether=True, pipelined_transfer=True)
-
-    def with_(self, **flags: bool) -> "FluxExtensions":
-        return replace(self, **flags)

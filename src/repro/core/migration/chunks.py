@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.core.cria.image import CheckpointImage, IMAGE_COMPRESSION_RATIO
 from repro.sim import units
@@ -119,25 +119,20 @@ class ChunkStore:
     Persists for the life of the device (across migrations), which is
     what makes ring tests and repeat migrations cheap: the second
     transfer of an unchanged heap region is a digest lookup, not a wire
-    payload.
+    payload.  The store is a digest set plus the raw bytes it covers;
+    hits and misses are counted only by the ``chunks/store_*`` metrics.
     """
 
     def __init__(self, telemetry: Optional[Telemetry] = None) -> None:
-        self._chunks: Dict[str, int] = {}
+        self._digests: Set[str] = set()
         self.bytes_stored = 0
-        self.hits = 0
-        self.misses = 0
         self.metrics = (telemetry or Telemetry.null()).metrics
 
     def __len__(self) -> int:
-        return len(self._chunks)
+        return len(self._digests)
 
     def __contains__(self, digest: str) -> bool:
-        return digest in self._chunks
-
-    def add(self, chunk: Chunk) -> None:
-        """Record ``chunk`` as present."""
-        self.add_many((chunk,))
+        return digest in self._digests
 
     def add_many(self, chunks: Iterable[Chunk]) -> None:
         """Record each chunk as present.
@@ -148,9 +143,9 @@ class ChunkStore:
         """
         stored = False
         for chunk in chunks:
-            if chunk.digest in self._chunks:
+            if chunk.digest in self._digests:
                 continue
-            self._chunks[chunk.digest] = chunk.raw_bytes
+            self._digests.add(chunk.digest)
             self.bytes_stored += chunk.raw_bytes
             stored = True
         if stored:
@@ -158,7 +153,7 @@ class ChunkStore:
 
     def split(self, chunks: Iterable[Chunk]
               ) -> Tuple[List[Chunk], List[Chunk]]:
-        """Partition ``chunks`` into (cached, missing), updating stats.
+        """Partition ``chunks`` into (cached, missing), counting both.
 
         This is the digest negotiation a sender performs before a
         chunked transfer: cached chunks need not travel.
@@ -166,12 +161,10 @@ class ChunkStore:
         cached: List[Chunk] = []
         missing: List[Chunk] = []
         for chunk in chunks:
-            if chunk.digest in self._chunks:
+            if chunk.digest in self._digests:
                 cached.append(chunk)
-                self.hits += 1
             else:
                 missing.append(chunk)
-                self.misses += 1
         if cached:
             self.metrics.counter("chunks", "store_hits").inc(len(cached))
             self.metrics.counter("chunks", "store_bytes_avoided").inc(
@@ -181,10 +174,5 @@ class ChunkStore:
         return cached, missing
 
     def clear(self) -> None:
-        self._chunks.clear()
+        self._digests.clear()
         self.bytes_stored = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

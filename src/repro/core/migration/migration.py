@@ -109,16 +109,6 @@ class MigrationReport:
         return self.perceived_seconds - self.stages.get("transfer", 0.0)
 
     @property
-    def interaction_seconds(self) -> float:
-        """Time until the user can interact again, excluding transfer.
-
-        Alias of :attr:`non_transfer_seconds` under the name the
-        experiment harness uses for the Figure 14 "time to interactive"
-        reading.
-        """
-        return self.non_transfer_seconds
-
-    @property
     def transferred_bytes(self) -> int:
         """Figure 15's 'data transferred' — what crossed the wire."""
         image_bytes = self.image_wire_bytes or self.image_compressed_bytes
@@ -134,13 +124,6 @@ class MigrationReport:
     def stage_fraction(self, stage: str) -> float:
         total = self.total_seconds
         return self.stages.get(stage, 0.0) / total if total else 0.0
-
-    def stage_self_seconds(self, stage: str) -> float:
-        """Self time of a stage on the critical path (0.0 if absent)."""
-        for entry in self.critical_path:
-            if entry["name"] == stage:
-                return float(entry["self_seconds"])
-        return 0.0
 
 
 class MigrationService:

@@ -525,7 +525,7 @@ class StagePipeline:
             recorder.clear_context("stage", "package", "session")
 
     def _derive_stage_times(self, ctx: MigrationContext, root) -> None:
-        """``report.stages`` from the span tree (was: ad-hoc Stopwatch)."""
+        """``report.stages`` from the span tree."""
         from repro.sim.trace import critical_path
 
         stage_spans = [span for span in root.children

@@ -4,8 +4,7 @@ Architecture follows the paper's Figure 5: the recording handler appends
 into a log that drop rules prune online.  Because replay must re-issue
 the *actual* argument objects (PendingIntents, listener binders, …),
 each entry keeps its rich payload; the log indexes the entries by app
-and by (app, interface, method) in memory, and writes a SQLite copy
-only when asked to export one.
+and by (app, interface, method) in memory.
 
 The log is device-wide with one namespace per app package; migration
 extracts exactly one app's entries.
@@ -14,7 +13,6 @@ extracts exactly one app's entries.
 from __future__ import annotations
 
 import itertools
-import sqlite3
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -71,8 +69,7 @@ class CallLog:
     Sequence numbers only grow and every index is an insertion-ordered
     ``seq -> record`` dict, so each index lists its records in seq
     order: reads need no sort, and ``entries_for_methods`` merges its
-    per-method runs by seq.  SQLite serves only as the durable export
-    format (:meth:`export_index`, :meth:`read_exported`).
+    per-method runs by seq.
     """
 
     def __init__(self) -> None:
@@ -157,58 +154,6 @@ class CallLog:
 
     def apps(self) -> List[str]:
         return sorted(self._by_app)
-
-    # -- durability -------------------------------------------------------------
-
-    def export_index(self, path: str) -> int:
-        """Write a durable, inspectable SQLite copy of the log to ``path``.
-
-        The exported database carries the full metadata plus a JSON
-        description of each call's arguments (rich argument *objects*
-        live in app memory and travel with the checkpoint image, not the
-        index).  Returns the number of rows written.
-        """
-        import json
-
-        from repro.core.cria.wire import _describe_value
-
-        disk = sqlite3.connect(path)
-        try:
-            disk.execute("DROP TABLE IF EXISTS calls")
-            disk.execute(
-                "CREATE TABLE calls ("
-                " seq INTEGER PRIMARY KEY,"
-                " time REAL NOT NULL,"
-                " app TEXT NOT NULL,"
-                " interface TEXT NOT NULL,"
-                " method TEXT NOT NULL,"
-                " args_json TEXT NOT NULL)")
-            disk.executemany(
-                "INSERT INTO calls VALUES (?, ?, ?, ?, ?, ?)",
-                [(record.seq, record.time, record.app, record.interface,
-                  record.method, json.dumps(_describe_value(record.args)))
-                 for record in self._payloads.values()])
-            disk.commit()
-            return len(self._payloads)
-        finally:
-            disk.close()
-
-    @staticmethod
-    def read_exported(path: str) -> List[Dict[str, Any]]:
-        """Rows of a previously exported index, in sequence order."""
-        import json
-
-        disk = sqlite3.connect(path)
-        try:
-            rows = disk.execute(
-                "SELECT seq, time, app, interface, method, args_json "
-                "FROM calls ORDER BY seq").fetchall()
-        finally:
-            disk.close()
-        return [{"seq": seq, "time": time, "app": app,
-                 "interface": interface, "method": method,
-                 "args": json.loads(args_json)}
-                for seq, time, app, interface, method, args_json in rows]
 
 
 def _discard(index: Dict, key, seq: int) -> None:

@@ -381,7 +381,10 @@ def render_sessions(rows: Sequence[Dict], title: str = "") -> str:
 
     Reads the row fields of :mod:`repro.sim.rows`, plus ``placement``
     and ``site`` where a row has them (fleet rows); the ``site`` column
-    appears only when the rows carry one.
+    appears only when the rows carry one.  "why" is the refusal of a
+    session that got a guest and then failed; otherwise the placement
+    detail (a placement refusal, a shed, a migrated session's
+    prediction), else the refusal.
     """
     sited = any("site" in row for row in rows)
     table = []
@@ -393,7 +396,8 @@ def render_sessions(rows: Sequence[Dict], title: str = "") -> str:
             row["status"].upper(),
             row["session"] or "-",
             f"{profile['wall_s']:.3f}" if profile else "-",
-            row.get("placement", {}).get("detail") or row["refusal"] or "",
+            (row["guest"] and row["refusal"])
+            or row.get("placement", {}).get("detail") or row["refusal"] or "",
         ))
     return format_table(
         (("site",) if sited else ())

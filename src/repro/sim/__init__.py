@@ -1,7 +1,7 @@
 """Deterministic simulation substrate: virtual clock, seeded RNG, tracing."""
 
-from repro.sim.clock import ClockError, SimClock, Stopwatch, StopwatchSpan, TimerHandle
-from repro.sim.events import CausalEvent, EventsError, FlightRecorder, merge_streams
+from repro.sim.clock import ClockError, SimClock, TimerHandle
+from repro.sim.events import EventsError, FlightRecorder, merge_streams
 from repro.sim.metrics import (
     Counter,
     Gauge,
@@ -18,8 +18,6 @@ from repro.sim import units
 __all__ = [
     "ClockError",
     "SimClock",
-    "Stopwatch",
-    "StopwatchSpan",
     "TimerHandle",
     "DEFAULT_SEED",
     "RngFactory",
@@ -34,7 +32,6 @@ __all__ = [
     "MetricsRegistry",
     "fold_instance_label",
     "merge_snapshots",
-    "CausalEvent",
     "EventsError",
     "FlightRecorder",
     "merge_streams",

@@ -1,10 +1,10 @@
 """Self-describing run bundles: one artifact per simulation run.
 
 Every telemetry plane so far (metrics snapshots, causal event logs,
-Chrome traces, edge-sampled timelines, wait profiles, cProfile rows)
-writes a loose file; comparing two runs — the core loop of performance
-and correctness work — means juggling paths and remembering which
-knobs produced which file.  A *run bundle* makes the run itself the
+Chrome traces, edge-sampled timelines, wait profiles) writes a loose
+file; comparing two runs — the core loop of performance and
+correctness work — means juggling paths and remembering which knobs
+produced which file.  A *run bundle* makes the run itself the
 artifact: one directory (or ``.tar.gz``) holding every plane the run
 produced, a **fingerprint** of the configuration that produced it
 (workload, device pairs, seed, executor, every ``FLUX_*`` knob, the
@@ -18,7 +18,6 @@ Layout (all members optional except the manifest)::
     events.jsonl     the causally-merged event log (--events-out)
     timeline.json    the edge-sampled time-series plane (--timeline-out)
     trace.json       the Chrome trace (--trace-out)
-    profile.txt      per-pair cProfile rows (--profile-out), when taken
 
 ``flux-sim migrate/sweep/scenario/fleet --bundle-out PATH`` writes one;
 ``flux-sim explain`` and ``flux-sim bench-check`` read one back, so a
@@ -30,7 +29,9 @@ Determinism contract: a bundle contains **no wall-clock timestamps**
 and every JSON member is written with sorted keys, so two runs of the
 same deterministic simulation under the same configuration produce
 byte-identical bundles — which is exactly what lets ``diff`` report an
-*empty* diff instead of a noisy one.
+*empty* diff instead of a noisy one.  Host measurements (the sweep's
+``--profile-out`` cProfile rows, wall seconds) are therefore never
+members; they go only to their own file.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ _TAR_SUFFIXES = (".tar.gz", ".tgz")
 #: tarballs are packed in this order so identical runs produce
 #: byte-identical archives.
 _MEMBER_ORDER = (MANIFEST_NAME, "metrics.json", "events.jsonl",
-                 "timeline.json", "trace.json", "profile.txt")
+                 "timeline.json", "trace.json")
 
 #: What readers require of a manifest (``verify`` compares each ``files``
 #: entry whole) and of a metrics document's counter sections.
@@ -177,8 +178,7 @@ def write_bundle(path: str, *, kind: str, fingerprint: Dict[str, Any],
                  metrics: Optional[Dict[str, Any]] = None,
                  events: Optional[Iterable[Dict[str, Any]]] = None,
                  timeline: Optional[Dict[str, List[List[float]]]] = None,
-                 trace: Optional[Any] = None,
-                 profile: Optional[str] = None) -> str:
+                 trace: Optional[Any] = None) -> str:
     """Write a run bundle to ``path`` (a directory, or ``.tar.gz``).
 
     Every supplied plane becomes one member; the manifest records each
@@ -196,8 +196,6 @@ def write_bundle(path: str, *, kind: str, fingerprint: Dict[str, Any],
         members["timeline.json"] = _dumps(timeline_document(timeline))
     if trace is not None:
         members["trace.json"] = _dumps(trace)
-    if profile is not None:
-        members["profile.txt"] = profile.encode("utf-8")
 
     manifest = {
         "schema": BUNDLE_SCHEMA,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 
 class ClockError(Exception):
@@ -187,57 +187,3 @@ class SimClock:
             self._timers = [t for t in self._timers if not t.cancelled]
             heapq.heapify(self._timers)
             self._cancelled = 0
-
-
-class StopwatchSpan:
-    """A named span measured on a :class:`SimClock`; see :class:`Stopwatch`."""
-
-    def __init__(self, name: str, start: float) -> None:
-        self.name = name
-        self.start = start
-        self.end: Optional[float] = None
-
-    @property
-    def duration(self) -> float:
-        if self.end is None:
-            raise ClockError(f"span {self.name!r} not finished")
-        return self.end - self.start
-
-
-class Stopwatch:
-    """Measures named, non-overlapping phases on a virtual clock.
-
-    Used by the migration service to produce the per-stage timing
-    breakdown reported in Figure 13.
-    """
-
-    def __init__(self, clock: SimClock) -> None:
-        self._clock = clock
-        self._spans: List[StopwatchSpan] = []
-        self._open: Optional[StopwatchSpan] = None
-
-    def start(self, name: str) -> None:
-        if self._open is not None:
-            raise ClockError(
-                f"span {self._open.name!r} still open; cannot start {name!r}"
-            )
-        self._open = StopwatchSpan(name, self._clock.now)
-
-    def stop(self) -> StopwatchSpan:
-        if self._open is None:
-            raise ClockError("no span open")
-        span = self._open
-        span.end = self._clock.now
-        self._spans.append(span)
-        self._open = None
-        return span
-
-    def spans(self) -> Tuple[StopwatchSpan, ...]:
-        return tuple(self._spans)
-
-    def duration(self, name: str) -> float:
-        """Total duration of all completed spans with ``name``."""
-        return sum(s.duration for s in self._spans if s.name == name)
-
-    def total(self) -> float:
-        return sum(s.duration for s in self._spans)

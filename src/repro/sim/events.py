@@ -43,7 +43,6 @@ from __future__ import annotations
 import heapq
 import json
 from collections import deque
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -56,25 +55,6 @@ DEFAULT_CAPACITY = 65536
 
 class EventsError(Exception):
     """Flight-recorder misuse or an unreadable event log."""
-
-
-@dataclass(frozen=True)
-class CausalEvent:
-    """One structured event on a device's virtual timeline."""
-
-    seq: int
-    time: float
-    device: str
-    kind: str
-    txn: Optional[int] = None
-    span: Optional[str] = None
-    attrs: Dict[str, Any] = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        extras = " ".join(f"{k}={v}" for k, v in sorted(self.attrs.items()))
-        txn = f" txn={self.txn}" if self.txn is not None else ""
-        return (f"#{self.seq} [{self.time:10.4f}] {self.kind}"
-                f"{txn} {extras}").rstrip()
 
 
 _UNSET = object()
@@ -95,9 +75,9 @@ class FlightRecorder:
     ``keys`` names the attrs in order and is interned per recorder, so
     events emitted from one call site share one key tuple.  ``seq``
     is not stored: it follows from the position in the ring, and
-    ``device`` from the recorder.  :meth:`events` and iteration build
-    :class:`CausalEvent` objects; :meth:`export` hands the records to an
-    :class:`EventLog`, which builds the event dicts when it is read.
+    ``device`` from the recorder.  :meth:`export` is the one read path:
+    it hands the records to an :class:`EventLog`, which builds the event
+    dicts when it is read.
     """
 
     def __init__(self, clock=None, device: str = "",
@@ -174,29 +154,13 @@ class FlightRecorder:
 
     # -- inspection ----------------------------------------------------------
 
-    def _numbered(self):
-        """``(seq, record)`` for each retained event, oldest first."""
-        return enumerate(self._ring, self.emitted - len(self._ring) + 1)
-
-    def _event(self, seq: int, record: tuple) -> CausalEvent:
-        time, kind, txn, span, keys = record[:5]
-        return CausalEvent(seq, time, self.device, kind, txn, span,
-                           dict(zip(keys, record[5:])))
-
     def __len__(self) -> int:
         return len(self._ring)
-
-    def __iter__(self) -> Iterator[CausalEvent]:
-        return (self._event(seq, record) for seq, record in self._numbered())
 
     @property
     def evicted(self) -> int:
         """Events pushed out of the ring to keep memory bounded."""
         return self.emitted - len(self._ring)
-
-    def events(self, kind: Optional[str] = None) -> List[CausalEvent]:
-        return [self._event(seq, record) for seq, record in self._numbered()
-                if kind is None or record[1] == kind]
 
     def export(self) -> "EventLog":
         """The retained events as a one-stream :class:`EventLog`.

@@ -94,23 +94,28 @@ def _canonical_labels(labels: Mapping[str, Any]) -> LabelItems:
 
 
 class _Metric:
-    """Shared identity plumbing; subclasses add the typed state."""
+    """Shared identity plumbing; subclasses add the typed state.
+
+    With a ``clock``, every mutation appends ``(clock.now, value)`` to
+    the metric's own flat ``[t0, v0, t1, v1, ...]`` track
+    (:func:`~repro.sim.timeline.append_sample`); without one the track
+    stays empty.
+    """
 
     kind = "?"
 
-    def __init__(self, registry: Optional["MetricsRegistry"],
-                 subsystem: str, name: str, labels: LabelItems) -> None:
-        self._registry = registry
+    def __init__(self, clock, subsystem: str, name: str,
+                 labels: LabelItems) -> None:
+        self._clock = clock
+        self.track: List[float] = []
         self.subsystem = subsystem
         self.name = name
         self.labels = labels
-        # Computed once: every timeline sample stamps the key, so
-        # rebuilding it per mutation was a measurable sweep cost.
         self.key = series_key(f"{subsystem}/{name}", labels)
 
     def _sample(self, value: float) -> None:
-        if self._registry is not None:
-            self._registry._record_sample(self.key, value)
+        if self._clock is not None:
+            append_sample(self.track, self._clock.now, value)
 
 
 class Counter(_Metric):
@@ -118,8 +123,8 @@ class Counter(_Metric):
 
     kind = "counter"
 
-    def __init__(self, registry, subsystem, name, labels) -> None:
-        super().__init__(registry, subsystem, name, labels)
+    def __init__(self, clock, subsystem, name, labels) -> None:
+        super().__init__(clock, subsystem, name, labels)
         self.value = 0
 
     def inc(self, amount: float = 1) -> None:
@@ -135,8 +140,8 @@ class Gauge(_Metric):
 
     kind = "gauge"
 
-    def __init__(self, registry, subsystem, name, labels) -> None:
-        super().__init__(registry, subsystem, name, labels)
+    def __init__(self, clock, subsystem, name, labels) -> None:
+        super().__init__(clock, subsystem, name, labels)
         self.value = 0.0
 
     def set(self, value: float) -> None:
@@ -158,9 +163,9 @@ class Histogram(_Metric):
 
     kind = "histogram"
 
-    def __init__(self, registry, subsystem, name, labels,
+    def __init__(self, clock, subsystem, name, labels,
                  bounds: Tuple[float, ...]) -> None:
-        super().__init__(registry, subsystem, name, labels)
+        super().__init__(clock, subsystem, name, labels)
         if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise MetricsError(
                 f"histogram {series_key(f'{subsystem}/{name}', labels)} needs "
@@ -203,18 +208,17 @@ class _NullHistogram(Histogram):
 class MetricsRegistry:
     """Typed metric store living alongside a :class:`~repro.sim.Tracer`.
 
-    ``clock`` (optional) enables *timeline samples*: each mutation
-    records ``(clock.now, value)`` — coalesced per distinct timestamp —
-    which exports as Chrome-trace counter ("C"-phase) tracks.  The clock
-    is only ever read, never advanced.
+    ``clock`` (optional) enables *timeline samples*: the registry hands
+    it to every metric it builds, and each mutation records
+    ``(clock.now, value)`` on the metric's own track — coalesced per
+    distinct timestamp — which exports as Chrome-trace counter
+    ("C"-phase) tracks.  The clock is only ever read, never advanced.
     """
 
     def __init__(self, clock=None, enabled: bool = True) -> None:
         self._clock = clock
         self.enabled = enabled
         self._metrics: Dict[Tuple[str, str, LabelItems], _Metric] = {}
-        #: Flat ``[t0, v0, t1, v1, ...]`` counter tracks per metric key.
-        self._samples: Dict[str, List[float]] = {}
         self._null_counter = _NullCounter(None, "null", "counter", ())
         self._null_gauge = _NullGauge(None, "null", "gauge", ())
         self._null_histogram = _NullHistogram(None, "null", "histogram", (),
@@ -227,7 +231,7 @@ class MetricsRegistry:
         key = (subsystem, name, _canonical_labels(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = cls(self, subsystem, name, key[2], **extra)
+            metric = cls(self._clock, subsystem, name, key[2], **extra)
             self._metrics[key] = metric
             return metric
         if not isinstance(metric, cls):
@@ -261,24 +265,7 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    def close(self) -> None:
-        """Cut every metric's back-pointer to this registry.
-
-        ``_registry`` is read on every sample, so it stays a strong
-        reference while the world runs; at teardown the metrics stop
-        sampling and the registry is freed by reference counting.
-        Values and snapshots stay readable.
-        """
-        for metric in self._metrics.values():
-            metric._registry = None
-
     # -- timeline samples -----------------------------------------------------
-
-    def _record_sample(self, key: str, value: float) -> None:
-        if self._clock is None:
-            return
-        append_sample(self._samples.setdefault(key, []), self._clock.now,
-                      value)
 
     def chrome_counter_events(self) -> List[Dict[str, Any]]:
         """Timeline samples as Chrome-trace counter ("C"-phase) events.
@@ -288,8 +275,9 @@ class MetricsRegistry:
         at each distinct virtual timestamp.
         """
         return chrome_counter_events(
-            {key: sample_pairs(series)
-             for key, series in self._samples.items()}, cat="metric")
+            {metric.key: sample_pairs(metric.track)
+             for metric in self._metrics.values() if metric.track},
+            cat="metric")
 
     # -- snapshots ------------------------------------------------------------
 

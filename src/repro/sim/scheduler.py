@@ -255,10 +255,6 @@ class Session:
     def finished(self) -> bool:
         return self.state in (Session.DONE, Session.FAILED)
 
-    @property
-    def blocked_s(self) -> float:
-        return sum(self.blocked.values())
-
 
 class Scheduler:
     """Drives cooperative sessions on a shared :class:`SimClock`.

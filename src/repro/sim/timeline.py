@@ -123,9 +123,6 @@ class Timeline:
     def __len__(self) -> int:
         return len(self._series)
 
-    def series(self, key: str) -> List[Tuple[float, float]]:
-        return list(sample_pairs(self._series.get(key, [])))
-
     def export(self) -> Dict[str, List[List[float]]]:
         """JSON-ready view: sorted keys, ``[[t, value], ...]`` samples."""
         return {key: [[t, v] for t, v in sample_pairs(self._series[key])]

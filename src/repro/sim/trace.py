@@ -19,7 +19,6 @@ run length").
 from __future__ import annotations
 
 import contextlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -287,27 +286,20 @@ class Tracer:
             trace_events.extend(chrome_instant_events(events))
         return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
-    def write_chrome_trace(self, path: str, metrics=None,
-                           events=None) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.chrome_trace(metrics=metrics, events=events),
-                      handle, indent=1)
-
 
 def chrome_instant_events(events) -> List[Dict[str, Any]]:
     """A causal event stream as Chrome-trace instant ("i") events.
 
-    ``events`` is a :class:`repro.sim.events.FlightRecorder` or an
-    iterable of event dicts (an :class:`~repro.sim.events.EventLog`,
-    or a log read back from JSONL).  Each becomes a thread-scoped
-    (``"s": "t"``) instant whose args carry the per-device sequence
-    number, the Binder transaction id (when inside one) and the event's
-    attributes — the same fields the ``--events-out`` JSONL records, so
-    a tick in the viewer resolves back to a line in the artifact.
+    ``events`` is an iterable of event dicts (an
+    :class:`~repro.sim.events.EventLog`, or a log read back from
+    JSONL).  Each becomes a thread-scoped (``"s": "t"``) instant whose
+    args carry the per-device sequence number, the Binder transaction id
+    (when inside one) and the event's attributes — the same fields the
+    ``--events-out`` JSONL records, so a tick in the viewer resolves
+    back to a line in the artifact.
     """
-    exported = events.export() if hasattr(events, "export") else events
     instants: List[Dict[str, Any]] = []
-    for event in exported:
+    for event in events:
         args: Dict[str, Any] = {"seq": event["seq"],
                                 "device": event["device"]}
         if event.get("txn") is not None:

@@ -242,11 +242,12 @@ class TestTransactionEvents:
         handle = logged_driver.acquire_ref(app, node)
         for _ in range(3):
             logged_driver.transact(app, handle, "ping", Parcel().write(1))
-        events = recorder.events("binder.transact")
-        assert [e.txn for e in events] == [1, 2, 3]
+        events = [e for e in recorder.export()
+                  if e["kind"] == "binder.transact"]
+        assert [e["txn"] for e in events] == [1, 2, 3]
         assert logged_driver.total_transactions == 3
-        assert all(e.attrs["interface"] == "echo" for e in events)
-        assert all(e.attrs["parent_txn"] is None for e in events)
+        assert all(e["attrs"]["interface"] == "echo" for e in events)
+        assert all(e["attrs"]["parent_txn"] is None for e in events)
 
     def test_nested_transactions_carry_parent_txn(self, logged_driver,
                                                   recorder, system, app):
@@ -263,9 +264,10 @@ class TestTransactionEvents:
         outer_handle = driver.acquire_ref(app, relay)
         driver.transact(app, outer_handle, "forward", Parcel().write(7))
 
-        outer, inner = recorder.events("binder.transact")
-        assert (outer.txn, outer.attrs["parent_txn"]) == (1, None)
-        assert (inner.txn, inner.attrs["parent_txn"]) == (2, 1)
+        outer, inner = [e for e in recorder.export()
+                        if e["kind"] == "binder.transact"]
+        assert (outer["txn"], outer["attrs"]["parent_txn"]) == (1, None)
+        assert (inner["txn"], inner["attrs"]["parent_txn"]) == (2, 1)
 
     def test_txn_counter_advances_with_logging_off(self, kernel, system,
                                                    app):

@@ -171,24 +171,32 @@ class TestRegionDigestCache:
             _fresh_region_chunks(twin_image, chunk_bytes)
 
 
+def _store_count(metrics, name):
+    """A ``chunks/store_<name>`` counter (0 until the first count)."""
+    return metrics.snapshot()["counters"].get(f"chunks/store_{name}", 0)
+
+
 class TestChunkStore:
     def _chunk(self, n, size=100):
         return Chunk(digest=f"d{n}", raw_bytes=size, label=f"c{n}")
 
     def test_split_partitions_and_counts(self):
-        store = ChunkStore()
+        store = ChunkStore(telemetry=dataclasses.replace(
+            Telemetry.null(), metrics=MetricsRegistry()))
         chunks = [self._chunk(i) for i in range(4)]
         store.add_many(chunks[:2])
         cached, missing = store.split(chunks)
         assert [c.digest for c in cached] == ["d0", "d1"]
         assert [c.digest for c in missing] == ["d2", "d3"]
-        assert store.hits == 2 and store.misses == 2
-        assert store.hit_rate == 0.5
+        hits = _store_count(store.metrics, "hits")
+        misses = _store_count(store.metrics, "misses")
+        assert hits == 2 and misses == 2
+        assert hits / (hits + misses) == 0.5
 
     def test_add_is_idempotent(self):
         store = ChunkStore()
-        store.add(self._chunk(1))
-        store.add(self._chunk(1))
+        store.add_many([self._chunk(1)])
+        store.add_many([self._chunk(1)])
         assert len(store) == 1
         assert store.bytes_stored == 100
 
@@ -212,7 +220,7 @@ class TestChunkStore:
         store.add_many(self._chunk(i) for i in range(4))
         store.add_many([self._chunk(2), self._chunk(3)])   # nothing new
         clock.advance(1.0)
-        store.add(self._chunk(4))
+        store.add_many([self._chunk(4)])
         assert lookups == [("chunks", "store_bytes")] * 2
         assert store.bytes_stored == 500
         assert metrics.snapshot()["gauges"] == {"chunks/store_bytes": 500}
@@ -318,8 +326,8 @@ class TestPipelinedMigration:
         # ...but both ends still index what crossed, so a later
         # pipelined hop can dedupe against a serial one.
         assert len(guest.chunk_store) > 0
-        assert guest.chunk_store.hits == 0
-        assert guest.chunk_store.misses == 0
+        assert _store_count(guest.metrics, "hits") == 0
+        assert _store_count(guest.metrics, "misses") == 0
 
     def test_pipelined_after_serial_dedupes(self, device_pair):
         home, guest = device_pair

@@ -24,7 +24,6 @@ class TestEmptyReport:
         assert r.total_seconds == 0.0
         assert r.perceived_seconds == 0.0
         assert r.non_transfer_seconds == 0.0
-        assert r.interaction_seconds == 0.0
 
     def test_stage_fraction_avoids_division_by_zero(self):
         assert report().stage_fraction("transfer") == 0.0
@@ -47,7 +46,6 @@ class TestPartialReport:
         # Preparation + checkpoint hide behind the target menu.
         assert r.perceived_seconds == pytest.approx(4.0)
         assert r.non_transfer_seconds == pytest.approx(0.0)
-        assert r.interaction_seconds == r.non_transfer_seconds
 
     def test_missing_stages_read_as_zero(self):
         r = report(stages={"transfer": 4.0})
@@ -71,7 +69,6 @@ class TestFullReport:
         assert r.total_seconds == pytest.approx(16.0)
         assert r.perceived_seconds == pytest.approx(13.0)
         assert r.non_transfer_seconds == pytest.approx(5.0)
-        assert r.interaction_seconds == pytest.approx(5.0)
 
     def test_stage_fractions_sum_to_one(self):
         r = report(stages=dict(self.STAGES))

@@ -300,8 +300,9 @@ class TestPipelineMechanics:
         with pytest.raises(RuntimeError, match="kaboom"):
             drive_sync(StagePipeline([flaky, _Boom()]).steps(ctx), home.clock)
         assert flaky.rolled_back
-        errors = home.events.events("stage.rollback_error")
-        assert len(errors) == 1 and errors[0].attrs["stage"] == "flaky"
+        errors = [e for e in home.events.export()
+                  if e["kind"] == "stage.rollback_error"]
+        assert len(errors) == 1 and errors[0]["attrs"]["stage"] == "flaky"
         assert ctx.report.faulted_stage == "boom"
 
     def test_rollback_order_faulted_first_then_reverse(self, device_pair):

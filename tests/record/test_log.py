@@ -1,8 +1,6 @@
-"""CallLog: the in-memory append/prune store and its SQLite export."""
+"""CallLog: the in-memory append/prune store."""
 
 import itertools
-import os
-import tempfile
 
 import pytest
 from hypothesis import given, strategies as st
@@ -137,7 +135,7 @@ def _check_reads(log, model, methods):
 def test_log_matches_a_list_model(ops, methods):
     """Interleaved appends, removals by seq and per-app removals read
     back exactly as a plain list of the surviving records would, in seq
-    order under every filter, and export as that list."""
+    order under every filter."""
     log, model, issued = CallLog(), [], []
     removed = 0
     for op in ops:
@@ -162,43 +160,6 @@ def test_log_matches_a_list_model(ops, methods):
             removed += len(gone)
         _check_reads(log, model, methods)
     assert (log.appended, log.dropped) == (len(issued), removed)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "calllog.db")
-        assert log.export_index(path) == len(model)
-        assert [(row["seq"], row["time"], row["app"], row["interface"],
-                 row["method"], row["args"])
-                for row in CallLog.read_exported(path)] == [
-            (r.seq, r.time, r.app, r.interface, r.method, r.args)
-            for r in model]
-
-
-class TestExport:
-    def test_export_and_read_back(self, log, tmp_path):
-        log.append(1.0, "app", "I", "put", {"key": 1, "obj": object()})
-        log.append(2.0, "app", "I", "erase", {"key": 1})
-        path = str(tmp_path / "calllog.db")
-        assert log.export_index(path) == 2
-        rows = CallLog.read_exported(path)
-        assert [r["method"] for r in rows] == ["put", "erase"]
-        assert rows[0]["args"]["key"] == 1
-        assert rows[0]["args"]["obj"]["__object__"] == "object"
-
-    def test_export_reflects_pruning(self, log, tmp_path):
-        first = log.append(1.0, "app", "I", "a", {})
-        log.append(2.0, "app", "I", "b", {})
-        log.remove([first.seq])
-        path = str(tmp_path / "calllog.db")
-        assert log.export_index(path) == 1
-        (row,) = CallLog.read_exported(path)
-        assert row["method"] == "b"
-
-    def test_export_overwrites(self, log, tmp_path):
-        path = str(tmp_path / "calllog.db")
-        log.append(1.0, "app", "I", "a", {})
-        log.export_index(path)
-        log.append(2.0, "app", "I", "b", {})
-        assert log.export_index(path) == 2
-        assert len(CallLog.read_exported(path)) == 2
 
 
 #: Argument values of every shape ``_value_size`` distinguishes.

@@ -49,7 +49,6 @@ def _write(path, **overrides):
         events=EVENTS,
         timeline=TIMELINE,
         trace={"traceEvents": []},
-        profile="rows",
     )
     kwargs.update(overrides)
     return write_bundle(str(path), **kwargs)
@@ -65,8 +64,8 @@ class TestWriteAndLoad:
         assert bundle.events() == EVENTS
         assert bundle.timeline_series() == TIMELINE
         assert bundle.members() == ["events.jsonl", "manifest.json",
-                                    "metrics.json", "profile.txt",
-                                    "timeline.json", "trace.json"]
+                                    "metrics.json", "timeline.json",
+                                    "trace.json"]
 
     def test_tarball_round_trip(self, tmp_path):
         path = _write(tmp_path / "run.tar.gz")
@@ -81,7 +80,7 @@ class TestWriteAndLoad:
         assert manifest["schema"] == BUNDLE_SCHEMA
         files = manifest["files"]
         assert set(files) == {"metrics.json", "events.jsonl",
-                              "timeline.json", "trace.json", "profile.txt"}
+                              "timeline.json", "trace.json"}
         for meta in files.values():
             assert meta["bytes"] > 0
             assert len(meta["sha256"]) == 64
@@ -89,7 +88,7 @@ class TestWriteAndLoad:
 
     def test_optional_planes_may_be_absent(self, tmp_path):
         path = _write(tmp_path / "bare", events=None, timeline=None,
-                      trace=None, profile=None)
+                      trace=None)
         bundle = RunBundle.load(path)
         assert bundle.events() == []
         assert bundle.timeline_series() == {}
@@ -264,7 +263,7 @@ class TestNormalization:
             "total_seconds": 0.4}}
         bundle = RunBundle.load(_write(tmp_path / "run", metrics=metrics,
                                        events=None, timeline=None,
-                                       trace=None, profile=None))
+                                       trace=None))
         (row,) = bundle.migration_rows()
         assert row["outcome"] == "faulted"
         assert row["faulted_stage"] == "transfer"
@@ -282,8 +281,7 @@ class TestNormalization:
         }
         bundle = RunBundle.load(_write(tmp_path / "run", kind="sweep",
                                        metrics=metrics, events=None,
-                                       timeline=None, trace=None,
-                                       profile=None))
+                                       timeline=None, trace=None))
         (row,) = bundle.migration_rows()
         assert row["key"] == "a to b/com.one"
         assert bundle.snapshot()["counters"] == {"link/transfers": 2}
@@ -302,8 +300,7 @@ class TestNormalization:
         }
         bundle = RunBundle.load(_write(tmp_path / "run", kind="scenario",
                                        metrics=metrics, events=None,
-                                       timeline=None, trace=None,
-                                       profile=None))
+                                       timeline=None, trace=None))
         (row,) = bundle.migration_rows()
         assert row["key"] == "h->g:com.one"
         assert row["session"] == "h/com.one@0"

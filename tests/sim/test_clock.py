@@ -1,9 +1,9 @@
-"""SimClock, timers, Stopwatch."""
+"""SimClock and timers."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.clock import ClockError, SimClock, Stopwatch
+from repro.sim.clock import ClockError, SimClock
 
 
 class TestAdvance:
@@ -104,40 +104,6 @@ class TestTimers:
         clock.advance(101.0)
         assert len(fire_times) == len(delays)
         assert fire_times == sorted(fire_times)
-
-
-class TestStopwatch:
-    def test_measures_named_spans(self):
-        clock = SimClock()
-        watch = Stopwatch(clock)
-        watch.start("a")
-        clock.advance(1.0)
-        watch.stop()
-        watch.start("b")
-        clock.advance(2.0)
-        watch.stop()
-        assert watch.duration("a") == pytest.approx(1.0)
-        assert watch.duration("b") == pytest.approx(2.0)
-        assert watch.total() == pytest.approx(3.0)
-
-    def test_overlapping_spans_rejected(self):
-        watch = Stopwatch(SimClock())
-        watch.start("a")
-        with pytest.raises(ClockError):
-            watch.start("b")
-
-    def test_stop_without_start_rejected(self):
-        with pytest.raises(ClockError):
-            Stopwatch(SimClock()).stop()
-
-    def test_repeated_name_accumulates(self):
-        clock = SimClock()
-        watch = Stopwatch(clock)
-        for _ in range(2):
-            watch.start("x")
-            clock.advance(0.5)
-            watch.stop()
-        assert watch.duration("x") == pytest.approx(1.0)
 
 
 class TestTimerHousekeeping:

@@ -7,7 +7,6 @@ import pytest
 from repro.sim import SimClock
 from repro.sim.events import (
     DEFAULT_CAPACITY,
-    CausalEvent,
     EventsError,
     FlightRecorder,
     merge_streams,
@@ -27,17 +26,22 @@ def recorder(clock):
     return FlightRecorder(clock=clock, device="home")
 
 
+def _last(recorder):
+    """The newest retained event, as the exported dict."""
+    return list(recorder.export())[-1]
+
+
 class TestEmission:
     def test_seq_is_per_device_monotonic(self, recorder, clock):
         recorder.emit("a")
-        first = recorder.events()[-1]
+        first = _last(recorder)
         clock.advance(1.5)
         recorder.emit("b", key="value")
-        second = recorder.events()[-1]
-        assert (first.seq, second.seq) == (1, 2)
-        assert first.time == 0.0
-        assert second.time == pytest.approx(1.5)
-        assert second.attrs == {"key": "value"}
+        second = _last(recorder)
+        assert (first["seq"], second["seq"]) == (1, 2)
+        assert first["t"] == 0.0
+        assert second["t"] == pytest.approx(1.5)
+        assert second["attrs"] == {"key": "value"}
 
     def test_emit_never_advances_the_clock(self, recorder, clock):
         for _ in range(100):
@@ -54,53 +58,53 @@ class TestEmission:
     def test_context_labels_merge_into_attrs(self, recorder):
         recorder.set_context(stage="transfer", package="com.app")
         recorder.emit("link.chunk", wire_bytes=7)
-        event = recorder.events()[-1]
-        assert event.attrs == {"stage": "transfer", "package": "com.app",
-                               "wire_bytes": 7}
+        event = _last(recorder)
+        assert event["attrs"] == {"stage": "transfer", "package": "com.app",
+                                  "wire_bytes": 7}
         recorder.clear_context("stage", "package")
         recorder.emit("after")
-        assert recorder.events()[-1].attrs == {}
+        assert _last(recorder)["attrs"] == {}
 
     def test_explicit_attrs_beat_context(self, recorder):
         recorder.set_context(stage="transfer")
         recorder.emit("x", stage="restore")
-        assert recorder.events()[-1].attrs == {"stage": "restore"}
+        assert _last(recorder)["attrs"] == {"stage": "restore"}
 
     def test_span_path_from_attached_tracer(self, clock):
         tracer = Tracer(clock)
         recorder = FlightRecorder(clock=clock, device="home", tracer=tracer)
         recorder.emit("outside")
-        assert recorder.events()[-1].span is None
+        assert _last(recorder)["span"] is None
         with tracer.span("migration"):
             with tracer.span("transfer"):
                 recorder.emit("inside")
-        event = recorder.events()[-1]
-        assert event.span == "migration/transfer"
+        event = _last(recorder)
+        assert event["span"] == "migration/transfer"
 
 
 class TestTransactionStack:
     def test_events_inherit_innermost_txn(self, recorder):
         recorder.emit("before")
-        assert recorder.events()[-1].txn is None
+        assert _last(recorder)["txn"] is None
         recorder.push_txn(7)
         recorder.emit("during")
-        assert recorder.events()[-1].txn == 7
+        assert _last(recorder)["txn"] == 7
         recorder.push_txn(8)
         assert recorder.current_txn == 8
         assert recorder.parent_txn == 7
         recorder.emit("nested")
-        assert recorder.events()[-1].txn == 8
+        assert _last(recorder)["txn"] == 8
         recorder.pop_txn()
         recorder.pop_txn()
         recorder.emit("after")
-        assert recorder.events()[-1].txn is None
+        assert _last(recorder)["txn"] is None
 
     def test_explicit_txn_override(self, recorder):
         recorder.push_txn(7)
         recorder.emit("x", txn=None)
-        assert recorder.events()[-1].txn is None
+        assert _last(recorder)["txn"] is None
         recorder.emit("y", txn=42)
-        assert recorder.events()[-1].txn == 42
+        assert _last(recorder)["txn"] == 42
         recorder.pop_txn()
 
     def test_pop_underflow_raises(self, recorder):
@@ -117,22 +121,23 @@ class TestRingBuffer:
         assert recorder.emitted == 10
         assert recorder.evicted == 7
         # The retained tail is the newest events, in emission order.
-        assert [e.seq for e in recorder] == [8, 9, 10]
-        assert [e.attrs["i"] for e in recorder] == [7, 8, 9]
+        assert [e["seq"] for e in recorder.export()] == [8, 9, 10]
+        assert [e["attrs"]["i"] for e in recorder.export()] == [7, 8, 9]
 
     def test_events_filter_by_kind(self, recorder):
         recorder.emit("a")
         recorder.emit("b")
         recorder.emit("a")
-        assert [e.seq for e in recorder.events("a")] == [1, 3]
-        assert len(recorder.events()) == 3
+        assert [e["seq"] for e in recorder.export()
+                if e["kind"] == "a"] == [1, 3]
+        assert len(recorder.export()) == 3
 
     def test_clear_keeps_seq_counter(self, recorder):
         recorder.emit("a")
         recorder.clear()
         assert len(recorder) == 0
         recorder.emit("b")
-        assert recorder.events()[-1].seq == 2
+        assert _last(recorder)["seq"] == 2
 
 
 class TestDisabledNullObject:
@@ -242,13 +247,3 @@ class TestMergeStreams:
             clock.advance(0.5)
         assert merge_streams(home.export(), guest.export()) == \
             merge_streams(guest.export(), home.export())
-
-
-class TestCausalEventStr:
-    def test_str_shows_seq_time_txn_attrs(self):
-        event = CausalEvent(seq=4, time=1.25, device="home",
-                            kind="link.fault", txn=9,
-                            attrs={"bytes": 10})
-        text = str(event)
-        assert "#4" in text and "link.fault" in text
-        assert "txn=9" in text and "bytes=10" in text

@@ -255,5 +255,6 @@ class TestFoldInstanceLabel:
                     if key.startswith("binder/transactions")]
         assert "interface=sensor-connection" in series
         assert ":9" not in series
-        [event] = recorder.events("binder.transact")
-        assert event.attrs["interface"] == "sensor-connection"
+        [event] = [event for event in recorder.export()
+                   if event["kind"] == "binder.transact"]
+        assert event["attrs"]["interface"] == "sensor-connection"

@@ -171,12 +171,14 @@ class TestLinks:
         link = Link(10.0, name="caller-built")
         home.migration_service.migrate(guest, app.package, link=link)
         assert link.telemetry is home.telemetry
-        assert any(event.attrs.get("link") == "caller-built"
-                   for event in home.events.events("link.transfer"))
+        assert any(event["attrs"].get("link") == "caller-built"
+                   for event in home.events.export()
+                   if event["kind"] == "link.transfer")
 
     def test_pairing_links_record_no_timeline(self):
         home, guest, _ = self._paired()
         assert home.metrics.snapshot()["counters"]
-        assert home.events.events("link.transfer")
+        assert any(event["kind"] == "link.transfer"
+                   for event in home.events.export())
         assert not any(key.startswith("link/busy")
                        for key in home.timeline.export())

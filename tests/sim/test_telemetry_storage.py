@@ -55,7 +55,6 @@ class TestRing:
         assert [e["attrs"] for e in exported] == [{"i": 7}, {"i": 8},
                                                    {"i": 9}]
         assert recorder.evicted == 7
-        assert [e.seq for e in recorder.events()] == [8, 9, 10]
 
     def test_clear_then_emit_continues_the_sequence(self):
         recorder = FlightRecorder(clock=SimClock(), device="home",
@@ -66,7 +65,6 @@ class TestRing:
         recorder.emit("after")
         [event] = recorder.export()
         assert event["seq"] == 11
-        assert [e.seq for e in recorder] == [11]
 
 
 class TestAttrs:
@@ -77,7 +75,6 @@ class TestAttrs:
         [event] = recorder.export()
         assert list(event["attrs"].items()) == [
             ("stage", "restore"), ("package", "com.app"), ("wire_bytes", 7)]
-        assert recorder.events()[0].attrs == event["attrs"]
 
     def test_instant_args_keep_the_attr_order(self):
         clock = SimClock()
@@ -86,7 +83,7 @@ class TestAttrs:
         recorder.set_context(stage="transfer")
         recorder.push_txn(4)
         recorder.emit("binder.transact", method="set", code=2)
-        [instant] = chrome_instant_events(recorder)
+        [instant] = chrome_instant_events(recorder.export())
         assert list(instant["args"]) == ["seq", "device", "txn", "stage",
                                          "method", "code"]
 
@@ -137,7 +134,6 @@ class TestSeries:
         timeline.sample("n", 2)
         clock.advance(0.5)
         timeline.sample("n", 3)
-        assert timeline.series("n") == [(0.0, 2.0), (0.5, 3.0)]
         assert timeline.export() == {"n": [[0.0, 2.0], [0.5, 3.0]]}
 
 

@@ -158,7 +158,7 @@ class TestTraceExport:
             assert stage["ts"] >= migration["ts"]
             assert stage["ts"] + stage["dur"] <= span_end + 1e-3
 
-    def test_trace_durations_match_report_stages(self, tmp_path):
+    def test_trace_durations_match_report_stages(self):
         import json
 
         from repro.android.device import Device
@@ -176,9 +176,7 @@ class TestTraceExport:
         home.pairing_service.pair(guest)
         with home.tracer.exporting():
             report = home.migration_service.migrate(guest, spec.package)
-        path = tmp_path / "trace.json"
-        home.tracer.write_chrome_trace(str(path))
-        doc = json.loads(path.read_text())
+        doc = json.loads(json.dumps(home.tracer.chrome_trace()))
         durations = {e["name"]: e["dur"] for e in doc["traceEvents"]
                      if e["cat"] == "stage"}
         for stage, seconds in report.stages.items():
@@ -290,6 +288,19 @@ class TestEventsExport:
         assert len({e["pair"] for e in events}) == 4
 
 
+class TestProfileOut:
+    def test_sweep_profile_stays_out_of_the_bundle(self, capsys, tmp_path):
+        from repro.sim.bundle import RunBundle
+
+        profile, bundle = tmp_path / "profile.txt", tmp_path / "run"
+        assert main(["sweep", "--profile-out", str(profile),
+                     "--bundle-out", str(bundle)]) == 0
+        assert profile.read_text()
+        loaded = RunBundle.load(str(bundle))
+        assert "profile.txt" not in loaded.members()
+        assert "profile.txt" not in loaded.manifest["files"]
+
+
 class TestScenario:
     def test_default_demo_queues_two_concurrent_migrations(self, capsys):
         assert main(["scenario"]) == 0
@@ -362,6 +373,30 @@ class TestScenario:
         assert header(capsys.readouterr().out) == ["site"] + scenario
         assert scenario == ["route", "package", "status", "session",
                             "wall (s)", "why"]
+
+    def test_fleet_why_is_the_migrations_own_refusal(self, capsys):
+        assert main(["fleet"]) == 0
+        out = capsys.readouterr().out
+        line = next(line for line in out.splitlines()
+                    if "dev03->dev01" in line
+                    and "com.kiloo.subwaysurf" in line)
+        assert "REFUSED" in line
+        assert line.rstrip().endswith("preserved-egl-context")
+        assert "predicted" not in line
+        migrated = next(line for line in out.splitlines()
+                        if "dev02->dev03" in line
+                        and "com.twitter.android" in line)
+        assert "MIGRATED" in migrated and "predicted 12.492s" in migrated
+
+    def test_fleet_why_keeps_placement_refusals_and_sheds(self, capsys):
+        assert main(["fleet", "--devices", "12", "--arrivals", "40",
+                     "--seed", "7", "--admission", "shed"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        shed = [line for line in lines if " SHED " in line]
+        assert shed and all("shed: projected queue depth" in line
+                            for line in shed)
+        [unplaced] = [line for line in lines if "->-" in line]
+        assert "REFUSED" in unplaced and "no vibrator" in unplaced
 
 
 class TestHostileInputs:
