@@ -174,11 +174,20 @@ def build_postmortem(events: List[Dict[str, Any]],
     """
     segments = segment_migrations(events)
     if not segments:
+        evicted = (_evicted_per_device(events, events[0].get("pair"),
+                                       events[0].get("site"))
+                   if events else {})
+        if evicted:
+            raise PostmortemError(
+                "no migration.start event left in the log; " + "; ".join(
+                    f"log incomplete: {count} events evicted on {device}"
+                    for device, count in evicted.items()))
         raise PostmortemError(
             "no migration.start event in the log — was it produced by "
             "flux-sim migrate/sweep --events-out with FLUX_EVENTS enabled?")
     segment = _pick_segment(segments, package, session)
     seg_events = segment["events"]
+    first = seg_events[0]
 
     abort = _find(seg_events, "stage.fault") or _find(seg_events,
                                                       "migration.refused")
@@ -220,7 +229,33 @@ def build_postmortem(events: List[Dict[str, Any]],
         "causal_chain": _causal_chain(segment),
         "tail": tail,
         "critical_path": critical_path or [],
+        "evicted": _evicted_per_device(
+            events, first.get("pair"), first.get("site")),
     }
+
+
+def _evicted_per_device(events: List[Dict[str, Any]],
+                       pair: Any = None, site: Any = None
+                       ) -> Dict[str, int]:
+    """Events the flight recorders evicted before the log was written,
+    per device of the section labelled ``pair``/``site``.
+
+    ``seq`` counts every event a device ever emitted, so a device whose
+    first event in the section has ``seq = k > 1`` lost ``k - 1``.
+    Devices that lost none are omitted.
+    """
+    evicted: Dict[str, int] = {}
+    seen = set()
+    for event in events:
+        device = event.get("device")
+        if (device in seen or event.get("pair") != pair
+                or event.get("site") != site):
+            continue
+        seen.add(device)
+        seq = event.get("seq")
+        if isinstance(seq, int) and seq > 1:
+            evicted[device] = seq - 1
+    return dict(sorted(evicted.items()))
 
 
 def build_blame(events: List[Dict[str, Any]], session: str
@@ -419,6 +454,8 @@ def render_postmortem(pm: Dict[str, Any]) -> str:
                  else "migration")
         lines.append(f"({pm['migrations_in_log']} migrations in the log; "
                      f"explaining the most recent {which})")
+    for device, count in pm.get("evicted", {}).items():
+        lines.append(f"log incomplete: {count} events evicted on {device}")
 
     if pm["stage_counts"]:
         lines.append("")

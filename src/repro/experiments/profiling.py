@@ -10,13 +10,16 @@ with ties broken by call count and then by the stripped
 ``path:line(function)`` location, so two runs of the deterministic
 simulation produce reports whose row order differs only where the
 measured times genuinely differ.  Paths are stripped to their
-``repro/``-relative form so reports diff cleanly across machines.
+``repro/``-relative form, and standard-library paths to
+``<stdlib>/``, so reports diff cleanly across machines and installs.
 """
 
 from __future__ import annotations
 
 import cProfile
+import os
 import pstats
+import sysconfig
 from typing import List, Optional, Sequence, Tuple
 
 from repro.android.hardware.profiles import PAPER_DEVICE_PAIRS, DeviceProfile
@@ -28,13 +31,25 @@ from repro.experiments.harness import pair_label, run_pair
 DEFAULT_TOP = 25
 
 
+#: The interpreter's standard-library directories, longest first.
+_STDLIB_DIRS = tuple(sorted(
+    {os.path.normpath(sysconfig.get_paths()[key])
+     for key in ("stdlib", "platstdlib")}, key=len, reverse=True))
+
+
 def _strip_path(path: str) -> str:
-    """``/abs/prefix/src/repro/x.py`` -> ``repro/x.py`` (stable across
-    machines); stdlib/built-in locations pass through unchanged."""
+    """``/abs/prefix/src/repro/x.py`` -> ``repro/x.py`` and
+    ``<stdlib dir>/json/encoder.py`` -> ``<stdlib>/json/encoder.py``
+    (stable across machines and installs); other locations, built-ins
+    included, pass through unchanged."""
     for marker in ("/repro/", "\\repro\\"):
         index = path.rfind(marker)
         if index >= 0:
             return "repro/" + path[index + len(marker):].replace("\\", "/")
+    for directory in _STDLIB_DIRS:
+        if path.startswith(directory + os.sep):
+            rest = path[len(directory) + len(os.sep):]
+            return "<stdlib>/" + rest.replace("\\", "/")
     return path
 
 

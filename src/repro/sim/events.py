@@ -35,13 +35,16 @@ Events flow through a bounded ring buffer (a *flight recorder*): the
 ``FLUX_EVENTS_CAP`` environment variable bounds each recorder's memory, and
 when the buffer is full the oldest events are evicted first — exactly
 what a post-mortem wants, since the tail before the fault is what
-explains it.
+explains it.  The ring stores its events in typed columns, a block at a
+time (DESIGN.md, "Telemetry storage"), so an event costs a few machine
+words, not a Python object.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from array import array
 from collections import deque
 from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -52,12 +55,55 @@ from repro.sim.shapes import check
 #: :mod:`repro.sim.telemetry`, which reads the knobs).
 DEFAULT_CAPACITY = 65536
 
+#: Events per column block (fewer when the capacity is smaller).  A
+#: recorder allocates blocks as events arrive, so an idle recorder holds
+#: none, and eviction frees a block once all its events are gone.
+BLOCK_EVENTS = 256
+
+#: Shape ids live in an unsigned 16-bit column.
+_MAX_SHAPES = 1 << 16
+
+#: The ``txn`` column's value for an event outside any transaction.
+_NO_TXN = -(1 << 63)
+
 
 class EventsError(Exception):
     """Flight-recorder misuse or an unreadable event log."""
 
 
 _UNSET = object()
+
+
+class _Block:
+    """Up to :data:`BLOCK_EVENTS` consecutive events, one column per field.
+
+    ``times``, ``txns`` and ``shapes`` hold one cell per event.
+    ``values`` holds the events' attr values, flat: per event, first
+    the context-label values if its shape carries a context, then its
+    explicit attr values.  A recorder's newest block fills plain lists,
+    whose appends cost a third of an array's; :meth:`packed` copies a
+    block into the typed columns (``array('d')`` times, ``array('q')``
+    txn ids, ``array('H')`` shape ids), which is what every full block
+    and every exported block holds.  A full block never changes again.
+    """
+
+    __slots__ = ("times", "txns", "shapes", "values")
+
+    def __init__(self) -> None:
+        self.times: Any = []
+        self.txns: Any = []
+        self.shapes: Any = []
+        self.values: List[Any] = []
+
+    def packed(self, start: int = 0, value_start: int = 0) -> "_Block":
+        """The events from ``start`` on, whose values begin at
+        ``value_start``, in typed columns."""
+        block = _Block()
+        block.times = array("d", self.times[start:])
+        block.txns = array("q", self.txns[start:])
+        block.shapes = array("H", self.shapes[start:])
+        block.values = self.values[value_start:]
+        return block
 
 
 class FlightRecorder:
@@ -70,14 +116,23 @@ class FlightRecorder:
     bookkeeping, cheap and deterministic), and ``export`` is empty —
     instrumented code never needs an ``if``.
 
-    Storage is flat (DESIGN.md, "Telemetry storage"): the ring holds
-    one tuple per event, ``(time, kind, txn, span, keys, *values)``.
-    ``keys`` names the attrs in order and is interned per recorder, so
-    events emitted from one call site share one key tuple.  ``seq``
-    is not stored: it follows from the position in the ring, and
-    ``device`` from the recorder.  :meth:`export` is the one read path:
-    it hands the records to an :class:`EventLog`, which builds the event
-    dicts when it is read.
+    Storage is columnar (DESIGN.md, "Telemetry storage").  An event is
+    one cell in each column of a :class:`_Block`: its time (a double),
+    its transaction id (a 64-bit int) and its *shape* (a 16-bit id of
+    an interned ``(kind, span, keys, context_keys)``), plus its attr
+    values in the block's flat value list.  The newest block fills
+    lists and is packed into the typed columns once full.  ``keys``
+    names the explicit attrs in order.  Context labels change only at
+    stage boundaries, so only the first event after a change carries
+    them: its shape's ``context_keys`` names the labels and its values
+    start with theirs; every other event's shape has
+    ``context_keys=None`` and it inherits the labels of the event before
+    it.  ``seq`` is not stored: it follows from the position in the
+    ring, and ``device`` from the recorder.  Eviction advances an offset into the oldest block, keeps
+    the labels the next retained event inherits, and drops the block
+    once all its events are gone.  :meth:`export` is the one read path:
+    it hands a snapshot of the columns to an :class:`EventLog`, which
+    builds the event dicts when it is read.
     """
 
     def __init__(self, clock=None, device: str = "",
@@ -90,25 +145,51 @@ class FlightRecorder:
         self.capacity = capacity
         self._tracer = tracer
         self.enabled = enabled
-        self._ring: deque = deque(maxlen=capacity)
-        #: Attr-name tuples seen so far, each mapped to itself.
-        self._keys: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-        #: Total events ever emitted (including evicted ones); the next
-        #: event gets ``seq = emitted + 1``.
-        self.emitted = 0
+        self._block_events = min(capacity, BLOCK_EVENTS)
+        self._blocks: deque = deque()
+        #: Events that fit before the next one needs :meth:`_make_room`:
+        #: free cells in the newest block, fewer when the ring is
+        #: nearly full, none while it is full.
+        self._room = 0
+        #: Cells of every block but the newest.
+        self._sealed = 0
+        #: The newest block, while ``_room`` is not 0.
+        self._tail: Optional[_Block] = None
+        #: Evicted events at the front of the oldest block, and the
+        #: number of values they hold.
+        self._head = 0
+        self._value_head = 0
+        #: The context labels the oldest retained event inherits.
+        self._base_context: Dict[str, Any] = {}
+        #: ``(kind, span, keys, context_keys)`` shapes by id; the ids of
+        #: the shapes without context labels, by kind, span and keys;
+        #: the ids of the others, by shape.
+        self._shapes: List[Tuple[Any, ...]] = []
+        self._shape_ids: Dict[str, Dict[Any, Dict[tuple, int]]] = {}
+        self._carrier_ids: Dict[Tuple[Any, ...], int] = {}
+        #: :attr:`emitted` when ``_room`` was last set to ``_granted``.
+        self._emitted = 0
+        self._granted = 0
         self._txn_stack: List[int] = []
+        #: The innermost open transaction's id, or ``_NO_TXN``.
+        self._txn = _NO_TXN
         self._context: Dict[str, Any] = {}
+        #: The context's label names while the next event must carry
+        #: them, else ``None``.
+        self._context_keys: Optional[Tuple[str, ...]] = None
 
     # -- causality context ---------------------------------------------------
 
     def push_txn(self, txn_id: int) -> None:
         """Enter a Binder transaction: subsequent events carry its id."""
         self._txn_stack.append(txn_id)
+        self._txn = txn_id
 
     def pop_txn(self) -> None:
         if not self._txn_stack:
             raise EventsError("transaction stack underflow")
         self._txn_stack.pop()
+        self._txn = self._txn_stack[-1] if self._txn_stack else _NO_TXN
 
     @property
     def current_txn(self) -> Optional[int]:
@@ -121,10 +202,12 @@ class FlightRecorder:
     def set_context(self, **labels: Any) -> None:
         """Attach labels (e.g. ``stage=transfer``) to subsequent events."""
         self._context.update(labels)
+        self._context_keys = tuple(self._context)
 
     def clear_context(self, *keys: str) -> None:
         for key in keys:
             self._context.pop(key, None)
+        self._context_keys = tuple(self._context)
 
     # -- emission ------------------------------------------------------------
 
@@ -138,54 +221,150 @@ class FlightRecorder:
         """
         if not self.enabled:
             return
-        self.emitted += 1
-        if self._context:
-            attrs = {**self._context, **attrs}
-        keys = tuple(attrs)
-        self._ring.append((
-            self._clock.now if self._clock is not None else 0.0,
-            kind,
-            self.current_txn if txn is _UNSET else txn,
-            # Cached on the tracer and invalidated on span open/close.
-            self._tracer.open_span_path if self._tracer is not None
-            else None,
-            self._keys.setdefault(keys, keys),
-            *attrs.values()))
+        if self._room:
+            self._room -= 1
+            block = self._tail
+        else:
+            block = self._make_room()
+        block.times.append(self._clock.now if self._clock is not None
+                           else 0.0)
+        block.txns.append(self._txn if txn is _UNSET
+                          else _NO_TXN if txn is None else txn)
+        # The span path is cached on the tracer and invalidated on span
+        # open/close.
+        span = (self._tracer.open_span_path if self._tracer is not None
+                else None)
+        if self._context_keys is None:
+            try:
+                shape_id = self._shape_ids[kind][span][tuple(attrs)]
+            except KeyError:
+                shape_id = self._add_shape(kind, span, tuple(attrs), None)
+        else:
+            shape_id = self._carry_context(block, kind, span, tuple(attrs))
+        block.shapes.append(shape_id)
+        if attrs:
+            block.values.extend(attrs.values())
+
+    def _make_room(self) -> _Block:
+        """The block the event being emitted goes in: evicts the oldest
+        event if the ring is full and opens a block if the newest is
+        full, then counts the events that fit before coming back."""
+        emitted = self.emitted + 1
+        if len(self) == self.capacity:
+            self._evict_oldest()
+        blocks = self._blocks
+        if not blocks or len(blocks[-1].times) == self._block_events:
+            if blocks:
+                self._sealed += self._block_events
+                blocks[-1] = blocks[-1].packed()
+            blocks.append(_Block())
+        block = self._tail = blocks[-1]
+        self._room = self._granted = min(
+            self._block_events - len(block.times),
+            self.capacity - len(self)) - 1
+        self._emitted = emitted
+        return block
+
+    def _carry_context(self, block: _Block, kind: str, span: Any,
+                       keys: Tuple[str, ...]) -> int:
+        """The shape id of an event that carries the context labels, whose
+        values it puts in ``block`` ahead of its own."""
+        context_keys = self._context_keys
+        shape_id = self._carrier_ids.get((kind, span, keys, context_keys))
+        if shape_id is None:
+            shape_id = self._add_shape(kind, span, keys, context_keys)
+        block.values.extend(self._context.values())
+        self._context_keys = None
+        return shape_id
+
+    def _add_shape(self, kind: str, span: Any, keys: Tuple[str, ...],
+                   context_keys: Optional[Tuple[str, ...]]) -> int:
+        shape_id = len(self._shapes)
+        if shape_id == _MAX_SHAPES:
+            raise EventsError(f"{self.device}: more than {_MAX_SHAPES} "
+                              f"distinct event shapes")
+        shape = (kind, span, keys, context_keys)
+        self._shapes.append(shape)
+        if context_keys is None:
+            self._shape_ids.setdefault(kind, {}).setdefault(
+                span, {})[keys] = shape_id
+        else:
+            self._carrier_ids[shape] = shape_id
+        return shape_id
+
+    def _evict_oldest(self) -> None:
+        first = self._blocks[0]
+        _, _, keys, context_keys = self._shapes[first.shapes[self._head]]
+        at = self._value_head
+        if context_keys is not None:
+            self._base_context = dict(zip(
+                context_keys, first.values[at:at + len(context_keys)]))
+            at += len(context_keys)
+        self._value_head = at + len(keys)
+        self._head += 1
+        if self._head == len(first.times):
+            self._blocks.popleft()
+            if self._blocks:
+                self._sealed -= self._head
+            self._head = self._value_head = 0
 
     # -- inspection ----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._ring)
+        blocks = self._blocks
+        return (self._sealed + len(blocks[-1].times) - self._head
+                if blocks else 0)
+
+    @property
+    def emitted(self) -> int:
+        """Total events ever emitted (including evicted ones); the next
+        event gets ``seq = emitted + 1``."""
+        return self._emitted + self._granted - self._room
 
     @property
     def evicted(self) -> int:
         """Events pushed out of the ring to keep memory bounded."""
-        return self.emitted - len(self._ring)
+        return self.emitted - len(self)
 
     def export(self) -> "EventLog":
         """The retained events as a one-stream :class:`EventLog`.
 
-        The log shares the ring's records, so exporting builds nothing
-        per event.
+        The log holds a snapshot of the columns: full blocks are
+        shared (they never change again), the oldest block's retained
+        part and the newest block, still filling, are packed copies.
+        Nothing is built per event.
         """
-        records = tuple(self._ring)
-        first = self.emitted - len(records) + 1
-        return EventLog(((None, ((self.device, first, records),)),))
+        blocks = list(self._blocks)
+        if self._head:
+            blocks[0] = blocks[0].packed(self._head, self._value_head)
+        if blocks and type(blocks[-1].times) is list:
+            blocks[-1] = blocks[-1].packed()
+        stream = (self.device, self.evicted + 1, tuple(self._shapes),
+                  tuple(blocks), self._base_context)
+        return EventLog(((None, (stream,)),))
 
     def clear(self) -> None:
-        self._ring.clear()
+        self._emitted = self.emitted
+        self._blocks.clear()
+        self._head = self._value_head = self._sealed = 0
+        self._room = self._granted = 0
+        self._base_context = {}
+        # The next event starts a new stream: it carries the context.
+        self._context_keys = tuple(self._context)
 
 
 class EventLog:
-    """Exported events, kept as the flight recorders' own records.
+    """Exported events, kept as the flight recorders' columns.
 
     A log is a run of *sections*, each ``(label, streams)``: the events
-    of one simulation.  A stream is one recorder's retained records,
-    ``(device, first_seq, records)``, where ``records`` are the ring's
-    ``(time, kind, txn, span, keys, *values)`` tuples in emission order.
-    ``label`` is ``None`` or one ``(key, value)`` pair that every event
-    of the section carries (the sweep's ``pair``, the fleet's ``site``),
-    stored once per section, not once per event.
+    of one simulation.  A stream is one recorder's retained events,
+    ``(device, first_seq, shapes, blocks, base_context)``: the
+    recorder's shape table, a snapshot of its column blocks
+    (:class:`_Block`), events in emission order, and the context labels
+    the first event inherits.  ``label`` is ``None`` or one
+    ``(key, value)`` pair that every event of the section carries (the
+    sweep's ``pair``, the fleet's ``site``), stored once per section,
+    not once per event.
 
     Nothing is built per event until something reads the log.  Iteration
     yields one fresh JSON-ready dict per event, keyed ``seq``, ``t``,
@@ -195,7 +374,7 @@ class EventLog:
     A recorder reads a clock that never moves backwards, so each stream
     is already in that order and the merge is a streaming one.  A log
     equals another log, or a list, holding the same event dicts in the
-    same order, and pickles as its records.
+    same order, and pickles as its columns.
     """
 
     __slots__ = ("_sections",)
@@ -215,21 +394,21 @@ class EventLog:
         return (stream for _, streams in self._sections for stream in streams)
 
     def __len__(self) -> int:
-        return sum(len(records) for _, _, records in self._streams())
+        return sum(len(block.times) for _, _, _, blocks, _ in self._streams()
+                   for block in blocks)
 
     def __iter__(self) -> Iterator[Dict[str, Any]]:
         for label, streams in self._sections:
-            ordered = (_numbered(*streams[0]) if len(streams) == 1
-                       else heapq.merge(*(_numbered(*stream)
+            ordered = (_events(*streams[0]) if len(streams) == 1
+                       else heapq.merge(*(_events(*stream)
                                           for stream in streams),
                                         key=_CAUSAL_ORDER))
-            for time, device, seq, record in ordered:
-                event = {"seq": seq, "t": time, "device": device,
-                         "kind": record[1], "txn": record[2],
-                         "span": record[3],
-                         "attrs": dict(zip(record[4], record[5:]))}
-                if label is not None:
-                    event[label[0]] = label[1]
+            if label is None:
+                yield from ordered
+                continue
+            key, value = label
+            for event in ordered:
+                event[key] = value
                 yield event
 
     def __eq__(self, other: object) -> bool:
@@ -242,12 +421,29 @@ class EventLog:
 
 
 #: The causal order of merged streams: ``(t, device, seq)``.
-_CAUSAL_ORDER = itemgetter(0, 1, 2)
+_CAUSAL_ORDER = itemgetter("t", "device", "seq")
 
 
-def _numbered(device: str, first: int, records: tuple):
-    return ((record[0], device, seq, record)
-            for seq, record in enumerate(records, first))
+def _events(device: str, seq: int, shapes: tuple, blocks: tuple,
+            context: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
+    """One stream's event dicts, in emission order."""
+    for block in blocks:
+        values = block.values
+        at = 0
+        for time, txn, shape in zip(block.times, block.txns, block.shapes):
+            kind, span, keys, context_keys = shapes[shape]
+            if context_keys is not None:
+                end = at + len(context_keys)
+                context = dict(zip(context_keys, values[at:end]))
+                at = end
+            attrs = dict(context)
+            if keys:
+                attrs.update(zip(keys, values[at:at + len(keys)]))
+                at += len(keys)
+            yield {"seq": seq, "t": time, "device": device, "kind": kind,
+                   "txn": None if txn == _NO_TXN else txn, "span": span,
+                   "attrs": attrs}
+            seq += 1
 
 
 def merge_streams(*logs: EventLog) -> EventLog:

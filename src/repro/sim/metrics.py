@@ -34,8 +34,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.sim.timeline import (append_sample, chrome_counter_events,
-                                sample_pairs, series_key, split_series_key)
+from repro.sim.timeline import (SampleTrack, chrome_counter_events,
+                                series_key, split_series_key)
 
 
 class MetricsError(Exception):
@@ -97,29 +97,38 @@ class _Metric:
     """Shared identity plumbing; subclasses add the typed state.
 
     With a ``clock``, every mutation appends ``(clock.now, value)`` to
-    the metric's own flat ``[t0, v0, t1, v1, ...]`` track
-    (:func:`~repro.sim.timeline.append_sample`); without one the track
-    stays empty.
+    the metric's own :class:`~repro.sim.timeline.SampleTrack`, where an
+    int total stays an int.  ``track`` is ``None`` until the first
+    sample, so a lookup builds no track, and stays ``None`` without a
+    clock.
     """
+
+    __slots__ = ("_clock", "track", "subsystem", "name", "labels", "key")
 
     kind = "?"
 
     def __init__(self, clock, subsystem: str, name: str,
                  labels: LabelItems) -> None:
         self._clock = clock
-        self.track: List[float] = []
+        self.track: Optional[SampleTrack] = None
         self.subsystem = subsystem
         self.name = name
         self.labels = labels
         self.key = series_key(f"{subsystem}/{name}", labels)
 
     def _sample(self, value: float) -> None:
-        if self._clock is not None:
-            append_sample(self.track, self._clock.now, value)
+        track = self.track
+        if track is None:
+            if self._clock is None:
+                return
+            track = self.track = SampleTrack()
+        track.append(self._clock.now, value)
 
 
 class Counter(_Metric):
     """A monotonically increasing total."""
+
+    __slots__ = ("value",)
 
     kind = "counter"
 
@@ -137,6 +146,8 @@ class Counter(_Metric):
 
 class Gauge(_Metric):
     """A point-in-time level; merge keeps the maximum seen."""
+
+    __slots__ = ("value",)
 
     kind = "gauge"
 
@@ -160,6 +171,8 @@ class Histogram(_Metric):
     implicit overflow bucket past the last bound (``counts`` has
     ``len(bounds) + 1`` cells).
     """
+
+    __slots__ = ("bounds", "counts", "sum", "count", "min", "max")
 
     kind = "histogram"
 
@@ -191,16 +204,22 @@ class Histogram(_Metric):
 
 
 class _NullCounter(Counter):
+    __slots__ = ()
+
     def inc(self, amount: float = 1) -> None:  # noqa: D102 - no-op
         pass
 
 
 class _NullGauge(Gauge):
+    __slots__ = ()
+
     def set(self, value: float) -> None:
         pass
 
 
 class _NullHistogram(Histogram):
+    __slots__ = ()
+
     def observe(self, value: float) -> None:
         pass
 
@@ -275,7 +294,7 @@ class MetricsRegistry:
         at each distinct virtual timestamp.
         """
         return chrome_counter_events(
-            {metric.key: sample_pairs(metric.track)
+            {metric.key: metric.track.pairs()
              for metric in self._metrics.values() if metric.track},
             cat="metric")
 

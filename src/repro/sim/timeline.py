@@ -26,6 +26,8 @@ This module owns the flat key grammar of every telemetry plane:
 :func:`series_key` writes ``name{label=value,...}`` with sorted labels
 and :func:`split_series_key` reads it back.  Timeline series use it
 directly; metrics keys are ``series_key("subsystem/name", labels)``.
+It also owns :class:`SampleTrack`, the typed-column store that timeline
+series and metric counter tracks both keep their samples in.
 
 Worlds with private clocks (sweep pairs, fleet sites) never merge by
 time.  :func:`labeled_timelines` folds each world's label (``pair=``,
@@ -36,6 +38,7 @@ time.  :func:`labeled_timelines` folds each world's label (``pair=``,
 from __future__ import annotations
 
 import json
+from array import array
 from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
                     Tuple)
 
@@ -71,24 +74,67 @@ def split_series_key(key: str) -> Tuple[str, Dict[str, str]]:
     return base, labels
 
 
-def append_sample(series: List[float], time: float, value: float) -> None:
-    """Add ``(time, value)`` to a flat ``[t0, v0, t1, v1, ...]`` series.
+#: Ints of at most this magnitude survive a round trip through a double.
+_EXACT_INT = 1 << 53
 
-    A sample at the series' last timestamp replaces that sample's
-    value (last write wins), so an instant's flurry of edges keeps one
-    point.  The timeline and the metrics registry's counter tracks both
-    store their samples this way, two list slots per sample.
+
+class SampleTrack:
+    """``(time, value)`` samples, flat ``[t0, v0, t1, v1, ...]`` in one
+    ``array('d')``.
+
+    A sample at the track's last timestamp replaces that sample's value
+    (last write wins), so an instant's flurry of edges keeps one point.
+    The timeline and the metrics registry's counter tracks both store
+    their samples here, 16 bytes per sample.  Values read back with the
+    type they were written with: a track whose values are all floats,
+    or all ints a double holds exactly, stays in the array; a value of
+    any other type moves the track to a plain list, boxed, where each
+    value keeps its own type.
     """
-    if series and series[-2] == time:
-        series[-1] = value
-    else:
-        series.append(time)
-        series.append(value)
 
+    __slots__ = ("_flat", "_type", "_last")
 
-def sample_pairs(series: List[float]) -> Iterator[Tuple[float, float]]:
-    """The ``(time, value)`` samples of a flat series, in order."""
-    return zip(series[::2], series[1::2])
+    def __init__(self) -> None:
+        self._flat: Any = array("d")
+        #: ``int`` or ``float`` while in the array (``None`` while
+        #: empty), ``list`` once boxed.
+        self._type: Any = None
+        #: The last sample's time.
+        self._last: Optional[float] = None
+
+    def append(self, time: float, value: Any) -> None:
+        kind = type(value)
+        if kind is not self._type:
+            if self._type is not list:
+                self._retype(kind, value)
+        elif kind is int and not -_EXACT_INT <= value <= _EXACT_INT:
+            self._retype(list, value)
+        if time == self._last:
+            self._flat[-1] = value
+        else:
+            self._last = time
+            self._flat.append(time)
+            self._flat.append(value)
+
+    def _retype(self, kind: type, value: Any) -> None:
+        if self._type is None and (kind is float or kind is int
+                                   and -_EXACT_INT <= value <= _EXACT_INT):
+            self._type = kind
+            return
+        boxed = self._flat.tolist()
+        if self._type is int:
+            boxed[1::2] = map(int, boxed[1::2])
+        self._flat, self._type = boxed, list
+
+    def __len__(self) -> int:
+        return len(self._flat) // 2
+
+    def pairs(self) -> Iterator[Tuple[float, Any]]:
+        """The ``(time, value)`` samples, in order."""
+        flat = self._flat
+        values = flat[1::2]
+        return zip(flat[::2], map(int, values) if self._type is int
+                   else values)
 
 
 class Timeline:
@@ -105,8 +151,7 @@ class Timeline:
     def __init__(self, clock=None, enabled: bool = True) -> None:
         self._clock = clock
         self.enabled = enabled
-        #: Flat ``[t0, v0, t1, v1, ...]`` series (:func:`append_sample`).
-        self._series: Dict[str, List[float]] = {}
+        self._series: Dict[str, SampleTrack] = {}
 
     def sample(self, name: str, value: float, **labels: Any) -> None:
         """Record ``(clock.now, value)`` on the edge that is happening.
@@ -116,16 +161,19 @@ class Timeline:
         """
         if not self.enabled:
             return
-        append_sample(self._series.setdefault(series_key(name, labels), []),
-                      self._clock.now if self._clock is not None else 0.0,
-                      float(value))
+        key = series_key(name, labels)
+        track = self._series.get(key)
+        if track is None:
+            track = self._series[key] = SampleTrack()
+        track.append(self._clock.now if self._clock is not None else 0.0,
+                     float(value))
 
     def __len__(self) -> int:
         return len(self._series)
 
     def export(self) -> Dict[str, List[List[float]]]:
         """JSON-ready view: sorted keys, ``[[t, value], ...]`` samples."""
-        return {key: [[t, v] for t, v in sample_pairs(self._series[key])]
+        return {key: [[t, v] for t, v in self._series[key].pairs()]
                 for key in sorted(self._series)}
 
 

@@ -1,5 +1,8 @@
 """The ``--profile-out`` plane: deterministic per-pair cProfile reports."""
 
+import os
+import sysconfig
+
 from repro.android.hardware.profiles import NEXUS_4, NEXUS_7_2013
 from repro.apps import app_by_title
 from repro.experiments.profiling import (
@@ -23,8 +26,14 @@ class TestStripPath:
                 == "repro/core/x.py")
 
     def test_foreign_paths_pass_through(self):
-        assert _strip_path("/usr/lib/python3.11/json/encoder.py") \
-            == "/usr/lib/python3.11/json/encoder.py"
+        assert _strip_path("/srv/plugins/json/encoder.py") \
+            == "/srv/plugins/json/encoder.py"
+        assert _strip_path("~") == "~"
+
+    def test_stdlib_paths_lose_the_install_prefix(self):
+        stdlib = sysconfig.get_paths()["stdlib"]
+        assert (_strip_path(os.path.join(stdlib, "json", "encoder.py"))
+                == "<stdlib>/json/encoder.py")
 
 
 class TestProfileSweep:

@@ -19,6 +19,7 @@ from repro.core.migration.postmortem import (
     segment_migrations,
 )
 from repro.sim.events import read_jsonl
+from repro.sim.telemetry import EVENTS_CAP_ENV
 
 
 def _seqs_in(text):
@@ -138,6 +139,69 @@ class TestSuccessAndSelection:
     def test_missing_file_exits(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["explain", str(tmp_path / "nope.jsonl")])
+
+
+class TestEvictionGaps:
+    """A device whose first retained event has ``seq = k > 1`` lost
+    ``k - 1`` events to its ring; ``explain`` says so."""
+
+    def test_capped_migrate_bundle_names_the_gap(self, tmp_path,
+                                                 monkeypatch, capsys):
+        # One migrate run emits at most 24 events per device, so only a
+        # ring smaller than that evicts; migration.start goes first.
+        monkeypatch.setenv(EVENTS_CAP_ENV, "8")
+        bundle = str(tmp_path / "run")
+        assert main(["migrate", "--app", "Candy Crush",
+                     "--bundle-out", bundle]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            main(["explain", bundle])
+        message = str(exit_info.value)
+        assert "no migration.start event left in the log" in message
+        assert "log incomplete: 11 events evicted on home" in message
+        assert "log incomplete: 5 events evicted on guest" in message
+
+    def test_capped_scenario_bundle_prints_the_gap_before_the_chain(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(EVENTS_CAP_ENV, "30")
+        bundle = str(tmp_path / "run")
+        assert main(["scenario", "--device", "h1=nexus4",
+                     "--device", "g1=nexus7_2013",
+                     "--migrate", "h1:g1:bubble",
+                     "--migrate", "h1:g1:flappy@30",
+                     "--bundle-out", bundle]) == 0
+        capsys.readouterr()
+        assert main(["explain", bundle]) == 0
+        out = capsys.readouterr().out
+        assert "com.dotgears.flappybird" in out
+        gaps = [line for line in out.splitlines()
+                if line.startswith("log incomplete:")]
+        assert gaps == ["log incomplete: 4 events evicted on g1",
+                        "log incomplete: 14 events evicted on h1"]
+        assert out.index(gaps[-1]) < out.index("events per stage:")
+
+    def test_default_cap_prints_nothing_new(self, tmp_path, capsys):
+        bundle = str(tmp_path / "run")
+        assert main(["migrate", "--app", "Candy Crush",
+                     "--bundle-out", bundle]) == 0
+        capsys.readouterr()
+        assert main(["explain", bundle]) == 0
+        out = capsys.readouterr().out
+        assert "log incomplete" not in out
+        assert "critical path" in out
+
+    def test_gaps_are_counted_within_the_section(self):
+        events = [
+            _event(1, 0.0, "migration.start", package="a", home="home",
+                   guest="guest"),
+            _event(7, 0.1, "stage.start", device="guest", stage="restore"),
+            _event(8, 0.2, "stage.start", device="guest", stage="restore"),
+            _event(2, 0.3, "migration.done", package="a"),
+        ]
+        other = dict(_event(40, 0.0, "x", device="guest"), pair="p1")
+        pm = build_postmortem([other] + events)
+        assert pm["evicted"] == {"guest": 6}
+        assert "log incomplete: 6 events evicted on guest" in \
+            render_postmortem(pm)
 
 
 def _event(seq, t, kind, device="home", txn=None, **attrs):

@@ -12,14 +12,17 @@ import json
 import os
 import pickle
 import tempfile
+from array import array
 from collections import deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import SimClock
+from repro.sim import events as events_module
 from repro.sim.events import (EventLog, FlightRecorder, merge_streams,
                               write_jsonl)
+from repro.sim.trace import Tracer
 
 NAMES = ("home", "guest", "world")
 
@@ -163,3 +166,121 @@ def test_labels_live_on_the_section_not_the_records():
 def test_a_log_is_not_equal_to_a_non_sequence():
     log = FlightRecorder(device="home").export()
     assert log != {} and log != () and log != "[]"
+
+
+class _TupleRing:
+    """The flight recorder before columns: a ``deque(maxlen=capacity)``
+    of ``(time, kind, txn, span, keys, *values)`` tuples."""
+
+    def __init__(self, clock, tracer, capacity):
+        self.clock, self.tracer = clock, tracer
+        self.ring = deque(maxlen=capacity)
+        self.emitted = 0
+        self.txns, self.context = [], {}
+
+    def emit(self, kind, txn, attrs):
+        self.emitted += 1
+        if txn == "default":
+            txn = self.txns[-1] if self.txns else None
+        attrs = {**self.context, **attrs}
+        self.ring.append((self.clock.now, kind, txn,
+                          self.tracer.open_span_path, tuple(attrs),
+                          *attrs.values()))
+
+    def export(self, device):
+        first = self.emitted - len(self.ring) + 1
+        return [{"seq": seq, "t": record[0], "device": device,
+                 "kind": record[1], "txn": record[2], "span": record[3],
+                 "attrs": dict(zip(record[4], record[5:]))}
+                for seq, record in enumerate(self.ring, first)]
+
+
+_ring_op = st.one_of(
+    _op,
+    st.tuples(st.just("open"), st.sampled_from(("migration", "transfer"))),
+    st.tuples(st.just("close")),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("export")),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(1, 8), block=st.integers(1, 4),
+       ops=st.lists(_ring_op, max_size=60))
+def test_columnar_ring_matches_the_tuple_ring(capacity, block, ops):
+    saved, events_module.BLOCK_EVENTS = events_module.BLOCK_EVENTS, block
+    try:
+        clock = SimClock()
+        tracer = Tracer(clock)
+        recorder = FlightRecorder(clock=clock, device="home",
+                                  capacity=capacity, tracer=tracer)
+    finally:
+        events_module.BLOCK_EVENTS = saved
+    model = _TupleRing(clock, tracer, capacity)
+    spans = []
+
+    def same():
+        assert list(recorder.export()) == model.export("home")
+        assert len(recorder) == len(model.ring)
+        assert recorder.emitted == model.emitted
+        assert recorder.evicted == model.emitted - len(model.ring)
+
+    for action, *args in ops:
+        if action == "emit":
+            kind, txn, attrs = args
+            if txn == "default":
+                recorder.emit(kind, **attrs)
+            else:
+                recorder.emit(kind, txn=txn, **attrs)
+            model.emit(kind, txn, attrs)
+        elif action == "advance":
+            clock.advance(args[0])
+        elif action == "context":
+            recorder.set_context(**args[0])
+            model.context.update(args[0])
+        elif action == "clear_context":
+            recorder.clear_context(args[0])
+            model.context.pop(args[0], None)
+        elif action == "push":
+            recorder.push_txn(args[0])
+            model.txns.append(args[0])
+        elif action == "pop":
+            if model.txns:
+                recorder.pop_txn()
+                model.txns.pop()
+        elif action == "open":
+            spans.append(tracer.span(args[0]))
+        elif action == "close":
+            if spans:
+                spans.pop().__exit__(None, None, None)
+        elif action == "clear":
+            recorder.clear()
+            model.ring.clear()
+        else:
+            same()
+    same()
+
+
+def test_a_log_pickles_as_its_columns():
+    clock = SimClock()
+    recorders = [FlightRecorder(clock=clock, device=name, capacity=300)
+                 for name in ("home", "guest")]
+    for i in range(700):
+        recorder = recorders[i % 2]
+        if i % 50 == 0:
+            recorder.set_context(stage=f"s{i}")
+        recorder.push_txn(i)
+        recorder.emit("e", n=i, big=1 << 40, name=f"n{i}")
+        recorder.pop_txn()
+        recorder.emit("f", txn=None)
+        clock.advance(0.25)
+    merged = merge_streams(*(recorder.export() for recorder in recorders))
+    log = EventLog.labeled("site", [("s0", merged), ("s1", merged)])
+    data = pickle.dumps(log)
+    clone = pickle.loads(data)
+    assert clone == log and len(clone) == len(log) == 1200
+    assert list(clone)[0]["seq"] == 401      # 400 evicted per device
+    for _, streams in clone._sections:
+        for stream in streams:
+            assert all(isinstance(block.times, array)
+                       for block in stream[3])

@@ -1,13 +1,13 @@
-"""Telemetry storage: flat records, the same shapes when read.
+"""Telemetry storage: typed columns, the same shapes when read.
 
-The flight recorder keeps one tuple per event, and the counter tracks
-and timeline keep flat ``[t0, v0, t1, v1, ...]`` series (DESIGN.md,
-"Telemetry storage").  The first half checks that reads still see what
-the object-per-event stores showed: position-derived ``seq`` across
-eviction and ``clear()``, context-label precedence and key order, and
-same-timestamp coalescing.  The second half is a memory ratchet: a
-record type that grows back toward a dict per event shows up here, and
-so does an exported event log that holds one.
+The flight recorder keeps its events in typed columns, and the counter
+tracks and timeline keep flat ``[t0, v0, t1, v1, ...]`` sample tracks
+(DESIGN.md, "Telemetry storage").  The first half checks that reads
+still see what the object-per-event stores showed: position-derived
+``seq`` across eviction and ``clear()``, context-label precedence and
+key order, and same-timestamp coalescing.  The second half is a memory
+ratchet: a record type that grows back toward an object per event
+shows up here, and so does an exported event log that holds one.
 """
 
 import gc
@@ -22,24 +22,26 @@ from repro.sim import SimClock
 from repro.sim.events import FlightRecorder
 from repro.sim.telemetry import EVENTS_ENV
 from repro.sim.metrics import MetricsRegistry
-from repro.sim.timeline import Timeline, append_sample, sample_pairs
+from repro.sim.timeline import SampleTrack, Timeline
 from repro.sim.trace import Tracer, chrome_instant_events
 
 #: Retained bytes per event: 10,000 events at distinct times, two
-#: context labels and three attrs each (one a distinct int).  Measured
-#: on CPython 3.11: 414 with a frozen dataclass and a merged attrs dict
-#: per event, 183 with flat tuples.
-EVENT_BYTES_BOUND = 200
+#: context labels and three attrs each (one a distinct int, 28 of the
+#: bytes).  Measured on CPython 3.11: 414 with a frozen dataclass and a
+#: merged attrs dict per event, 183 with flat tuples, 75 in columns.
+EVENT_BYTES_BOUND = 80
 
 #: Bytes a scenario result holds per exported event: traced memory held
 #: after the run with events on, minus the same with ``FLUX_EVENTS=0``,
 #: over the events exported.  Measured on CPython 3.11: 525 with a dict
-#: per event in the result, 165-171 with the ring's records.
-RESULT_EVENT_BYTES_BOUND = 200
+#: per event in the result, 165-171 with the ring's tuples, 108 with
+#: its columns.
+RESULT_EVENT_BYTES_BOUND = 118
 
 #: Retained bytes per counter sample at distinct timestamps.  Measured
-#: on CPython 3.11: 118 with a ``(t, v)`` tuple per sample, 72 flat.
-SAMPLE_BYTES_BOUND = 90
+#: on CPython 3.11: 118 with a ``(t, v)`` tuple per sample, 72 in a flat
+#: list, 17 in a flat ``array('d')``.
+SAMPLE_BYTES_BOUND = 18
 
 N = 10_000
 
@@ -92,7 +94,7 @@ class TestAttrs:
         for i in range(3):
             recorder.emit("e", a=i, b=i)
         recorder.emit("e", b=0, a=0)
-        assert len(recorder._keys) == 2
+        assert len(recorder._shapes) == 2
         assert [e["attrs"] for e in recorder.export()][-1] == {"b": 0,
                                                                "a": 0}
 
@@ -107,13 +109,35 @@ class TestAttrs:
 
 class TestSeries:
     def test_same_timestamp_coalesces_last_wins(self):
-        series = []
-        append_sample(series, 0.0, 1)
-        append_sample(series, 0.0, 2)
-        append_sample(series, 1.0, 3)
-        append_sample(series, 1.0, 4)
-        assert series == [0.0, 2, 1.0, 4]
-        assert list(sample_pairs(series)) == [(0.0, 2), (1.0, 4)]
+        track = SampleTrack()
+        track.append(0.0, 1)
+        track.append(0.0, 2)
+        track.append(1.0, 3)
+        track.append(1.0, 4)
+        assert len(track) == 2
+        assert list(track.pairs()) == [(0.0, 2), (1.0, 4)]
+
+    def test_values_read_back_with_the_type_written(self):
+        track = SampleTrack()
+        for time, value in ((0.0, 1), (1.0, 2.5), (2.0, 3), (3.0, True),
+                            (4.0, 1 << 60), (4.0, 7)):
+            track.append(time, value)
+        pairs = list(track.pairs())
+        assert pairs == [(0.0, 1), (1.0, 2.5), (2.0, 3), (3.0, True),
+                         (4.0, 7)]
+        assert [type(v) for _, v in pairs] == [int, float, int, bool, int]
+        big = SampleTrack()
+        big.append(0.0, 1 << 60)
+        big.append(1.0, (1 << 60) + 1)
+        assert [v for _, v in big.pairs()] == [1 << 60, (1 << 60) + 1]
+
+    def test_int_and_float_tracks_read_back_exactly(self):
+        ints, floats = SampleTrack(), SampleTrack()
+        for i in range(3):
+            ints.append(float(i), i)
+            floats.append(float(i), i / 2)
+        assert [type(v) for _, v in ints.pairs()] == [int] * 3
+        assert list(floats.pairs()) == [(0.0, 0.0), (1.0, 0.5), (2.0, 1.0)]
 
     def test_counter_samples_at_one_instant_coalesce(self):
         clock = SimClock()
