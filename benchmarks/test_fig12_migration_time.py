@@ -24,4 +24,4 @@ def test_fig12_overall_migration_times(sweep, benchmark):
     assert average == pytest.approx(fig12.PAPER_AVERAGE_TOTAL_SECONDS,
                                     rel=0.15)
     print()
-    print(fig12.render())
+    print(fig12.render(sweep))

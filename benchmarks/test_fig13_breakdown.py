@@ -9,4 +9,4 @@ def test_fig13_breakdown(sweep, benchmark):
     transfer_share = fig13.average_transfer_fraction(sweep)
     assert transfer_share > fig13.PAPER_TRANSFER_FRACTION_MIN
     print()
-    print(fig13.render())
+    print(fig13.render(sweep))

@@ -12,4 +12,4 @@ def test_fig14_perceived_times(sweep, benchmark):
     assert averages["non_transfer"] == pytest.approx(
         fig14.PAPER_AVERAGE_NON_TRANSFER_SECONDS, rel=0.2)
     print()
-    print(fig14.render())
+    print(fig14.render(sweep))

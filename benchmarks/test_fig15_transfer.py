@@ -9,4 +9,4 @@ def test_fig15_data_transferred(sweep, benchmark):
     assert all((r.data_sync_kb + r.record_log_kb)
                < fig15.PAPER_MAX_SYNC_PLUS_LOG_KB for r in rows)
     print()
-    print(fig15.render())
+    print(fig15.render(sweep))

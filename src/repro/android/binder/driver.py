@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.android.kernel.process import Process
 from repro.android.binder.parcel import Parcel
-from repro.sim.metrics import TIME_BUCKETS_S, fold_instance_label
+from repro.sim.metrics import TIME_BUCKETS_S
 from repro.sim.telemetry import Telemetry
 
 
@@ -208,7 +208,7 @@ class BinderDriver:
         txn_id = self.total_transactions
         metrics = self.metrics
         events = self.events
-        interface = fold_instance_label(node.label)
+        interface = node.label
         metrics.counter("binder", "transactions",
                         interface=interface, app=caller.package).inc()
         metrics.counter("binder", "parcel_bytes",

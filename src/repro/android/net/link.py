@@ -330,6 +330,10 @@ class Medium:
         self._seq = 0
         self.completed_flows = 0
         self.peak_concurrency = 0
+        #: Seconds at least one flow was active, summed edge to edge.
+        self.busy_seconds = 0.0
+        self._edge_at = clock.now
+        self._edge_busy = False
         #: session label -> total seconds of dilation (wall minus solo
         #: work) its flows suffered from sharing this medium.
         self.dilation_by_session: Dict[str, float] = {}
@@ -372,7 +376,12 @@ class Medium:
         return flow.waiter
 
     def _sample_state(self) -> None:
-        """Active-flow count and per-session instantaneous fair shares."""
+        """An edge: close the busy interval since the last edge, then
+        sample the active-flow count and per-session fair shares."""
+        now = self.clock.now
+        if self._edge_busy:
+            self.busy_seconds += now - self._edge_at
+        self._edge_at, self._edge_busy = now, bool(self._flows)
         if not self.timeline.enabled:
             return
         self.timeline.sample("medium/active_flows", len(self._flows),

@@ -9,7 +9,6 @@ sensorGetChannel).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -31,11 +30,9 @@ class SensorEventConnection(CallerAwareBinder):
     """Per-app event channel; a binder node of its own."""
 
     DESCRIPTOR = "ISensorEventConnection"
-    _ids = itertools.count(1)
 
     def __init__(self, service: "SensorService", package: str) -> None:
         super().__init__()
-        self.connection_id = next(self._ids)
         self.service = service
         self.package = package
         self.enabled_sensors: Dict[int, int] = {}   # handle -> rate
@@ -62,7 +59,7 @@ class SensorEventConnection(CallerAwareBinder):
         self._check_alive()
         if self.service_socket is not None:
             raise ServiceError(
-                f"connection {self.connection_id} already has a channel")
+                f"{self.package}'s connection already has a channel")
         service_end, client_end = UnixSocket.pair(
             label=f"sensor-events:{self.package}")
         self.service_socket = service_end
@@ -90,7 +87,7 @@ class SensorEventConnection(CallerAwareBinder):
 
     def _check_alive(self) -> None:
         if self.destroyed:
-            raise ServiceError(f"connection {self.connection_id} destroyed")
+            raise ServiceError(f"{self.package}'s connection destroyed")
 
 
 class SensorService(SystemService):
@@ -137,8 +134,7 @@ class SensorService(SystemService):
         connection = SensorEventConnection(self, package)
         driver = self.ctx.kernel.binder
         node = driver.create_node(self._system_process, connection,
-                                  f"sensor-connection:{connection.connection_id}",
-                                  system_service=True)
+                                  "sensor-connection", system_service=True)
         connection.attach_node(node)
         if at_handle is None:
             handle = driver.acquire_ref(caller, node)

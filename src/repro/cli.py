@@ -304,17 +304,9 @@ def cmd_sweep(args) -> int:
     from repro.sim.timeline import labeled_timelines
     workers = resolve_workers(sweep_workers(args.workers),
                               len(PAPER_DEVICE_PAIRS))
-    # The figure modules call run_sweep() with the same cache key, so
-    # they render this (possibly parallel) sweep.  Results are
-    # bit-identical to the serial run either way.
     sweep = run_sweep(workers=workers)
-    print(fig12.render())
-    print()
-    print(fig13.render())
-    print()
-    print(fig14.render())
-    print()
-    print(fig15.render())
+    print("\n\n".join(figure.render(sweep)
+                      for figure in (fig12, fig13, fig14, fig15)))
     if args.profile_out:
         from repro.experiments.profiling import top_offenders, write_profile
         profile_report = write_profile(args.profile_out)

@@ -90,16 +90,23 @@ class CheckpointImage:
     FD_BYTES = 48
     THREAD_BYTES = 1024
 
-    def raw_bytes(self) -> int:
-        """Uncompressed image size."""
+    def descriptor_bytes(self) -> int:
+        """The image header plus every process's binder-ref, fd and
+        thread descriptor tables."""
         total = 4096    # image header
         for proc in self.processes:
-            total += proc.anonymous_memory_bytes()
-            total += len(proc.binder_refs) * self.BINDER_REF_BYTES
-            total += len(proc.fds) * self.FD_BYTES
-            total += len(proc.threads) * self.THREAD_BYTES
-        total += sum(r.estimated_size() for r in self.record_log)
+            total += (len(proc.binder_refs) * self.BINDER_REF_BYTES
+                      + len(proc.fds) * self.FD_BYTES
+                      + len(proc.threads) * self.THREAD_BYTES)
         return total
+
+    def raw_bytes(self) -> int:
+        """Uncompressed image size: descriptors, the memory that must
+        travel, and the record log."""
+        return (self.descriptor_bytes()
+                + sum(proc.anonymous_memory_bytes()
+                      for proc in self.processes)
+                + self.record_log_bytes())
 
     def compressed_bytes(self) -> int:
         return int(self.raw_bytes() * IMAGE_COMPRESSION_RATIO)

@@ -78,15 +78,9 @@ def chunk_image(image: CheckpointImage,
 
     # Image header + binder/fd/thread descriptor tables: one chunk,
     # keyed by checkpoint time — descriptors change with live state.
-    descriptor_bytes = 4096
-    for proc in image.processes:
-        descriptor_bytes += (
-            len(proc.binder_refs) * image.BINDER_REF_BYTES
-            + len(proc.fds) * image.FD_BYTES
-            + len(proc.threads) * image.THREAD_BYTES)
     chunks.append(Chunk(
         digest=_digest("descriptors", image.package, image.checkpoint_time),
-        raw_bytes=descriptor_bytes, label="descriptors"))
+        raw_bytes=image.descriptor_bytes(), label="descriptors"))
 
     # Memory regions (CODE pages never travel: the APK was synced at
     # pairing — same rule as ProcessImage.anonymous_memory_bytes).

@@ -13,7 +13,7 @@ required API level exceeds the guest's stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.android.net.link import Link, link_between
 from repro.android.storage.sync import RsyncEngine, SyncResult
@@ -127,21 +127,28 @@ class PairingService:
             guest_pairing._paired_with.setdefault(home.name, report)
         return report
 
+    def _sync_app(self, guest, rsync: RsyncEngine, package: str
+                  ) -> Tuple[Tuple[SyncResult, SyncResult, SyncResult], int]:
+        """Sync ``package``'s APK, data directory and app-specific SD
+        card directory to the guest's private area.  Returns the three
+        syncs and their compressed bytes, which the caller's link
+        carries."""
+        home = self.device
+        root = flux_root(home.name)
+        syncs = (
+            rsync.sync(home.storage, f"/data/app/{package}.apk",
+                       guest.storage, f"{root}/app/{package}.apk"),
+            rsync.sync(home.storage, f"/data/data/{package}",
+                       guest.storage, f"{root}/data/{package}"),
+            rsync.sync(home.storage, f"/sdcard/Android/data/{package}",
+                       guest.storage, f"{root}/sdcard/{package}"))
+        return syncs, sum(sync.bytes_compressed for sync in syncs)
+
     def _pair_app(self, guest, link: Link, rsync: RsyncEngine, info):
         home = self.device
         package = info.package
-        root = flux_root(home.name)
-
-        apk_sync = rsync.sync(home.storage, f"/data/app/{package}.apk",
-                              guest.storage, f"{root}/app/{package}.apk")
-        data_sync = rsync.sync(home.storage, f"/data/data/{package}",
-                               guest.storage, f"{root}/data/{package}")
-        sd_sync = rsync.sync(home.storage,
-                             f"/sdcard/Android/data/{package}",
-                             guest.storage,
-                             f"{root}/sdcard/{package}")
-        payload = (apk_sync.bytes_compressed + data_sync.bytes_compressed
-                   + sd_sync.bytes_compressed)
+        (apk_sync, data_sync, sd_sync), payload = self._sync_app(
+            guest, rsync, package)
         if payload:
             yield link.plan(payload)
 
@@ -172,17 +179,7 @@ class PairingService:
             raise MigrationError(
                 MigrationRefusal.API_LEVEL_INCOMPATIBLE,
                 f"{package} needs API {info.api_level}")
-        rsync = RsyncEngine()
-        root = flux_root(home.name)
-        apk_sync = rsync.sync(home.storage, f"/data/app/{package}.apk",
-                              guest.storage, f"{root}/app/{package}.apk")
-        data_sync = rsync.sync(home.storage, f"/data/data/{package}",
-                               guest.storage, f"{root}/data/{package}")
-        sd_sync = rsync.sync(home.storage,
-                             f"/sdcard/Android/data/{package}",
-                             guest.storage, f"{root}/sdcard/{package}")
-        delta = (apk_sync.bytes_compressed + data_sync.bytes_compressed
-                 + sd_sync.bytes_compressed)
+        _, delta = self._sync_app(guest, RsyncEngine(), package)
         if not guest.package_service.is_installed(package):
             # Installed on the home device since the original pairing:
             # the per-app sync above covered it; create the wrapper now.

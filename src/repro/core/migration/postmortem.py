@@ -59,13 +59,21 @@ def segment_migrations(events: List[Dict[str, Any]]
     Events without a label (legacy logs, or bookkeeping between
     migrations) fall back to a per-pair anonymous segment — the
     pre-session behavior, bit for bit.
+
+    When the ring evicted a session's ``migration.start``, the first
+    retained event carrying that session label opens its segment
+    instead (``start_evicted``): the package comes from the event, the
+    home from the ``<home>/<package>@<n>`` label, and the guest from
+    the first of the segment's events on another device.
     """
     segments: List[Dict[str, Any]] = []
     open_map: Dict[Any, Dict[str, Any]] = {}
+    opened = set()
     for event in events:
         kind = event.get("kind")
         attrs = event.get("attrs", {})
-        key = (event.get("pair"), attrs.get("session"))
+        session = attrs.get("session")
+        key = (event.get("pair"), session)
         if kind == "migration.start":
             prior = open_map.pop(key, None)
             if prior is not None:
@@ -73,19 +81,22 @@ def segment_migrations(events: List[Dict[str, Any]]
                 # terminal: the ring evicted the tail, or the process
                 # died mid-flight.  Keep what we saw.
                 segments.append(prior)
-            open_map[key] = {
-                "package": attrs.get("package", ""),
-                "home": attrs.get("home", ""),
-                "guest": attrs.get("guest", ""),
-                "pair": event.get("pair"),
-                "session": attrs.get("session"),
-                "events": [event],
-                "outcome": "incomplete",
-            }
-            continue
-        current = open_map.get(key)
-        if current is None:
-            continue
+            current = open_map[key] = _segment(
+                event, attrs.get("home", ""), attrs.get("guest", ""),
+                start_evicted=False)
+            opened.add(key)
+        else:
+            current = open_map.get(key)
+            if current is None:
+                if not session or key in opened:
+                    continue
+                current = open_map[key] = _segment(
+                    event, session.partition("/")[0], "",
+                    start_evicted=True)
+                opened.add(key)
+            if (current["start_evicted"] and not current["guest"]
+                    and event.get("device") != current["home"]):
+                current["guest"] = event.get("device", "")
         current["events"].append(event)
         if kind in ("migration.done", "migration.rolled_back"):
             if kind == "migration.done":
@@ -99,6 +110,22 @@ def segment_migrations(events: List[Dict[str, Any]]
             del open_map[key]
     segments.extend(open_map.values())
     return segments
+
+
+def _segment(first: Dict[str, Any], home: str, guest: str,
+             start_evicted: bool) -> Dict[str, Any]:
+    """An open segment, before ``first`` is appended to it."""
+    attrs = first.get("attrs", {})
+    return {
+        "package": attrs.get("package", ""),
+        "home": home,
+        "guest": guest,
+        "pair": first.get("pair"),
+        "session": attrs.get("session"),
+        "events": [],
+        "outcome": "incomplete",
+        "start_evicted": start_evicted,
+    }
 
 
 def _pick_segment(segments: List[Dict[str, Any]],
@@ -220,6 +247,7 @@ def build_postmortem(events: List[Dict[str, Any]],
         "pair": segment.get("pair"),
         "session": segment.get("session"),
         "outcome": segment["outcome"],
+        "start_evicted": segment["start_evicted"],
         "faulted_stage": faulted_stage,
         "reason": reason,
         "total_seconds": total_seconds,
@@ -432,7 +460,7 @@ def format_event(event: Dict[str, Any]) -> str:
 def render_postmortem(pm: Dict[str, Any]) -> str:
     """The human-readable post-mortem ``flux-sim explain`` prints."""
     lines: List[str] = []
-    where = f"{pm['home']} -> {pm['guest']}" if pm["home"] else "?"
+    where = f"{pm['home']} -> {pm['guest'] or '?'}" if pm["home"] else "?"
     pair = f" [{pm['pair']}]" if pm.get("pair") else ""
     session = (f" session={pm['session']}" if pm.get("session") else "")
     lines.append(f"post-mortem: {pm['package']} ({where}){pair}{session}")
@@ -456,6 +484,9 @@ def render_postmortem(pm: Dict[str, Any]) -> str:
                      f"explaining the most recent {which})")
     for device, count in pm.get("evicted", {}).items():
         lines.append(f"log incomplete: {count} events evicted on {device}")
+    if pm.get("start_evicted"):
+        lines.append("migration.start evicted: home and guest read "
+                     "from the session's later events")
 
     if pm["stage_counts"]:
         lines.append("")

@@ -6,6 +6,11 @@ Pass experiment names (e.g. ``fig12 table2``) to run a subset.
 import sys
 
 from repro.experiments import ALL_EXPERIMENTS
+from repro.experiments.harness import run_sweep
+
+#: The figures drawn from the default sweep.  A run builds that sweep
+#: once, at the first of them it renders, and hands it to each.
+SWEEP_FIGURES = ("fig12", "fig13", "fig14", "fig15")
 
 
 def main(argv) -> int:
@@ -15,8 +20,15 @@ def main(argv) -> int:
         print(f"unknown experiment(s): {unknown}; "
               f"choose from {sorted(ALL_EXPERIMENTS)}")
         return 2
+    sweep = None
     for name in names:
-        print(ALL_EXPERIMENTS[name].render())
+        module = ALL_EXPERIMENTS[name]
+        if name in SWEEP_FIGURES:
+            if sweep is None:
+                sweep = run_sweep()
+            print(module.render(sweep))
+        else:
+            print(module.render())
         print()
     return 0
 

@@ -115,8 +115,7 @@ def measure_sweep(
         for mode in (("serial", "process") if index % 2 == 0
                      else ("process", "serial")):
             start = time.perf_counter()
-            result = run_sweep(use_cache=False,
-                               workers=1 if mode == "serial" else workers)
+            result = run_sweep(workers=1 if mode == "serial" else workers)
             elapsed = time.perf_counter() - start
             if mode == "serial":
                 sweep = result

@@ -6,7 +6,7 @@ Paper aggregates: all-pairs average 7.88 s, dominated by transfer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.apps.catalog import MIGRATABLE_APPS
 from repro.experiments.harness import SweepResult, format_table, run_sweep
@@ -21,8 +21,7 @@ class Fig12Row:
     seconds_by_pair: Dict[str, float]
 
 
-def run(sweep: SweepResult = None) -> List[Fig12Row]:
-    sweep = sweep or run_sweep()
+def run(sweep: SweepResult) -> List[Fig12Row]:
     rows = []
     for spec in MIGRATABLE_APPS:
         seconds = {
@@ -33,13 +32,13 @@ def run(sweep: SweepResult = None) -> List[Fig12Row]:
     return rows
 
 
-def average_total(sweep: SweepResult = None) -> float:
-    sweep = sweep or run_sweep()
+def average_total(sweep: SweepResult) -> float:
     return sweep.average_total_seconds()
 
 
-def render() -> str:
-    sweep = run_sweep()
+def render(sweep: Optional[SweepResult] = None) -> str:
+    if sweep is None:
+        sweep = run_sweep()
     rows = run(sweep)
     table = [
         (r.title, *(f"{r.seconds_by_pair[p]:.2f}" for p in sweep.pair_labels))

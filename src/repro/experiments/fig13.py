@@ -7,7 +7,7 @@ transfer dominating — over half the time on average.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.apps.catalog import MIGRATABLE_APPS
 from repro.core.migration.migration import STAGES
@@ -23,8 +23,7 @@ class Fig13Row:
     fractions: Dict[str, float]    # stage -> mean fraction across pairs
 
 
-def run(sweep: SweepResult = None) -> List[Fig13Row]:
-    sweep = sweep or run_sweep()
+def run(sweep: SweepResult) -> List[Fig13Row]:
     rows = []
     for spec in MIGRATABLE_APPS:
         reports = sweep.reports_for_app(spec.package)
@@ -37,13 +36,13 @@ def run(sweep: SweepResult = None) -> List[Fig13Row]:
     return rows
 
 
-def average_transfer_fraction(sweep: SweepResult = None) -> float:
-    sweep = sweep or run_sweep()
+def average_transfer_fraction(sweep: SweepResult) -> float:
     return sweep.average_stage_fraction("transfer")
 
 
-def render() -> str:
-    sweep = run_sweep()
+def render(sweep: Optional[SweepResult] = None) -> str:
+    if sweep is None:
+        sweep = run_sweep()
     rows = run(sweep)
     table = [
         (r.title, *(f"{r.fractions[s] * 100:.1f}%" for s in STAGES))

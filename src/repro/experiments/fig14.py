@@ -9,7 +9,7 @@ networks approach.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.apps.catalog import MIGRATABLE_APPS
 from repro.experiments.harness import SweepResult, format_table, run_sweep
@@ -25,8 +25,7 @@ class Fig14Row:
     seconds_by_pair: Dict[str, float]
 
 
-def run(sweep: SweepResult = None) -> List[Fig14Row]:
-    sweep = sweep or run_sweep()
+def run(sweep: SweepResult) -> List[Fig14Row]:
     rows = []
     for spec in MIGRATABLE_APPS:
         seconds = {
@@ -37,16 +36,16 @@ def run(sweep: SweepResult = None) -> List[Fig14Row]:
     return rows
 
 
-def averages(sweep: SweepResult = None) -> Dict[str, float]:
-    sweep = sweep or run_sweep()
+def averages(sweep: SweepResult) -> Dict[str, float]:
     return {
         "non_transfer": sweep.average_non_transfer_seconds(),
         "perceived": sweep.average_perceived_seconds(),
     }
 
 
-def render() -> str:
-    sweep = run_sweep()
+def render(sweep: Optional[SweepResult] = None) -> str:
+    if sweep is None:
+        sweep = run_sweep()
     rows = run(sweep)
     table = [
         (r.title, *(f"{r.seconds_by_pair[p]:.2f}" for p in sweep.pair_labels))

@@ -9,7 +9,7 @@ correlates with data transferred (and loosely with install size).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.apps.catalog import MIGRATABLE_APPS
 from repro.experiments.harness import SweepResult, format_table, run_sweep
@@ -30,8 +30,7 @@ class Fig15Row:
     record_log_kb: float
 
 
-def run(sweep: SweepResult = None) -> List[Fig15Row]:
-    sweep = sweep or run_sweep()
+def run(sweep: SweepResult) -> List[Fig15Row]:
     rows = []
     for spec in MIGRATABLE_APPS:
         reports = sweep.reports_for_app(spec.package)
@@ -51,7 +50,7 @@ def run(sweep: SweepResult = None) -> List[Fig15Row]:
     return rows
 
 
-def correlation_with_apk_size(sweep: SweepResult = None) -> float:
+def correlation_with_apk_size(sweep: SweepResult) -> float:
     """Pearson correlation between APK size and bytes transferred."""
     rows = run(sweep)
     xs = [r.apk_mb for r in rows]
@@ -67,8 +66,9 @@ def correlation_with_apk_size(sweep: SweepResult = None) -> float:
     return cov / (var_x ** 0.5 * var_y ** 0.5)
 
 
-def render() -> str:
-    sweep = run_sweep()
+def render(sweep: Optional[SweepResult] = None) -> str:
+    if sweep is None:
+        sweep = run_sweep()
     rows = run(sweep)
     table = [(r.title, f"{r.transferred_mb:.2f}", f"{r.image_mb:.2f}",
               f"{r.data_sync_kb:.0f}", f"{r.apk_mb:.1f}") for r in rows]

@@ -52,7 +52,7 @@ from repro.sim.events import EventLog
 from repro.sim.metrics import merge_snapshots, rollup_counters
 from repro.sim.rng import RngFactory, derive_seed
 from repro.sim.rows import session_fields
-from repro.sim.timeline import labeled_timelines, series_key
+from repro.sim.timeline import labeled_timelines
 
 
 class FleetError(Exception):
@@ -294,19 +294,6 @@ def place_site(spec: FleetSpec, site: Site, demands: Sequence[Demand]
 # -- site execution ----------------------------------------------------------
 
 
-def _medium_busy_seconds(timeline: Dict[str, List[List[float]]]) -> float:
-    """Seconds the site medium had at least one active flow, integrated
-    from its edge-sampled ``medium/active_flows`` series."""
-    samples = timeline.get(series_key("medium/active_flows",
-                                      {"medium": "medium"}), [])
-    busy, prev_t, prev_v = 0.0, None, 0.0
-    for t, value in samples:
-        if prev_t is not None and prev_v > 0:
-            busy += t - prev_t
-        prev_t, prev_v = t, value
-    return busy
-
-
 def run_site(spec: FleetSpec, site: Site) -> SiteOutcome:
     """Generate, place, and execute one site; resolve its rows."""
     demands = site_demands(spec, site)
@@ -323,7 +310,6 @@ def run_site(spec: FleetSpec, site: Site) -> SiteOutcome:
             row.update(session_fields(by_route[(row["home"],
                                                 row["package"])]))
     makespan = round(result.makespan, 6)
-    busy = _medium_busy_seconds(result.timeline)
     return SiteOutcome(
         site=site.name,
         rows=rows,
@@ -333,7 +319,7 @@ def run_site(spec: FleetSpec, site: Site) -> SiteOutcome:
         makespan=makespan,
         device_utilization={name: round(value, 6) for name, value in
                             result.device_utilization.items()},
-        medium_utilization=(round(busy / makespan, 6)
+        medium_utilization=(round(result.medium_busy_seconds / makespan, 6)
                             if makespan > 0 else 0.0))
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
@@ -189,21 +188,10 @@ def _run_pair(home: Device, guest: Device, apps: Sequence[AppSpec],
                        events=events, timeline=timeline)
 
 
-#: Sweep results cached per (apps, pairs, seed, include_failures),
-#: bounded LRU (the shape-regression and figure modules share one key;
-#: property-style tests can generate many).
-_SWEEP_CACHE: "OrderedDict[Tuple, SweepResult]" = OrderedDict()
-_SWEEP_CACHE_MAX = 8
-
 #: Environment knob for the default sweep parallelism (see README);
 #: ``workers=None`` in :func:`run_sweep` reads it, defaulting to serial.
 #: Accepts an integer or ``auto`` (= ``os.cpu_count()``).
 SWEEP_WORKERS_ENV = "FLUX_SWEEP_WORKERS"
-
-
-def clear_sweep_cache() -> None:
-    """Drop every cached sweep (tests; replaces ad-hoc dict pokes)."""
-    _SWEEP_CACHE.clear()
 
 
 def parse_workers(raw: str) -> Union[int, str]:
@@ -303,13 +291,13 @@ def run_sweep(apps: Sequence[AppSpec] = MIGRATABLE_APPS,
               pairs: Sequence[Tuple[DeviceProfile, DeviceProfile]]
               = PAPER_DEVICE_PAIRS,
               seed: int = 0, include_failures: bool = False,
-              use_cache: bool = True,
               workers: Union[int, str, None] = None,
               start_method: Optional[str] = None) -> SweepResult:
     """The full sweep: every app across every device pair.
 
-    Results are cached per (apps, pairs, seed) within the process; the
-    sweep is deterministic, so figures 12-15 share one run.
+    Each call runs the sweep; nothing is kept between calls, so the
+    result depends only on the arguments and the environment at the
+    call.  Figures 12-15 share one sweep by taking it as an argument.
 
     ``workers`` > 1 runs the device pairs concurrently — each pair is a
     fully independent simulation (private clock, private RNG factory,
@@ -321,26 +309,11 @@ def run_sweep(apps: Sequence[AppSpec] = MIGRATABLE_APPS,
     to): each pair is GIL-bound pure Python, so only processes scale
     with cores.
     """
-    key = (tuple(a.package for a in apps),
-           tuple((h.name, g.name) for h, g in pairs),
-           seed, include_failures)
-    if use_cache:
-        cached = _SWEEP_CACHE.get(key)
-        if cached is not None:
-            _SWEEP_CACHE.move_to_end(key)
-            return cached
-
     pair_results = fan_out(
         run_pair,
         [(home, guest, apps, seed, include_failures) for home, guest in pairs],
         resolve_workers(sweep_workers(workers), len(pairs)), start_method)
-    result = merge_pair_outcomes(pairs, apps, pair_results)
-    if use_cache:
-        _SWEEP_CACHE[key] = result
-        _SWEEP_CACHE.move_to_end(key)
-        while len(_SWEEP_CACHE) > _SWEEP_CACHE_MAX:
-            _SWEEP_CACHE.popitem(last=False)
-    return result
+    return merge_pair_outcomes(pairs, apps, pair_results)
 
 
 def sweep_metrics_document(sweep: SweepResult) -> Dict:

@@ -176,6 +176,8 @@ class ScenarioResult:
     #: device name -> fraction of the makespan it hosted a migration
     #: (held its admission resource).
     device_utilization: Dict[str, float] = field(default_factory=dict)
+    #: Seconds the shared medium had at least one active flow.
+    medium_busy_seconds: float = 0.0
 
     @property
     def reports(self) -> Dict[str, MigrationReport]:
@@ -306,7 +308,8 @@ def _run_world(world: ScenarioWorld, spec: ScenarioSpec) -> ScenarioResult:
                           timeline=timeline,
                           makespan=makespan,
                           device_utilization=world.device_utilization(
-                              makespan))
+                              makespan),
+                          medium_busy_seconds=world.medium.busy_seconds)
 
 
 def _attribute_wait(world: ScenarioWorld, outcome: SessionOutcome,

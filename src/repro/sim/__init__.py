@@ -8,7 +8,6 @@ from repro.sim.metrics import (
     Histogram,
     MetricsError,
     MetricsRegistry,
-    fold_instance_label,
     merge_snapshots,
 )
 from repro.sim.rng import DEFAULT_SEED, RngFactory, derive_seed
@@ -30,7 +29,6 @@ __all__ = [
     "Histogram",
     "MetricsError",
     "MetricsRegistry",
-    "fold_instance_label",
     "merge_snapshots",
     "EventsError",
     "FlightRecorder",

@@ -60,31 +60,6 @@ RATE_BUCKETS_MBPS: Tuple[float, ...] = (
 LabelItems = Tuple[Tuple[str, str], ...]
 
 
-#: Memo for :func:`fold_instance_label`.  Folded labels have bounded
-#: cardinality by design (that is the point of folding), so the memo
-#: stays small; the binder driver calls this once per transaction.
-_FOLD_CACHE: Dict[str, str] = {}
-
-
-def fold_instance_label(label: str) -> str:
-    """Fold a per-instance suffix out of a label: ``foo:7`` -> ``foo``.
-
-    Binder node labels like ``sensor-connection:7`` carry a
-    process-global instance id whose value depends on allocation order
-    across sweep workers; folding them keeps metric keys *and* event
-    attributes deterministic (and the label cardinality bounded).  The
-    metrics registry and the causal event log both use this helper, so
-    the two telemetry planes agree on cross-worker-deterministic labels.
-    """
-    folded = _FOLD_CACHE.get(label)
-    if folded is None:
-        base, sep, suffix = label.rpartition(":")
-        folded = base if sep and suffix.isdigit() else label
-        if len(_FOLD_CACHE) < 4096:     # hard bound, defensive
-            _FOLD_CACHE[label] = folded
-    return folded
-
-
 def _canonical_labels(labels: Mapping[str, Any]) -> LabelItems:
     items = [(k if type(k) is str else str(k),
               v if type(v) is str else str(v))

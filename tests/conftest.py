@@ -9,6 +9,7 @@ from repro.android.app.views import View, ViewGroup
 from repro.android.device import Device
 from repro.android.hardware.profiles import NEXUS_4, NEXUS_7_2012, NEXUS_7_2013
 from repro.android.storage.apk import ApkFile
+from repro.experiments.harness import run_sweep
 from repro.sim import SimClock, units
 from repro.sim.rng import RngFactory
 
@@ -24,6 +25,13 @@ class DemoActivity(Activity):
         for i in range(4):
             root.add_view(View(f"item-{i}"))
         self.set_content_view(root)
+
+
+@pytest.fixture(scope="session")
+def sweep():
+    """The default four-pair, sixteen-app sweep, run once per session
+    and shared by argument with every test that reads it."""
+    return run_sweep()
 
 
 @pytest.fixture

@@ -238,7 +238,7 @@ class TestMeasureSweep:
                  3: (0.3, 0.2), 4: (0.3, 0.2)}
         clock = [0.0]
 
-        def fake_sweep(use_cache, workers):
+        def fake_sweep(workers):
             mode = "serial" if workers == 1 else "process"
             pair = len(calls) // 2
             calls.append(mode)

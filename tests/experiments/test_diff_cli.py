@@ -10,7 +10,6 @@ naming the stage or session that actually regressed.
 import pytest
 
 from repro.cli import _boot_pair, _migrate_metrics_document, main
-from repro.experiments.harness import clear_sweep_cache
 from repro.sim.bundle import RunBundle, collect_fingerprint, write_bundle
 from repro.sim.diffing import (
     EXIT_IDENTICAL,
@@ -46,10 +45,8 @@ class TestReflexivity:
             self, capsys, tmp_path):
         serial = str(tmp_path / "serial")
         process = str(tmp_path / "process.tar.gz")
-        clear_sweep_cache()
         assert main(["sweep", "--workers", "1",
                      "--bundle-out", serial]) == 0
-        clear_sweep_cache()     # the pooled run must not reuse it
         assert main(["sweep", "--workers", "2",
                      "--bundle-out", process]) == 0
         assert main(["diff", serial, process]) == EXIT_IDENTICAL

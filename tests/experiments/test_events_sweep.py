@@ -96,15 +96,14 @@ class TestFlightRecorderBound:
 
 class TestParallelAggregation:
     def test_parallel_events_identical_to_serial(self):
-        serial = run_sweep(use_cache=False, workers=1)
-        parallel = run_sweep(use_cache=False, workers=4)
+        serial = run_sweep(workers=1)
+        parallel = run_sweep(workers=4)
         assert serial.pair_events.keys() == parallel.pair_events.keys()
         for label, stream in serial.pair_events.items():
             assert stream == parallel.pair_events[label], label
         assert serial.merged_events() == parallel.merged_events()
 
-    def test_merged_events_are_pair_labeled_in_pair_order(self):
-        sweep = run_sweep()
+    def test_merged_events_are_pair_labeled_in_pair_order(self, sweep):
         merged = sweep.merged_events()
         assert merged
         labels = [e["pair"] for e in merged]
@@ -115,8 +114,7 @@ class TestParallelAggregation:
                 seen.append(label)
         assert seen == sweep.pair_labels
 
-    def test_pair_stream_preserves_per_device_order(self):
-        sweep = run_sweep()
+    def test_pair_stream_preserves_per_device_order(self, sweep):
         for label in sweep.pair_labels:
             stream = sweep.pair_events[label]
             times = [e["t"] for e in stream]
@@ -125,8 +123,7 @@ class TestParallelAggregation:
                 seqs = [e["seq"] for e in stream if e["device"] == device]
                 assert seqs == sorted(seqs), (label, device)
 
-    def test_every_migration_has_lifecycle_events(self):
-        sweep = run_sweep()
+    def test_every_migration_has_lifecycle_events(self, sweep):
         for label in sweep.pair_labels:
             stream = sweep.pair_events[label]
             starts = [e for e in stream if e["kind"] == "migration.start"]

@@ -1,4 +1,4 @@
-"""The sweep's fan-out: path selection, determinism, and the LRU cache.
+"""The sweep's fan-out: path selection and determinism.
 
 The headline contract: ``run_sweep`` produces byte-identical results —
 sorted-key JSON of the reports, merged metrics, and merged events — no
@@ -15,11 +15,9 @@ import pytest
 from repro.android.hardware.profiles import (NEXUS_4, NEXUS_7_2012,
                                              NEXUS_7_2013)
 from repro.apps import app_by_title
-from repro.experiments import harness
 from repro.experiments.harness import (
     SWEEP_WORKERS_ENV,
     SweepResult,
-    clear_sweep_cache,
     fan_out,
     resolve_workers,
     run_sweep,
@@ -47,7 +45,7 @@ def _fingerprint(sweep: SweepResult) -> bytes:
 
 
 def _sweep(**kwargs) -> SweepResult:
-    return run_sweep(apps=APPS, pairs=PAIRS, use_cache=False, **kwargs)
+    return run_sweep(apps=APPS, pairs=PAIRS, **kwargs)
 
 
 class TestByteIdentity:
@@ -108,36 +106,6 @@ class TestEnvInheritance:
         monkeypatch.delenv("FLUX_EVENTS")
         spawned = _sweep(workers=2, start_method="spawn")
         assert all(spawned.pair_events.values())  # default: events on
-
-
-class TestSweepCacheLRU:
-    def test_cache_is_bounded(self):
-        clear_sweep_cache()
-        apps = [app_by_title("ZEDGE")]
-        for seed in range(harness._SWEEP_CACHE_MAX + 4):
-            run_sweep(apps=apps, pairs=[PAIRS[0]], seed=seed)
-        assert len(harness._SWEEP_CACHE) == harness._SWEEP_CACHE_MAX
-
-    def test_eviction_is_least_recently_used(self):
-        clear_sweep_cache()
-        apps = [app_by_title("ZEDGE")]
-        first = run_sweep(apps=apps, pairs=[PAIRS[0]], seed=0)
-        for seed in range(1, harness._SWEEP_CACHE_MAX):
-            run_sweep(apps=apps, pairs=[PAIRS[0]], seed=seed)
-        # Touch seed 0 so it is the most recently used, then overflow.
-        assert run_sweep(apps=apps, pairs=[PAIRS[0]], seed=0) is first
-        run_sweep(apps=apps, pairs=[PAIRS[0]],
-                  seed=harness._SWEEP_CACHE_MAX)
-        assert run_sweep(apps=apps, pairs=[PAIRS[0]], seed=0) is first
-        # seed 1 was the LRU entry and must have been evicted.
-        keys = list(harness._SWEEP_CACHE)
-        assert not any(key[2] == 1 for key in keys)
-
-    def test_clear_sweep_cache(self):
-        run_sweep(apps=[app_by_title("ZEDGE")], pairs=[PAIRS[0]])
-        assert harness._SWEEP_CACHE
-        clear_sweep_cache()
-        assert not harness._SWEEP_CACHE
 
 
 class TestEmptySweepAverages:

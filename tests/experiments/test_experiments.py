@@ -2,7 +2,7 @@
 
 These are the repository's headline assertions: each test pins one of
 the paper's published aggregates.  The migration sweep is shared across
-tests via the harness's in-process cache.
+tests through the session-scoped ``sweep`` fixture.
 """
 
 import pytest
@@ -19,12 +19,6 @@ from repro.experiments import (
     table2,
     table3,
 )
-from repro.experiments.harness import run_sweep
-
-
-@pytest.fixture(scope="module")
-def sweep():
-    return run_sweep()
 
 
 class TestTable2:

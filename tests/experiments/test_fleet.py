@@ -160,6 +160,17 @@ class TestReport:
                                                     "site2"}
         assert document["rollup"]["link/bytes_total"] > 0
 
+    def test_medium_utilization_does_not_need_the_timeline(
+            self, monkeypatch):
+        """The medium keeps its own busy-time ledger, so turning the
+        timeline plane off changes no utilization figure."""
+        with_plane = run_fleet(PINNED).medium_utilization
+        monkeypatch.setenv("FLUX_TIMELINE", "0")
+        without = run_fleet(PINNED)
+        assert not without.timeline
+        assert without.medium_utilization == with_plane
+        assert all(0 < value < 1 for value in with_plane.values())
+
     def test_events_are_site_tagged_and_timeline_site_folded(self):
         result = run_fleet(PINNED)
         assert result.events

@@ -1,9 +1,10 @@
-"""The experiment harness itself: sweep mechanics, caching, formatting."""
+"""The experiment harness itself: sweep mechanics, formatting."""
 
 import pytest
 
 from repro.android.hardware.profiles import NEXUS_4, NEXUS_7_2013
 from repro.apps import MIGRATABLE_APPS, app_by_title
+from repro.experiments import harness
 from repro.experiments.harness import (
     format_table,
     pair_label,
@@ -45,21 +46,35 @@ class TestRunPair:
 
 
 class TestSweepCache:
-    def test_cache_returns_same_object(self):
-        a = run_sweep()
-        b = run_sweep()
-        assert a is b
+    """No sweep is cached: every call runs its own, so the telemetry
+    knobs and the worker count at the call take effect."""
 
-    def test_cache_bypass(self):
-        apps = [app_by_title("ZEDGE")]
-        pairs = [(NEXUS_4, NEXUS_7_2013)]
-        a = run_sweep(apps=apps, pairs=pairs, use_cache=False)
-        b = run_sweep(apps=apps, pairs=pairs, use_cache=False)
-        assert a is not b
-        assert a.reports.keys() == b.reports.keys()
+    APPS = [app_by_title("ZEDGE")]
+    PAIRS = [(NEXUS_4, NEXUS_7_2013), (NEXUS_7_2013, NEXUS_4)]
 
-    def test_sweep_covers_all_cells(self):
-        sweep = run_sweep()
+    def test_knobs_at_the_call_take_effect(self, monkeypatch):
+        monkeypatch.setenv("FLUX_METRICS", "0")
+        quiet = run_sweep(apps=self.APPS, pairs=self.PAIRS)
+        assert not quiet.merged_metrics()["counters"]
+        monkeypatch.delenv("FLUX_METRICS")
+        loud = run_sweep(apps=self.APPS, pairs=self.PAIRS)
+        assert loud.merged_metrics()["counters"]
+
+    def test_worker_count_at_the_call_takes_effect(self, monkeypatch):
+        calls = []
+        real_fan_out = harness.fan_out
+
+        def spy(fn, tasks, workers, start_method=None):
+            calls.append(workers)
+            return real_fan_out(fn, tasks, workers, start_method)
+
+        monkeypatch.setattr(harness, "fan_out", spy)
+        serial = run_sweep(apps=self.APPS, pairs=self.PAIRS, workers=1)
+        pooled = run_sweep(apps=self.APPS, pairs=self.PAIRS, workers=2)
+        assert calls == [1, 2]
+        assert pooled.reports.keys() == serial.reports.keys()
+
+    def test_sweep_covers_all_cells(self, sweep):
         assert len(sweep.reports) == len(MIGRATABLE_APPS) * 4
         assert len(sweep.pair_labels) == 4
 
@@ -68,8 +83,8 @@ class TestParallelSweep:
     APPS = None     # full catalog
 
     def test_parallel_bit_identical_to_serial(self):
-        serial = run_sweep(use_cache=False)
-        parallel = run_sweep(use_cache=False, workers=4)
+        serial = run_sweep()
+        parallel = run_sweep(workers=4)
         assert serial.pair_labels == parallel.pair_labels
         assert serial.reports.keys() == parallel.reports.keys()
         for key, report in serial.reports.items():
@@ -100,8 +115,8 @@ class TestParallelSweep:
         apps = [app_by_title("ZEDGE")]
         pairs = [(NEXUS_4, NEXUS_7_2013)]
         monkeypatch.setenv(SWEEP_WORKERS_ENV, "2")
-        a = run_sweep(apps=apps, pairs=pairs, use_cache=False)
-        b = run_sweep(apps=apps, pairs=pairs, use_cache=False, workers=1)
+        a = run_sweep(apps=apps, pairs=pairs)
+        b = run_sweep(apps=apps, pairs=pairs, workers=1)
         (ra,), (rb,) = a.reports.values(), b.reports.values()
         assert ra.total_seconds == rb.total_seconds
 

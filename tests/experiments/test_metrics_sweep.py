@@ -43,16 +43,15 @@ class TestByteIdentity:
 
 class TestParallelAggregation:
     def test_parallel_metrics_identical_to_serial(self):
-        serial = run_sweep(use_cache=False, workers=1)
-        parallel = run_sweep(use_cache=False, workers=4)
+        serial = run_sweep(workers=1)
+        parallel = run_sweep(workers=4)
         assert serial.pair_metrics.keys() == parallel.pair_metrics.keys()
         for label, snapshot in serial.pair_metrics.items():
             assert snapshot == parallel.pair_metrics[label], label
         assert serial.merged_metrics() == parallel.merged_metrics()
         assert serial.app_metrics() == parallel.app_metrics()
 
-    def test_merged_covers_every_pair(self):
-        sweep = run_sweep()
+    def test_merged_covers_every_pair(self, sweep):
         merged = sweep.merged_metrics()
         rollup = rollup_counters(merged)
         # Four pairs x sixteen apps, one checkpoint per migration.
@@ -61,8 +60,7 @@ class TestParallelAggregation:
                        for s in sweep.pair_metrics.values())
         assert per_pair == rollup["cria/checkpoints"]
 
-    def test_app_partition_is_complete(self):
-        sweep = run_sweep()
+    def test_app_partition_is_complete(self, sweep):
         apps = sweep.app_metrics()
         packages = {package for _, package in sweep.reports}
         assert packages <= set(apps)

@@ -7,28 +7,22 @@ transfer dominates (>50% of total on average), totals average in the
 single-digit seconds, and no default migration touches the chunk path.
 """
 
-from repro.experiments.harness import run_sweep
-
 
 class TestDefaultSweepShape:
-    def test_transfer_dominates(self):
-        sweep = run_sweep()
+    def test_transfer_dominates(self, sweep):
         assert sweep.average_stage_fraction("transfer") > 0.5
 
-    def test_single_digit_second_averages(self):
-        sweep = run_sweep()
+    def test_single_digit_second_averages(self, sweep):
         assert 1.0 < sweep.average_total_seconds() < 10.0
         assert 1.0 < sweep.average_perceived_seconds() < 10.0
         assert sweep.average_perceived_seconds() \
             < sweep.average_total_seconds()
 
-    def test_non_transfer_floor_near_paper(self):
+    def test_non_transfer_floor_near_paper(self, sweep):
         # Paper §4: perceived time excluding data transfer ~= 1.35 s.
-        sweep = run_sweep()
         assert 0.5 < sweep.average_non_transfer_seconds() < 2.5
 
-    def test_defaults_never_touch_chunk_path(self):
-        sweep = run_sweep()
+    def test_defaults_never_touch_chunk_path(self, sweep):
         for key, report in sweep.reports.items():
             assert report.transfer_chunks_total == 0, key
             assert report.transfer_chunks_cached == 0, key

@@ -238,7 +238,7 @@ def _sensor_nodes(device):
     """``system_server``'s sensor-connection nodes."""
     return [node for node
             in device.binder.state(device.system_process).owned_nodes
-            if node.label.startswith("sensor-connection:")]
+            if node.label == "sensor-connection"]
 
 
 def test_a_migrated_out_app_leaves_no_sensor_connection_behind():

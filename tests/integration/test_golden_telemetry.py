@@ -15,7 +15,6 @@ import hashlib
 import pytest
 
 from repro.cli import main
-from repro.experiments.harness import clear_sweep_cache
 
 #: Every telemetry knob, cleared so the pinned runs use the defaults.
 TELEMETRY_ENV = ("FLUX_METRICS", "FLUX_EVENTS", "FLUX_EVENTS_CAP",
@@ -103,8 +102,6 @@ def test_bundle_member_digests(command, code, members, tmp_path,
                                monkeypatch, capsys):
     for name in TELEMETRY_ENV:
         monkeypatch.delenv(name, raising=False)
-    # A sweep cached by another test may have run under other knobs.
-    clear_sweep_cache()
     bundle = tmp_path / "bundle"
     assert main(command + ["--bundle-out", str(bundle)]) == code
     capsys.readouterr()

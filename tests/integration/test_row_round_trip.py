@@ -13,7 +13,6 @@ import pytest
 import repro.cli as cli
 from repro.cli import main
 from repro.experiments import bench, fleet, scenario
-from repro.experiments.harness import clear_sweep_cache, run_sweep
 from repro.sim.bundle import RunBundle
 from repro.sim.rows import migration_rows
 
@@ -79,12 +78,10 @@ def test_migrate(fault, code, outcome, tmp_path, monkeypatch, capsys):
         assert row["faulted_stage"] == "transfer"
 
 
-def test_sweep_and_its_gated_section(tmp_path, capsys):
-    clear_sweep_cache()
+def test_sweep_and_its_gated_section(sweep, tmp_path, capsys):
     bundle = tmp_path / "sweep"
     assert main(["sweep", "--bundle-out", str(bundle)]) == 0
     capsys.readouterr()
-    sweep = run_sweep()
     loaded = RunBundle.load(str(bundle))
     rows = loaded.migration_rows()
     assert len(rows) == len(sweep.reports) == 64
@@ -98,7 +95,7 @@ def test_sweep_and_its_gated_section(tmp_path, capsys):
             == bench.sim_payload_from_bundle(loaded)["sim"])
 
 
-def test_explain_shows_a_sweep_rows_critical_path(tmp_path, capsys):
+def test_explain_shows_a_sweep_rows_critical_path(sweep, tmp_path, capsys):
     from repro.core.migration.postmortem import postmortem_from_bundle
     bundle = tmp_path / "sweep"
     assert main(["sweep", "--bundle-out", str(bundle)]) == 0
@@ -107,8 +104,7 @@ def test_explain_shows_a_sweep_rows_critical_path(tmp_path, capsys):
     assert "critical path: " in capsys.readouterr().out
     # Sweep rows carry no session: the row is the post-mortem's pair's.
     postmortem = postmortem_from_bundle(RunBundle.load(str(bundle)))
-    report = run_sweep().reports[(postmortem["pair"],
-                                  postmortem["package"])]
+    report = sweep.reports[(postmortem["pair"], postmortem["package"])]
     assert postmortem["critical_path"] == report.critical_path != []
 
 

