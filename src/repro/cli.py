@@ -9,34 +9,31 @@ Subcommands::
     flux-sim sweep                         the paper's 4-pair x 16-app sweep
     flux-sim experiments [NAME ...]        regenerate tables/figures
     flux-sim bench-check [--update]        gate sweep metrics vs BENCH_sweep.json
-    flux-sim explain EVENTS_JSONL|BUNDLE   post-mortem a migration's event log
+    flux-sim explain BUNDLE                post-mortem one migration
     flux-sim scenario                      concurrent migrations on one clock
     flux-sim fleet                         seeded demand + placement at scale
     flux-sim diff A B                      compare two run bundles
 
-``migrate`` and ``sweep`` take ``--metrics-out PATH`` to dump the
-per-subsystem metrics registry as JSON and ``--events-out PATH`` to dump
-the causal event log as JSONL (see ``flux-sim explain``); ``migrate
---trace-out`` includes the registry's counter tracks and the event log's
-instants in the Chrome trace.  ``scenario`` adds ``--timeline-out``
-(the edge-sampled time-series plane) and ``--trace-out`` (one track per
-session plus counter tracks); ``explain --why LABEL`` ranks where a
-session's wall time went, from the event log alone.
+``migrate``, ``sweep``, ``scenario`` and ``fleet`` write their telemetry
+only as a run bundle: ``--bundle-out PATH`` captures *every* plane the
+run produced (metrics, causal event log, time-series plane, Chrome
+trace) plus a config/env fingerprint and a digest manifest, as one
+self-describing directory or ``.tar.gz``.  Without the flag a run
+writes no file.  ``flux-sim explain BUNDLE`` post-mortems a migration
+straight from a bundle (``--why LABEL`` ranks where a session's wall
+time went), ``flux-sim bench-check --bundle PATH`` gates one without
+re-running the sweep, and ``flux-sim diff A B`` compares two bundles
+plane by plane, ranking regression suspects (exit 0 identical, 1
+within tolerance, 2 regressed).
 
 ``fleet`` scales the scenario layer to a seeded device population:
 demands from a seeded arrival process are routed by a placement policy
 (``--policy capability|least-loaded|cost-model``), executed per site,
 and reported as fleet SLOs (p50/p95/p99, refusal/shed rate, per-device
 and per-medium utilization); ``--shard K/N`` runs a deterministic
-slice.  ``migrate``, ``sweep``, ``scenario`` and ``fleet`` all take
-``--bundle-out PATH``
-to capture *every* plane the run produced — plus a config/env
-fingerprint and a digest manifest — as one self-describing run bundle
-(a directory, or ``.tar.gz``).  ``flux-sim explain BUNDLE`` post-mortems
-straight from a bundle, ``flux-sim bench-check --bundle PATH`` gates
-one without re-running the sweep, and ``flux-sim diff A B`` compares
-two bundles plane by plane, ranking regression suspects (exit 0
-identical, 1 within tolerance, 2 regressed).
+slice.  ``sweep --profile-out`` (host measurements) and ``diff
+--json-out`` (a diff document) write their own files: neither is a
+plane of the run.
 
 Installed as a console script (``pip install -e .``), or run with
 ``python -m repro.cli``.
@@ -123,38 +120,10 @@ def cmd_pair(args) -> int:
 
 
 def _write_outputs(args, kind: str, fingerprint: dict, *, metrics=None,
-                   events=None, timeline=None, timeline_meta=None,
-                   trace=None) -> None:
-    """Write the planes a command built to the ``--*-out`` paths given.
-
-    Each plane goes to its own flag's path (``--metrics-out``,
-    ``--events-out``, ``--timeline-out``, ``--trace-out``) when the
-    command has that flag and it was given, and every plane goes into
-    the ``--bundle-out`` run bundle, whose fingerprint is
-    ``collect_fingerprint(kind, **fingerprint)``.
-    """
-    import json
-
-    from repro.sim.events import write_jsonl
-    from repro.sim.timeline import write_timeline
-    path = getattr(args, "metrics_out", None)
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(metrics, handle, indent=1)
-        print(f"wrote metrics to {path}")
-    path = getattr(args, "events_out", None)
-    if path:
-        count = write_jsonl(path, events)
-        print(f"wrote {count} events to {path} (flux-sim explain {path})")
-    path = getattr(args, "timeline_out", None)
-    if path:
-        count = write_timeline(path, timeline, meta=timeline_meta)
-        print(f"wrote {count} timeline series to {path}")
-    path = getattr(args, "trace_out", None)
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(trace, handle, indent=1)
-        print(f"wrote Chrome trace to {path}")
+                   events=None, timeline=None, trace=None) -> None:
+    """Write the planes a command built to its ``--bundle-out`` run
+    bundle, whose fingerprint is ``collect_fingerprint(kind,
+    **fingerprint)``; without the flag a run writes nothing."""
     if args.bundle_out:
         from repro.sim.bundle import collect_fingerprint, write_bundle
         write_bundle(args.bundle_out, kind=kind,
@@ -211,7 +180,7 @@ def cmd_migrate(args) -> int:
 
     try:
         # The export scope keeps the migration's span tree for the
-        # trace document (--trace-out, the bundle's trace.json).
+        # bundle's trace.json.
         with home.tracer.exporting():
             report = home.migration_service.migrate(
                 guest, spec.package, link=link, extensions=extensions,
@@ -340,59 +309,32 @@ def cmd_bench_check(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    import json
-
     from repro.core.migration.postmortem import (
         PostmortemError,
         build_blame,
-        build_postmortem,
-        critical_path_from_metrics,
         postmortem_from_bundle,
         render_blame,
         render_postmortem,
     )
-    from repro.sim.bundle import BundleError, RunBundle, is_bundle_path
-    from repro.sim.events import EventsError, read_jsonl
-    # From a run bundle, the events (and, unless --metrics overrides,
-    # the critical path) come from the bundle alone.
+    from repro.sim.bundle import BundleError, RunBundle
+    from repro.sim.events import EventsError
+    # The events and the critical path both come from the bundle alone.
     try:
-        bundle = (RunBundle.load(args.events)
-                  if is_bundle_path(args.events) else None)
-        events = bundle.events() if bundle else read_jsonl(args.events)
+        bundle = RunBundle.load(args.bundle)
+        if args.why:
+            # Blame mode: rank where the session's wall time went,
+            # resolved from the event log alone (no live scheduler).
+            print(render_blame(build_blame(bundle.events(), args.why)))
+            return 0
+        postmortem = postmortem_from_bundle(bundle, package=args.package,
+                                            last=args.last,
+                                            session=args.session)
     except OSError as error:
-        raise SystemExit(f"cannot read {args.events!r}: {error}")
+        raise SystemExit(f"cannot read {args.bundle!r}: {error}")
     except (BundleError, EventsError) as error:
         raise SystemExit(str(error))
-    if args.why:
-        # Blame mode: rank where the session's wall time went, resolved
-        # from the event log alone (no live scheduler state needed).
-        try:
-            blame = build_blame(events, args.why)
-        except PostmortemError as error:
-            raise SystemExit(f"{args.events}: {error}")
-        print(render_blame(blame))
-        return 0
-    critical_path = None
-    if args.metrics:
-        try:
-            with open(args.metrics, "r", encoding="utf-8") as handle:
-                critical_path = critical_path_from_metrics(
-                    json.load(handle), args.package)
-        except (OSError, ValueError, BundleError) as error:
-            raise SystemExit(f"cannot read {args.metrics!r}: {error}")
-    try:
-        if bundle is not None and critical_path is None:
-            postmortem = postmortem_from_bundle(bundle,
-                                                package=args.package,
-                                                last=args.last,
-                                                session=args.session)
-        else:
-            postmortem = build_postmortem(events, package=args.package,
-                                          last=args.last,
-                                          critical_path=critical_path,
-                                          session=args.session)
-    except (PostmortemError, BundleError) as error:
-        raise SystemExit(f"{args.events}: {error}")
+    except PostmortemError as error:
+        raise SystemExit(f"{args.bundle}: {error}")
     print(render_postmortem(postmortem))
     return 0
 
@@ -530,8 +472,6 @@ def cmd_scenario(args) -> int:
         metrics=metrics,
         events=result.events,
         timeline=result.timeline,
-        timeline_meta={"devices": [n for n, _ in spec.devices],
-                       "seed": spec.seed},
         trace=scenario_trace_document(result))
     return 0 if not failures else 1
 
@@ -601,8 +541,7 @@ def cmd_fleet(args) -> int:
              extra=extra),
         metrics=fleet_metrics_document(spec, result, shard=shard_label),
         events=result.events,
-        timeline=result.timeline,
-        timeline_meta={"sites": result.sites, "seed": spec.seed})
+        timeline=result.timeline)
     return 0
 
 
@@ -641,10 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     migrate.add_argument("--seed", type=int, default=0)
     migrate.add_argument("--timeline", action="store_true",
                          help="render an ASCII stage timeline")
-    migrate.add_argument("--trace-out", metavar="PATH", default=None,
-                         help="write the migration's hierarchical span "
-                              "tree as Chrome-trace JSON "
-                              "(chrome://tracing / Perfetto)")
     migrate.add_argument("--drop-link-after-bytes", type=int, default=None,
                          metavar="N",
                          help="fault injection: drop the link once N "
@@ -653,13 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="N",
                          help="fault injection: fail the guest-side "
                               "restore after N completed steps")
-    migrate.add_argument("--metrics-out", metavar="PATH", default=None,
-                         help="write the merged home+guest metrics "
-                              "registry (counters, gauges, histograms, "
-                              "critical path) as JSON")
-    migrate.add_argument("--events-out", metavar="PATH", default=None,
-                         help="write the merged home+guest causal event "
-                              "log as JSONL (input to flux-sim explain)")
     migrate.add_argument("--bundle-out", metavar="PATH", default=None,
                          help="write a self-describing run bundle (all "
                               "telemetry planes + config fingerprint) as "
@@ -685,12 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "write a deterministic-ordered per-pair "
                             "report (the serial hot-path measuring "
                             "plane)")
-    sweep.add_argument("--metrics-out", metavar="PATH", default=None,
-                       help="write per-pair, per-app and total metrics "
-                            "snapshots for the sweep as JSON")
-    sweep.add_argument("--events-out", metavar="PATH", default=None,
-                       help="write every pair's causal event stream, "
-                            "pair-labeled, as JSONL")
     sweep.add_argument("--bundle-out", metavar="PATH", default=None,
                        help="write a self-describing run bundle (all "
                             "telemetry planes + config fingerprint) as a "
@@ -719,18 +641,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     explain = sub.add_parser(
         "explain",
-        help="post-mortem a migration from its --events-out JSONL: "
-             "outcome, causal chain, flight-recorder tail")
-    explain.add_argument("events", metavar="EVENTS_JSONL",
-                         help="event log written by migrate/sweep "
-                              "--events-out")
+        help="post-mortem a migration from its run bundle: outcome, "
+             "causal chain, critical path, flight-recorder tail")
+    explain.add_argument("bundle", metavar="BUNDLE",
+                         help="run bundle written by migrate, sweep, "
+                              "scenario or fleet --bundle-out")
     explain.add_argument("--package", default=None,
                          help="explain this app's migration (default: "
                               "the most recent failure, else the last "
                               "migration in the log)")
-    explain.add_argument("--metrics", metavar="PATH", default=None,
-                         help="a --metrics-out JSON document; annotates "
-                              "the post-mortem with the critical path")
     explain.add_argument("--last", type=int, default=10, metavar="N",
                          help="flight-recorder tail length: events shown "
                               "before the fault (default 10)")
@@ -766,21 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "already hosting a migration (default: "
                                "queue FIFO)")
     scenario.add_argument("--seed", type=int, default=0)
-    scenario.add_argument("--metrics-out", metavar="PATH", default=None,
-                          help="write the merged all-device metrics "
-                               "registry plus per-session outcomes as "
-                               "JSON")
-    scenario.add_argument("--events-out", metavar="PATH", default=None,
-                          help="write the causally-merged all-device "
-                               "event log as JSONL (input to flux-sim "
-                               "explain, which segments it by session)")
-    scenario.add_argument("--timeline-out", metavar="PATH", default=None,
-                          help="write the edge-sampled time-series plane "
-                               "(link shares, queue depths, sessions in "
-                               "flight) as JSON")
-    scenario.add_argument("--trace-out", metavar="PATH", default=None,
-                          help="write a Chrome trace with one track per "
-                               "session plus timeline counter tracks")
     scenario.add_argument("--bundle-out", metavar="PATH", default=None,
                           help="write a self-describing run bundle (all "
                                "telemetry planes + config fingerprint) "
@@ -829,17 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(a partial fleet for distributed runs); a "
                             "plain N runs all N shard groups and merges "
                             "— byte-identical to the unsharded run")
-    fleet.add_argument("--metrics-out", metavar="PATH", default=None,
-                       help="write merged fleet metrics, SLO summary "
-                            "and per-demand rows (placement decisions, "
-                            "wait profiles) as JSON")
-    fleet.add_argument("--events-out", metavar="PATH", default=None,
-                       help="write every site's causal event stream, "
-                            "site-labeled, as JSONL (input to flux-sim "
-                            "explain --why)")
-    fleet.add_argument("--timeline-out", metavar="PATH", default=None,
-                       help="write the edge-sampled time-series plane "
-                            "of every site, site-labeled, as JSON")
     fleet.add_argument("--bundle-out", metavar="PATH", default=None,
                        help="write a self-describing run bundle (all "
                             "telemetry planes + config fingerprint) as "

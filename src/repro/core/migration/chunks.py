@@ -18,8 +18,12 @@ checkpoint time so they are never falsely deduplicated.  The store holds
 digests and sizes only — chunk payloads live in the checkpoint image
 itself; this mirrors how a real implementation would index a blob cache.
 
-Used only on the ``FluxExtensions.pipelined_transfer`` path; the default
-migration keeps the paper-faithful whole-image transfer.
+Every migration chunks its image.  The ``FluxExtensions.pipelined_transfer``
+path sends only the chunks the guest lacks; the default migration keeps
+the paper-faithful whole-image transfer, but ``TransferStage._index_serial``
+(:mod:`repro.core.migration.stages`) still chunks the image and adds
+every chunk to both devices' stores, so a later pipelined hop can
+dedupe against it.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Post-mortems over a migration's causal event log (``flux-sim explain``).
 
-A migration's ``--events-out`` JSONL is a flat, causally-ordered stream
+A run bundle's ``events.jsonl`` is a flat, causally-ordered stream
 (see :mod:`repro.sim.events`).  This module segments that stream into
 migrations (``migration.start`` … ``migration.done`` /
 ``migration.rolled_back``), picks the one worth explaining (a faulted or
@@ -13,15 +13,16 @@ i.e. *which* low-layer event (``link.fault``, ``cria.restore_fault``)
 killed *which* stage, and what the pipeline unwound afterwards.  The
 rendered report also shows the last N events before the fault (the
 flight-recorder tail) with their Binder transaction ids — every ``#seq``
-and ``txn=`` printed resolves back to a line of the JSONL — plus
-per-stage event counts and, when a ``--metrics`` document is supplied,
-the migration's critical path.
+and ``txn=`` printed resolves back to a line of ``events.jsonl`` — plus
+per-stage event counts and the migration's critical path from the
+bundle's ``metrics.json``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.sim.events import evicted_per_device
 from repro.sim.rows import migration_rows
 
 #: Low-layer events that directly cause a stage fault; the causal chain
@@ -190,7 +191,6 @@ def _causal_chain(segment: Dict[str, Any]) -> List[Dict[str, Any]]:
 def build_postmortem(events: List[Dict[str, Any]],
                      package: Optional[str] = None,
                      last: int = 10,
-                     critical_path: Optional[List[Dict[str, Any]]] = None,
                      session: Optional[str] = None
                      ) -> Dict[str, Any]:
     """Digest an event stream into one migration's post-mortem document.
@@ -198,11 +198,13 @@ def build_postmortem(events: List[Dict[str, Any]],
     Raises :class:`PostmortemError` when the stream holds no migration
     (or none of ``package`` / ``session``).  The returned dict is
     JSON-ready; see :func:`render_postmortem` for the human rendering.
+    Its ``critical_path`` is empty: the path lives in the metrics plane,
+    which :func:`postmortem_from_bundle` reads.
     """
     segments = segment_migrations(events)
     if not segments:
-        evicted = (_evicted_per_device(events, events[0].get("pair"),
-                                       events[0].get("site"))
+        evicted = (evicted_per_device(events, events[0].get("pair"),
+                                      events[0].get("site"))
                    if events else {})
         if evicted:
             raise PostmortemError(
@@ -211,7 +213,7 @@ def build_postmortem(events: List[Dict[str, Any]],
                     for device, count in evicted.items()))
         raise PostmortemError(
             "no migration.start event in the log — was it produced by "
-            "flux-sim migrate/sweep --events-out with FLUX_EVENTS enabled?")
+            "flux-sim migrate/sweep --bundle-out with FLUX_EVENTS enabled?")
     segment = _pick_segment(segments, package, session)
     seg_events = segment["events"]
     first = seg_events[0]
@@ -256,34 +258,10 @@ def build_postmortem(events: List[Dict[str, Any]],
         "stage_counts": stage_counts,
         "causal_chain": _causal_chain(segment),
         "tail": tail,
-        "critical_path": critical_path or [],
-        "evicted": _evicted_per_device(
+        "critical_path": [],
+        "evicted": evicted_per_device(
             events, first.get("pair"), first.get("site")),
     }
-
-
-def _evicted_per_device(events: List[Dict[str, Any]],
-                       pair: Any = None, site: Any = None
-                       ) -> Dict[str, int]:
-    """Events the flight recorders evicted before the log was written,
-    per device of the section labelled ``pair``/``site``.
-
-    ``seq`` counts every event a device ever emitted, so a device whose
-    first event in the section has ``seq = k > 1`` lost ``k - 1``.
-    Devices that lost none are omitted.
-    """
-    evicted: Dict[str, int] = {}
-    seen = set()
-    for event in events:
-        device = event.get("device")
-        if (device in seen or event.get("pair") != pair
-                or event.get("site") != site):
-            continue
-        seen.add(device)
-        seq = event.get("seq")
-        if isinstance(seq, int) and seq > 1:
-            evicted[device] = seq - 1
-    return dict(sorted(evicted.items()))
 
 
 def build_blame(events: List[Dict[str, Any]], session: str
@@ -398,7 +376,7 @@ def critical_path_from_metrics(document: Dict[str, Any],
                                source: str = "metrics document",
                                pair: Optional[str] = None
                                ) -> Optional[List[Dict[str, Any]]]:
-    """Pull a critical path out of a ``--metrics-out`` document.
+    """Pull a critical path out of a bundle's ``metrics.json`` document.
 
     A document of one migration needs no choosing.  Among several rows,
     ``session`` (an exact label) or else ``package`` selects the first

@@ -16,8 +16,8 @@ Observability threads through the same seam: the pipeline opens one
 ``migration`` span on the home tracer, nests a span per stage (and the
 transfer stage nests per-chunk spans), and derives
 ``MigrationReport.stages`` from those spans — the Chrome-trace export
-(``flux-sim migrate --trace-out``) and the report are two views of one
-measurement.
+(a ``flux-sim migrate --bundle-out`` bundle's ``trace.json``) and the
+report are two views of one measurement.
 
 Fault injection lives at the layers faults actually occur:
 :class:`repro.android.net.link.LinkFaultPlan` on the link and

@@ -435,8 +435,7 @@ def fleet_metrics_document(spec: FleetSpec, result: FleetResult,
                            shard: Optional[str] = None) -> Dict:
     """The fleet's merged metrics + per-demand rows, JSON-ready.
 
-    What ``flux-sim fleet --metrics-out`` writes and a fleet run bundle
-    stores as ``metrics.json``; the rows carry both the placement
+    What a fleet run bundle stores as ``metrics.json``; the rows carry both the placement
     decisions and the wait profiles, so the diff engine can attribute a
     latency regression to placement or to contention.
     """

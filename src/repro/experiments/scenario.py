@@ -353,8 +353,7 @@ def scenario_metrics_document(spec: ScenarioSpec,
                               result: ScenarioResult) -> Dict:
     """The scenario's merged metrics + per-session outcomes, JSON-ready.
 
-    This is what ``flux-sim scenario --metrics-out`` writes and what a
-    scenario run bundle stores as ``metrics.json``; the per-session
+    This is what a scenario run bundle stores as ``metrics.json``; the per-session
     rows carry the wait profiles the diff engine attributes contention
     regressions with.
     """

@@ -1,23 +1,20 @@
 """Self-describing run bundles: one artifact per simulation run.
 
-Every telemetry plane so far (metrics snapshots, causal event logs,
-Chrome traces, edge-sampled timelines, wait profiles) writes a loose
-file; comparing two runs — the core loop of performance and
-correctness work — means juggling paths and remembering which knobs
-produced which file.  A *run bundle* makes the run itself the
-artifact: one directory (or ``.tar.gz``) holding every plane the run
-produced, a **fingerprint** of the configuration that produced it
-(workload, device pairs, seed, executor, every ``FLUX_*`` knob, the
-git sha), and a **manifest** with a SHA-256 digest per file, so a
-bundle read back months later is provably the bundle that was written.
+A *run bundle* is the only artifact a run writes its telemetry to: one
+directory (or ``.tar.gz``) holding every plane the run produced, a
+**fingerprint** of the configuration that produced it (workload, device
+pairs, seed, executor, every ``FLUX_*`` knob, the git sha), and a
+**manifest** with a SHA-256 digest per file, so a bundle read back
+months later is provably the bundle that was written.
 
 Layout (all members optional except the manifest)::
 
     manifest.json    schema, kind, fingerprint, per-file digests
-    metrics.json     the --metrics-out document (shape varies by kind)
-    events.jsonl     the causally-merged event log (--events-out)
-    timeline.json    the edge-sampled time-series plane (--timeline-out)
-    trace.json       the Chrome trace (--trace-out)
+    metrics.json     counters, gauges, histograms and per-migration rows
+                     (the document's shape varies by kind)
+    events.jsonl     the causally-merged event log, one event a line
+    timeline.json    the edge-sampled time-series plane
+    trace.json       the Chrome trace (migrate and scenario only)
 
 ``flux-sim migrate/sweep/scenario/fleet --bundle-out PATH`` writes one;
 ``flux-sim explain`` and ``flux-sim bench-check`` read one back, so a
@@ -236,22 +233,11 @@ def write_bundle(path: str, *, kind: str, fingerprint: Dict[str, Any],
 # -- reading ------------------------------------------------------------------
 
 
-def is_bundle_path(path: str) -> bool:
-    """Does ``path`` look like a run bundle (vs a loose plane file)?"""
-    p = Path(path)
-    if p.is_dir():
-        return (p / MANIFEST_NAME).is_file()
-    if p.is_file() and is_tar_path(path):
-        return tarfile.is_tarfile(path)
-    return False
-
-
 class RunBundle:
     """A loaded run bundle: manifest, fingerprint, and lazy plane views.
 
-    Digests are verified at load time (``verify=False`` skips, for
-    tooling that wants to inspect a corrupt bundle anyway); a mismatch
-    names the member, because "which file rotted" is the first question.
+    Digests are verified at every load; a mismatch names the member,
+    because "which file rotted" is the first question.
     """
 
     def __init__(self, path: str, manifest: Dict[str, Any],
@@ -263,7 +249,7 @@ class RunBundle:
     # -- loading ------------------------------------------------------------
 
     @classmethod
-    def load(cls, path: str, verify: bool = True) -> "RunBundle":
+    def load(cls, path: str) -> "RunBundle":
         p = Path(path)
         members: Dict[str, bytes] = {}
         if p.is_dir():
@@ -301,8 +287,7 @@ class RunBundle:
                 f"{path}: unsupported bundle schema {schema!r} (this "
                 f"build reads schema {BUNDLE_SCHEMA}); regenerate the "
                 f"bundle or upgrade")
-        if verify:
-            bundle.verify()
+        bundle.verify()
         return bundle
 
     def verify(self) -> None:
@@ -352,7 +337,7 @@ class RunBundle:
     # -- plane views --------------------------------------------------------
 
     def metrics_document(self) -> Dict[str, Any]:
-        """The bundled ``--metrics-out`` document (shape varies by kind)."""
+        """The bundled metrics document (shape varies by kind)."""
         return check(self.read_json("metrics.json"), _METRICS,
                      f"{self.path}/metrics.json", BundleError)
 

@@ -16,7 +16,10 @@ every plane both runs recorded:
 * **events** — a first-divergence search over the merged causal logs:
   the first ``(t, device, seq)`` where the two streams disagree, with
   the surrounding flight-recorder context from both sides — the exact
-  place to start reading when two "identical" runs are not.
+  place to start reading when two "identical" runs are not;
+* **evictions** — per device, section by section, the events each
+  side's flight recorders evicted before the bundle was written, so a
+  diff of incomplete logs says so (the verdict does not change).
 
 The result is a ranked **suspect table** ("stage ``transfer`` +0.41s
 self on nexus4/...", "link dilation +0.38s on session X") and a verdict
@@ -33,6 +36,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.sim.bundle import RunBundle, fingerprint_differences
+from repro.sim.events import evicted_per_device
 
 #: Exit codes ``flux-sim diff`` maps the verdict to.
 EXIT_IDENTICAL = 0
@@ -284,6 +288,20 @@ def first_divergence(a_events: List[Dict[str, Any]],
     }
 
 
+def evicted_by_section(events: List[Dict[str, Any]]
+                       ) -> List[Dict[str, Any]]:
+    """Events the flight recorders evicted, per device, section by
+    section (``pair``/``site`` label, None for an unlabeled log), in
+    the order the sections first appear.  Devices that lost none are
+    omitted, so a complete log yields ``[]``."""
+    sections = dict.fromkeys((event.get("pair"), event.get("site"))
+                             for event in events)
+    return [{"section": pair or site, "device": device, "events": count}
+            for pair, site in sections
+            for device, count in evicted_per_device(events, pair,
+                                                    site).items()]
+
+
 # -- suspects -----------------------------------------------------------------
 
 
@@ -385,7 +403,8 @@ def diff_bundles(a: RunBundle, b: RunBundle,
                                  tolerance)
     wait_profiles = diff_wait_profiles(a.wait_profiles(),
                                        b.wait_profiles(), tolerance)
-    divergence = first_divergence(a.events(), b.events(), context=context)
+    events_a, events_b = a.events(), b.events()
+    divergence = first_divergence(events_a, events_b, context=context)
     suspects = build_suspects(migrations, wait_profiles)
 
     numeric = counters + gauges + histograms
@@ -426,6 +445,8 @@ def diff_bundles(a: RunBundle, b: RunBundle,
         "migrations": migrations,
         "wait_profiles": wait_profiles,
         "first_divergence": divergence,
+        "evicted": {"a": evicted_by_section(events_a),
+                    "b": evicted_by_section(events_b)},
         "suspects": suspects,
     }
 
@@ -461,6 +482,12 @@ def render_diff(document: Dict[str, Any], limit: int = 10) -> str:
         lines.append("fingerprint differences:")
         for field, values in fingerprint["differences"].items():
             lines.append(f"  {field}: {values['a']!r} -> {values['b']!r}")
+    for side, entries in document["evicted"].items():
+        for entry in entries:
+            device = (f"{entry['section']}/{entry['device']}"
+                      if entry["section"] else entry["device"])
+            lines.append(f"log incomplete: {entry['events']} events "
+                         f"evicted on {device} ({side.upper()})")
 
     if document["verdict"] == "identical":
         lines.append("verdict: IDENTICAL (empty diff: every plane "

@@ -460,17 +460,6 @@ def merge_streams(*logs: EventLog) -> EventLog:
                                   for stream in log._streams())),))
 
 
-def write_jsonl(path: str, events: Iterable[Dict[str, Any]]) -> int:
-    """Write events as JSONL (one sorted-key JSON object per line)."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for event in events:
-            handle.write(json.dumps(event, sort_keys=True))
-            handle.write("\n")
-            count += 1
-    return count
-
-
 #: The fields readers of an event log use, each checked where present.
 _EVENT = {"t?": float, "seq?": int, "kind?": str, "device?": str,
           "pair?": str, "site?": str, "attrs?": {"session?": str}}
@@ -502,11 +491,25 @@ def parse_jsonl(lines: Iterable[str], source: str = "<events>"
     return events
 
 
-def read_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Load an ``--events-out`` artifact back into event dicts.
+def evicted_per_device(events: Iterable[Dict[str, Any]],
+                       pair: Any = None, site: Any = None
+                       ) -> Dict[str, int]:
+    """Events the flight recorders evicted before the log was written,
+    per device of the section labelled ``pair``/``site``.
 
-    Malformed lines raise :class:`EventsError` with the file name and
-    line number (see :func:`parse_jsonl`).
+    ``seq`` counts every event a device ever emitted, so a device whose
+    first event in the section has ``seq = k > 1`` lost ``k - 1``.
+    Devices that lost none are omitted.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_jsonl(handle, source=path)
+    evicted: Dict[str, int] = {}
+    seen = set()
+    for event in events:
+        device = event.get("device")
+        if (device in seen or event.get("pair") != pair
+                or event.get("site") != site):
+            continue
+        seen.add(device)
+        seq = event.get("seq")
+        if isinstance(seq, int) and seq > 1:
+            evicted[device] = seq - 1
+    return dict(sorted(evicted.items()))

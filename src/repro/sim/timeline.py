@@ -37,14 +37,13 @@ time.  :func:`labeled_timelines` folds each world's label (``pair=``,
 
 from __future__ import annotations
 
-import json
 from array import array
 from typing import (Any, Dict, Iterable, Iterator, List, Mapping, Optional,
                     Tuple)
 
 from repro.sim.shapes import check
 
-#: On-disk document version written by :func:`write_timeline`; readers
+#: On-disk document version written by :func:`timeline_document`; readers
 #: reject any other value (forward-compat contract for run bundles).
 TIMELINE_SCHEMA = 1
 
@@ -234,14 +233,11 @@ def chrome_counter_events(export: Mapping[str, Any], cat: str = "timeline"
     return events
 
 
-def timeline_document(export: Dict[str, List[List[float]]],
-                      meta: Optional[Dict[str, Any]] = None
+def timeline_document(export: Dict[str, List[List[float]]]
                       ) -> Dict[str, Any]:
-    """The versioned JSON document :func:`write_timeline` persists."""
-    document: Dict[str, Any] = {"schema": TIMELINE_SCHEMA, "series": export}
-    if meta:
-        document["meta"] = meta
-    return document
+    """The versioned JSON document a run bundle's ``timeline.json``
+    holds."""
+    return {"schema": TIMELINE_SCHEMA, "series": export}
 
 
 def parse_timeline_document(document: Any,
@@ -261,23 +257,3 @@ def parse_timeline_document(document: Any,
             f"the artifact or upgrade")
     return check(document, {"series": ({str: [[float]]}, None)}, source,
                  TimelineError).get("series") or {}
-
-
-def write_timeline(path: str, export: Dict[str, List[List[float]]],
-                   meta: Optional[Dict[str, Any]] = None) -> int:
-    """Write an exported timeline as sorted-key JSON; returns series count."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(timeline_document(export, meta), handle, indent=1,
-                  sort_keys=True)
-    return len(export)
-
-
-def read_timeline(path: str) -> Dict[str, List[List[float]]]:
-    """Load a ``--timeline-out`` artifact's series back into a dict.
-
-    Raises :class:`TimelineError` on unknown schema versions (see
-    :func:`parse_timeline_document`).
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    return parse_timeline_document(document, source=path)

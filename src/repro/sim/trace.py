@@ -202,9 +202,8 @@ class Tracer:
     def exporting(self) -> Iterator["Tracer"]:
         """Keep every root span closed inside this scope for export.
 
-        ``flux-sim migrate`` runs its migration in one, so ``--trace-out``
-        and the bundle's ``trace.json`` still hold the migration's span
-        tree; outside any scope the pipeline releases each root once its
+        ``flux-sim migrate`` runs its migration in one, so the bundle's
+        ``trace.json`` still holds the migration's span tree; outside any scope the pipeline releases each root once its
         report has what it needs.
         """
         self._exporting += 1
@@ -291,12 +290,12 @@ def chrome_instant_events(events) -> List[Dict[str, Any]]:
     """A causal event stream as Chrome-trace instant ("i") events.
 
     ``events`` is an iterable of event dicts (an
-    :class:`~repro.sim.events.EventLog`, or a log read back from
-    JSONL).  Each becomes a thread-scoped (``"s": "t"``) instant whose
+    :class:`~repro.sim.events.EventLog`, or a bundle's
+    ``events.jsonl`` read back).  Each becomes a thread-scoped (``"s": "t"``) instant whose
     args carry the per-device sequence number, the Binder transaction id
     (when inside one) and the event's attributes — the same fields the
-    ``--events-out`` JSONL records, so a tick in the viewer resolves
-    back to a line in the artifact.
+    bundle's ``events.jsonl`` records, so a tick in the viewer resolves
+    back to a line of that member.
     """
     instants: List[Dict[str, Any]] = []
     for event in events:

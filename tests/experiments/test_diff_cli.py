@@ -15,6 +15,9 @@ from repro.sim.diffing import (
     EXIT_IDENTICAL,
     EXIT_REGRESSED,
     diff_bundles,
+    evicted_by_section,
+    exit_code,
+    render_diff,
 )
 from repro.sim.telemetry import export
 
@@ -158,11 +161,15 @@ class TestDiffCli:
         assert main(["scenario", "--bundle-out", a]) == 0
         assert main(["scenario", "--seed", "1", "--bundle-out", b]) == 0
         out_path = tmp_path / "diff.json"
+        capsys.readouterr()
         code = main(["diff", a, b, "--json-out", str(out_path)])
         assert code == EXIT_REGRESSED
+        # Complete event logs add no eviction lines.
+        assert "log incomplete" not in capsys.readouterr().out
         import json
         document = json.loads(out_path.read_text())
         assert document["verdict"] == "regressed"
+        assert document["evicted"] == {"a": [], "b": []}
         assert document["suspects"]
         assert document["fingerprint"]["differences"]["seed"] == {
             "a": 0, "b": 1}
@@ -175,6 +182,59 @@ class TestDiffCli:
         assert main(["scenario", "--bundle-out", scenario]) == 0
         with pytest.raises(SystemExit, match="cannot diff"):
             main(["diff", migrate, scenario])
+
+
+class TestIncompleteLogs:
+    """``diff`` names the events each side's rings evicted, per device
+    and section, and its verdict ignores them."""
+
+    def test_capped_bundle_names_its_gaps(self, capsys, tmp_path,
+                                          monkeypatch):
+        import json
+
+        from repro.sim.telemetry import EVENTS_CAP_ENV
+
+        full, capped = str(tmp_path / "full"), str(tmp_path / "capped")
+        assert main(["migrate", "--app", "Candy Crush",
+                     "--bundle-out", full]) == 0
+        monkeypatch.setenv(EVENTS_CAP_ENV, "8")
+        assert main(["migrate", "--app", "Candy Crush",
+                     "--bundle-out", capped]) == 0
+        capsys.readouterr()
+        out_path = tmp_path / "diff.json"
+        code = main(["diff", full, capped, "--json-out", str(out_path)])
+        out = capsys.readouterr().out
+        document = json.loads(out_path.read_text())
+        assert code == exit_code(document)
+        assert document["evicted"] == {"a": [], "b": [
+            {"section": None, "device": "guest", "events": 5},
+            {"section": None, "device": "home", "events": 11}]}
+        gaps = [line for line in out.splitlines()
+                if line.startswith("log incomplete:")]
+        assert gaps == ["log incomplete: 5 events evicted on guest (B)",
+                        "log incomplete: 11 events evicted on home (B)"]
+        assert out.index(gaps[-1]) < out.index("verdict:")
+        if "ranked suspects:" in out:
+            assert out.index(gaps[-1]) < out.index("ranked suspects:")
+
+    def test_gaps_are_counted_per_section(self):
+        events = [
+            {"seq": 3, "device": "home", "pair": "p0"},
+            {"seq": 1, "device": "guest", "pair": "p0"},
+            {"seq": 4, "device": "home", "pair": "p0"},
+            {"seq": 1, "device": "home", "pair": "p1"},
+            {"seq": 7, "device": "guest", "pair": "p1"},
+        ]
+        assert evicted_by_section(events) == [
+            {"section": "p0", "device": "home", "events": 2},
+            {"section": "p1", "device": "guest", "events": 6}]
+        document = {"kind": "sweep", "a": "A", "b": "B",
+                    "fingerprint": {"matches": True},
+                    "verdict": "identical",
+                    "evicted": {"a": [], "b": evicted_by_section(events)}}
+        assert render_diff(document).splitlines()[2:4] == [
+            "log incomplete: 2 events evicted on p0/home (B)",
+            "log incomplete: 6 events evicted on p1/guest (B)"]
 
 
 class TestBundleConsumers:

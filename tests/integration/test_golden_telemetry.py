@@ -1,8 +1,8 @@
-"""Golden telemetry artifacts: pinned SHA-256 of every file the CLI writes.
+"""Golden telemetry artifacts: pinned SHA-256 of every run-bundle member.
 
 The bundle diff compares a serial run with a process run of one commit,
 and perfbench's digests cover simulated results only.  These digests pin
-the telemetry files themselves (events JSONL, metrics, timeline and
+the telemetry members themselves (events JSONL, metrics, timeline and
 Chrome trace) across commits, so a change to how telemetry is stored
 cannot change a byte of what it exports.
 
@@ -20,52 +20,60 @@ from repro.cli import main
 TELEMETRY_ENV = ("FLUX_METRICS", "FLUX_EVENTS", "FLUX_EVENTS_CAP",
                  "FLUX_TIMELINE")
 
-MIGRATE = (["migrate", "--app", "Candy Crush"], {
-    "events": ("--events-out", "29cee2f057b4278c418caef192bc50fa"
-                               "d5def09617a0004c48dd01118129f6f2"),
-    "metrics": ("--metrics-out", "66308b076cfb405933d98e986d8fd6cb"
-                                 "76a0f12ac5ad84c4b14254a12704f695"),
-    "trace": ("--trace-out", "7d7d6db516cecd0231a8850e0497ba96"
-                             "81269b2af820eff6270b0d05e1a141fa"),
+#: The three plain runs, pinned member by member.  Their ``events``
+#: digests are those of the per-plane files the CLI wrote before the
+#: run bundle became its only export; the other members equal what
+#: ``--bundle-out`` wrote then.
+MIGRATE = (["migrate", "--app", "Candy Crush"], 0, {
+    "events.jsonl": "29cee2f057b4278c418caef192bc50fa"
+                    "d5def09617a0004c48dd01118129f6f2",
+    "metrics.json": "d0cd403eee76c7b9a4954e4b6a4e88a9"
+                    "b97fba0997b1178794536799c0c89d0e",
+    "timeline.json": "18c8b47c09a7100bd2fc7352d1227f4e"
+                     "2fded9c028a6afafefb95d5e55a051be",
+    "trace.json": "90983d1b054dcaa4f4a7d5045702277b"
+                  "9b4fa2ee42b225b9c6f3b2fb0d8bc4a0",
 })
 
-SCENARIO = (["scenario"], {
-    "events": ("--events-out", "f059f9008655cb45932f1d0da2de7ba2"
-                               "2f3028613a5f535fbc5810f72b4c245b"),
-    "metrics": ("--metrics-out", "de9fa617d9924921379bb29fe87d724e"
-                                 "b75636a6c29b222b581aba2b3ecc96a2"),
-    "timeline": ("--timeline-out", "fe7c174f81e5976cbfb38b6fcc970a77"
-                                   "d2055ad21baf89ce4d12e5cc02d848ae"),
-    "trace": ("--trace-out", "7955f2de7e68672d725a7db14dbfeda3"
-                             "91cff96af14433747cd134bc099a7fe2"),
+SCENARIO = (["scenario"], 0, {
+    "events.jsonl": "f059f9008655cb45932f1d0da2de7ba2"
+                    "2f3028613a5f535fbc5810f72b4c245b",
+    "metrics.json": "ba7129ae2a1ca72b9c541bda0b37c84b"
+                    "2334fc3a4e5e2ff6d9a666883c9e3446",
+    "timeline.json": "e76b5749a8cddfcfe661c13fa0d217ae"
+                     "c3e0aff0fb9f56ae07141747ca775d11",
+    "trace.json": "8f60c63124d46491665cb5c1725acdd7"
+                  "88ff315e9cb23bf7928b7444ebf8ccd9",
 })
 
-FLEET = (["fleet", "--devices", "12", "--arrivals", "40", "--seed", "7"], {
-    "events": ("--events-out", "688d49d2bd127914dfcc265e40891c30"
-                               "5c2ea543aee295dd9a392f061de8ad04"),
-    "metrics": ("--metrics-out", "d794ff062c86541819d9688db0b388b7"
-                                 "afd42e8ae8ce44e93fef28ba039d44c2"),
-    "timeline": ("--timeline-out", "d2985546f52cb6063b4cb6778ac887ce"
-                                   "3afecb03d9ab5f2d36c4da8f9f2ebce3"),
+FLEET = (["fleet", "--devices", "12", "--arrivals", "40", "--seed", "7"], 0, {
+    "events.jsonl": "688d49d2bd127914dfcc265e40891c30"
+                    "5c2ea543aee295dd9a392f061de8ad04",
+    "metrics.json": "451de2a7eafeb60184e1b93f810193ed"
+                    "b1989096f2b278a27a4fa756860785b4",
+    "timeline.json": "b61071203c3ea455a81efc5313a1d5de"
+                     "6af3e8ae49351c637c5259ce1718a36f",
 })
 
 
-@pytest.mark.parametrize("command, artifacts", [MIGRATE, SCENARIO, FLEET],
-                         ids=["migrate", "scenario", "fleet"])
-def test_artifact_digests(command, artifacts, tmp_path, monkeypatch,
-                          capsys):
+def _member_digests(command, code, members, tmp_path, monkeypatch, capsys):
+    """Run ``command`` with ``--bundle-out`` under the default telemetry
+    knobs; the SHA-256 of each named member of its bundle."""
     for name in TELEMETRY_ENV:
         monkeypatch.delenv(name, raising=False)
-    argv = list(command)
-    for plane, (flag, _) in artifacts.items():
-        argv += [flag, str(tmp_path / plane)]
-    assert main(argv) == 0
+    bundle = tmp_path / "bundle"
+    assert main(command + ["--bundle-out", str(bundle)]) == code
     capsys.readouterr()
-    digests = {plane: hashlib.sha256(
-        (tmp_path / plane).read_bytes()).hexdigest()
-        for plane in artifacts}
-    assert digests == {plane: digest
-                       for plane, (_, digest) in artifacts.items()}
+    return {member: hashlib.sha256((bundle / member).read_bytes())
+            .hexdigest() for member in members}
+
+
+@pytest.mark.parametrize("command, code, members", [MIGRATE, SCENARIO, FLEET],
+                         ids=["migrate", "scenario", "fleet"])
+def test_artifact_digests(command, code, members, tmp_path, monkeypatch,
+                          capsys):
+    assert _member_digests(command, code, members, tmp_path, monkeypatch,
+                           capsys) == members
 
 
 #: Run bundles, pinned member by member.  ``manifest.json`` is left out:
@@ -100,11 +108,5 @@ SWEEP_BUNDLE = (["sweep"], 0, {
                          ids=["migrate-link-fault", "sweep"])
 def test_bundle_member_digests(command, code, members, tmp_path,
                                monkeypatch, capsys):
-    for name in TELEMETRY_ENV:
-        monkeypatch.delenv(name, raising=False)
-    bundle = tmp_path / "bundle"
-    assert main(command + ["--bundle-out", str(bundle)]) == code
-    capsys.readouterr()
-    digests = {member: hashlib.sha256(
-        (bundle / member).read_bytes()).hexdigest() for member in members}
-    assert digests == members
+    assert _member_digests(command, code, members, tmp_path, monkeypatch,
+                           capsys) == members

@@ -1,12 +1,10 @@
 """Every row the one reader returns matches the report it was written from.
 
-One real run of each kind writes its metrics document through the CLI;
+One real run of each kind writes its run bundle through the CLI;
 the test keeps the reports (or scenario outcomes) the writer was given
 and checks each row :func:`repro.sim.rows.migration_rows` reads back:
 join key, outcome, stages, critical path and wait profile.
 """
-
-import json
 
 import pytest
 
@@ -14,7 +12,6 @@ import repro.cli as cli
 from repro.cli import main
 from repro.experiments import bench, fleet, scenario
 from repro.sim.bundle import RunBundle
-from repro.sim.rows import migration_rows
 
 TELEMETRY_ENV = ("FLUX_METRICS", "FLUX_EVENTS", "FLUX_EVENTS_CAP",
                  "FLUX_TIMELINE", "FLUX_SWEEP_WORKERS")
@@ -41,8 +38,9 @@ def _spy(monkeypatch, module, name):
 
 
 def _read_rows(path):
-    document = json.loads(path.read_text())
-    return document, migration_rows(document)
+    """The metrics document of the bundle at ``path``, and its rows."""
+    bundle = RunBundle.load(str(path))
+    return bundle.metrics_document(), bundle.migration_rows()
 
 
 def _check_report(row, report, wait_profile=None):
@@ -64,8 +62,8 @@ def _check_report(row, report, wait_profile=None):
 ], ids=["success", "link-fault"])
 def test_migrate(fault, code, outcome, tmp_path, monkeypatch, capsys):
     calls = _spy(monkeypatch, cli, "_migrate_metrics_document")
-    path = tmp_path / "metrics.json"
-    assert main(["migrate", "--app", "Candy Crush", "--metrics-out",
+    path = tmp_path / "run"
+    assert main(["migrate", "--app", "Candy Crush", "--bundle-out",
                  str(path)] + fault) == code
     capsys.readouterr()
     ((_, report), _), = calls
@@ -122,8 +120,8 @@ def _check_session(row, outcome):
 
 def test_default_scenario(tmp_path, monkeypatch, capsys):
     calls = _spy(monkeypatch, scenario, "run_scenario")
-    path = tmp_path / "metrics.json"
-    assert main(["scenario", "--metrics-out", str(path)]) == 0
+    path = tmp_path / "run"
+    assert main(["scenario", "--bundle-out", str(path)]) == 0
     capsys.readouterr()
     ((_, result),) = calls
     _, rows = _read_rows(path)
@@ -136,9 +134,9 @@ def test_default_scenario(tmp_path, monkeypatch, capsys):
 
 def test_pinned_fleet(tmp_path, monkeypatch, capsys):
     calls = _spy(monkeypatch, fleet, "run_scenario")
-    path = tmp_path / "metrics.json"
+    path = tmp_path / "run"
     assert main(["fleet", "--devices", "12", "--arrivals", "40",
-                 "--seed", "7", "--metrics-out", str(path)]) == 0
+                 "--seed", "7", "--bundle-out", str(path)]) == 0
     capsys.readouterr()
     by_route = {(o.spec.home, o.spec.package): o
                 for _, result in calls for o in result.sessions}

@@ -3,7 +3,7 @@
 The satellite contract: for each fault plan (link drop, restore failure)
 the post-mortem names the faulted stage, the triggering event, and a
 non-empty causal chain whose ``#seq`` / ``txn=`` references resolve back
-to the ``--events-out`` JSONL.
+to the run bundle's ``events.jsonl``.
 """
 
 import re
@@ -18,7 +18,7 @@ from repro.core.migration.postmortem import (
     render_postmortem,
     segment_migrations,
 )
-from repro.sim.events import read_jsonl
+from repro.sim.bundle import RunBundle
 from repro.sim.telemetry import EVENTS_CAP_ENV
 
 
@@ -32,21 +32,16 @@ def _txns_in(text):
 
 class TestLinkFaultExplain:
     @pytest.fixture
-    def artifacts(self, tmp_path):
-        events = tmp_path / "events.jsonl"
-        metrics = tmp_path / "metrics.json"
+    def bundle(self, tmp_path):
+        bundle = str(tmp_path / "run")
         assert main(["migrate", "--app", "WhatsApp",
                      "--drop-link-after-bytes", "1000000",
-                     "--events-out", str(events),
-                     "--metrics-out", str(metrics)]) == 1
-        return events, metrics
+                     "--bundle-out", bundle]) == 1
+        return bundle
 
-    def test_explain_names_stage_trigger_and_chain(self, artifacts,
-                                                   capsys):
-        events, metrics = artifacts
+    def test_explain_names_stage_trigger_and_chain(self, bundle, capsys):
         capsys.readouterr()
-        assert main(["explain", str(events), "--metrics",
-                     str(metrics)]) == 0
+        assert main(["explain", bundle]) == 0
         out = capsys.readouterr().out
         assert "FAULTED in transfer stage" in out
         assert "link-down" in out
@@ -59,42 +54,38 @@ class TestLinkFaultExplain:
         assert "stage.rollback" in chain
         assert "<- faulted" in out
 
-    def test_printed_ids_resolve_to_the_jsonl(self, artifacts, capsys):
-        events, _ = artifacts
+    def test_printed_ids_resolve_to_the_jsonl(self, bundle, capsys):
         capsys.readouterr()
-        assert main(["explain", str(events)]) == 0
+        assert main(["explain", bundle]) == 0
         out = capsys.readouterr().out
-        log = read_jsonl(str(events))
+        log = RunBundle.load(bundle).events()
         seqs = {e["seq"] for e in log}
         txns = {e["txn"] for e in log if e["txn"] is not None}
         printed_seqs = _seqs_in(out)
         assert printed_seqs and printed_seqs <= seqs
         assert _txns_in(out) <= txns
 
-    def test_tail_length_flag(self, artifacts, capsys):
-        events, _ = artifacts
+    def test_tail_length_flag(self, bundle, capsys):
         capsys.readouterr()
-        assert main(["explain", str(events), "--last", "3"]) == 0
+        assert main(["explain", bundle, "--last", "3"]) == 0
         out = capsys.readouterr().out
         assert "last 3 events before the fault:" in out
 
-    def test_metrics_annotates_critical_path(self, artifacts, capsys):
-        events, metrics = artifacts
+    def test_metrics_annotates_critical_path(self, bundle, capsys):
         capsys.readouterr()
-        assert main(["explain", str(events), "--metrics",
-                     str(metrics)]) == 0
+        assert main(["explain", bundle]) == 0
         assert "critical path:" in capsys.readouterr().out
 
 
 class TestRestoreFaultExplain:
     def test_explain_names_stage_trigger_and_chain(self, tmp_path,
                                                    capsys):
-        events = tmp_path / "events.jsonl"
+        bundle = str(tmp_path / "run")
         assert main(["migrate", "--app", "WhatsApp",
                      "--fail-restore-after", "3",
-                     "--events-out", str(events)]) == 1
+                     "--bundle-out", bundle]) == 1
         capsys.readouterr()
-        assert main(["explain", str(events)]) == 0
+        assert main(["explain", bundle]) == 0
         out = capsys.readouterr().out
         assert "FAULTED in restore stage" in out
         assert "restore-failed" in out
@@ -103,7 +94,7 @@ class TestRestoreFaultExplain:
         assert "stage.fault" in chain
         assert "migration.rolled_back" in chain
         # Guest-side restore steps attribute to the stage via context.
-        log = read_jsonl(str(events))
+        log = RunBundle.load(bundle).events()
         steps = [e for e in log if e["kind"] == "cria.restore_step"]
         assert steps
         assert all(e["device"] == "guest" for e in steps)
@@ -113,32 +104,35 @@ class TestRestoreFaultExplain:
 class TestSuccessAndSelection:
     def test_successful_migration_explains_cleanly(self, tmp_path,
                                                    capsys):
-        events = tmp_path / "events.jsonl"
+        bundle = str(tmp_path / "run")
         assert main(["migrate", "--app", "ZEDGE",
-                     "--events-out", str(events)]) == 0
+                     "--bundle-out", bundle]) == 0
         capsys.readouterr()
-        assert main(["explain", str(events)]) == 0
+        assert main(["explain", bundle]) == 0
         out = capsys.readouterr().out
         assert "SUCCEEDED" in out
         assert "events per stage:" in out
         assert "causal chain:" not in out
 
     def test_package_filter_unknown_package_exits(self, tmp_path, capsys):
-        events = tmp_path / "events.jsonl"
+        bundle = str(tmp_path / "run")
         assert main(["migrate", "--app", "ZEDGE",
-                     "--events-out", str(events)]) == 0
+                     "--bundle-out", bundle]) == 0
         with pytest.raises(SystemExit):
-            main(["explain", str(events), "--package", "com.nope"])
+            main(["explain", bundle, "--package", "com.nope"])
 
     def test_empty_log_exits_with_hint(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(SystemExit):
-            main(["explain", str(path)])
+        from repro.sim.bundle import collect_fingerprint, write_bundle
+        path = write_bundle(str(tmp_path / "run"), kind="migrate",
+                            fingerprint=collect_fingerprint("migrate"),
+                            events=[])
+        with pytest.raises(SystemExit, match="--bundle-out with "
+                                             "FLUX_EVENTS enabled"):
+            main(["explain", path])
 
     def test_missing_file_exits(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["explain", str(tmp_path / "nope.jsonl")])
+        with pytest.raises(SystemExit, match="no such bundle"):
+            main(["explain", str(tmp_path / "nope")])
 
 
 class TestEvictionGaps:

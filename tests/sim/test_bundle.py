@@ -10,7 +10,6 @@ from repro.sim.bundle import (
     RunBundle,
     collect_fingerprint,
     fingerprint_differences,
-    is_bundle_path,
     write_bundle,
 )
 
@@ -119,12 +118,6 @@ class TestVerification:
         with pytest.raises(BundleError, match="metrics.json.*mismatch"):
             RunBundle.load(path)
 
-    def test_verify_false_loads_a_corrupt_bundle(self, tmp_path):
-        path = _write(tmp_path / "run")
-        (tmp_path / "run" / "metrics.json").write_text("{\"rotted\": 1}\n")
-        bundle = RunBundle.load(path, verify=False)
-        assert bundle.metrics_document() == {"rotted": 1}
-
     def test_missing_listed_member_is_an_error(self, tmp_path):
         path = _write(tmp_path / "run")
         (tmp_path / "run" / "events.jsonl").unlink()
@@ -204,21 +197,6 @@ class TestHostileManifests:
             bundle.migration_rows()
         with pytest.raises(BundleError):
             bundle.wait_profiles()
-
-
-class TestIsBundlePath:
-    def test_detects_directories_and_tarballs(self, tmp_path):
-        path = _write(tmp_path / "run")
-        tar = _write(tmp_path / "run.tar.gz")
-        assert is_bundle_path(path)
-        assert is_bundle_path(tar)
-
-    def test_rejects_loose_files_and_plain_dirs(self, tmp_path):
-        loose = tmp_path / "events.jsonl"
-        loose.write_text("{}\n")
-        assert not is_bundle_path(str(loose))
-        (tmp_path / "plain").mkdir()
-        assert not is_bundle_path(str(tmp_path / "plain"))
 
 
 class TestFingerprint:

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from repro.sim import SimClock
 from repro.sim import events as events_module
-from repro.sim.events import (EventLog, FlightRecorder, merge_streams,
-                              write_jsonl)
+from repro.sim.bundle import write_bundle
+from repro.sim.events import EventLog, FlightRecorder, merge_streams
 from repro.sim.trace import Tracer
 
 NAMES = ("home", "guest", "world")
@@ -105,10 +105,10 @@ def _run_world(recorders, ops):
 
 
 def _jsonl_bytes(events) -> bytes:
+    """The bytes of ``events`` as a run bundle's ``events.jsonl``."""
     with tempfile.TemporaryDirectory() as scratch:
-        path = os.path.join(scratch, "events.jsonl")
-        write_jsonl(path, events)
-        with open(path, "rb") as handle:
+        write_bundle(scratch, kind="migrate", fingerprint={}, events=events)
+        with open(os.path.join(scratch, "events.jsonl"), "rb") as handle:
             return handle.read()
 
 

@@ -10,8 +10,7 @@ from repro.sim.events import (
     EventsError,
     FlightRecorder,
     merge_streams,
-    read_jsonl,
-    write_jsonl,
+    parse_jsonl,
 )
 from repro.sim.trace import Tracer
 
@@ -166,58 +165,64 @@ class TestExportAndJsonl:
                          "attrs": {"method": "set"}}
 
     def test_jsonl_round_trip(self, recorder, tmp_path):
+        from repro.sim.bundle import (RunBundle, collect_fingerprint,
+                                      write_bundle)
         recorder.emit("a", n=1)
         recorder.emit("b", n=2)
-        path = tmp_path / "events.jsonl"
-        assert write_jsonl(str(path), recorder.export()) == 2
-        lines = path.read_text().strip().split("\n")
+        path = write_bundle(str(tmp_path / "run"), kind="migrate",
+                            fingerprint=collect_fingerprint("migrate"),
+                            events=recorder.export())
+        lines = (tmp_path / "run" / "events.jsonl").read_text() \
+            .strip().split("\n")
         assert len(lines) == 2
         # Sorted keys -> stable byte-level artifacts.
         assert json.loads(lines[0]) == list(recorder.export())[0]
         assert list(json.loads(lines[0])) == sorted(json.loads(lines[0]))
-        assert read_jsonl(str(path)) == recorder.export()
+        assert RunBundle.load(path).events() == recorder.export()
 
 
 class TestMalformedLines:
-    def test_error_names_the_file_and_line(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        path.write_text('{"seq": 1}\n{"seq": 2}\n{"seq": 3\n')
+    def test_error_names_the_file_and_line(self):
+        lines = '{"seq": 1}\n{"seq": 2}\n{"seq": 3\n'.splitlines()
         with pytest.raises(EventsError) as excinfo:
-            read_jsonl(str(path))
+            parse_jsonl(lines, source="run/events.jsonl")
         message = str(excinfo.value)
-        assert message.startswith(f"{path}:3: malformed event line")
+        assert message.startswith("run/events.jsonl:3: malformed event "
+                                  "line")
         assert '\'{"seq": 3\'' in message  # the offending snippet
 
-    def test_blank_lines_are_skipped_not_errors(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        path.write_text('{"seq": 1}\n\n{"seq": 2}\n')
-        assert [e["seq"] for e in read_jsonl(str(path))] == [1, 2]
+    def test_blank_lines_are_skipped_not_errors(self):
+        lines = '{"seq": 1}\n\n{"seq": 2}\n'.splitlines()
+        assert [e["seq"] for e in parse_jsonl(lines)] == [1, 2]
 
     def test_parse_jsonl_default_source(self):
-        from repro.sim.events import parse_jsonl
         with pytest.raises(EventsError, match="<events>:1:"):
             parse_jsonl(["not json"])
 
     @pytest.mark.parametrize("line", ["3", '"x"', "[1]", "null"])
-    def test_non_object_lines_are_rejected(self, line):
-        from repro.sim.events import parse_jsonl
-        with pytest.raises(EventsError, match=r"^log.jsonl:2: expected "
-                                              r"dict, got"):
-            parse_jsonl(['{"seq": 1}', line], source="log.jsonl")
+    def test_non_object_lines_are_rejected(self, line, tmp_path):
+        from repro.sim.bundle import (RunBundle, collect_fingerprint,
+                                      write_bundle)
+        path = write_bundle(str(tmp_path / "run"), kind="migrate",
+                            fingerprint=collect_fingerprint("migrate"),
+                            events=[{"seq": 1}, json.loads(line)])
+        assert (tmp_path / "run" / "events.jsonl").read_text() \
+            == '{"seq": 1}\n' + line + "\n"
+        with pytest.raises(EventsError, match=f"^{path}/events.jsonl:2: "
+                                              f"expected dict, got"):
+            RunBundle.load(path).events()
 
     @pytest.mark.parametrize("line", [
         '{"seq": 1, "pair": [1]}', '{"seq": 1, "site": 7}',
         '{"seq": 1, "attrs": {"session": [1]}}'],
         ids=["pair", "site", "session"])
     def test_labels_must_be_strings(self, line):
-        from repro.sim.events import parse_jsonl
         with pytest.raises(EventsError, match=r"^log.jsonl:1: "
                                               r"(pair|site|attrs.session): "
                                               r"expected str, got"):
             parse_jsonl([line], source="log.jsonl")
 
     def test_long_lines_are_truncated_in_the_error(self, tmp_path):
-        from repro.sim.events import parse_jsonl
         with pytest.raises(EventsError) as excinfo:
             parse_jsonl(['{"pad": "' + "x" * 500], source="big.jsonl")
         assert len(str(excinfo.value)) < 200

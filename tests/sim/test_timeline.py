@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import SimClock
+from repro.sim.bundle import RunBundle, collect_fingerprint, write_bundle
 from repro.sim.timeline import (
     Timeline,
     chrome_counter_events,
     labeled_timelines,
     merge_timelines,
-    read_timeline,
+    parse_timeline_document,
     series_key,
     split_series_key,
-    write_timeline,
 )
 
 
@@ -146,12 +146,11 @@ class TestExports:
         timeline = Timeline(clock=SimClock())
         timeline.sample("a", 1)
         timeline.sample("b", 2, k="v")
-        path = tmp_path / "tl.json"
-        count = write_timeline(path, timeline.export(), meta={"seed": 0})
-        assert count == 2
-        document = json.loads(path.read_text())
-        assert document["schema"] == 1
-        assert read_timeline(path) == timeline.export()
+        path = _bundle(tmp_path / "run", timeline.export())
+        document = json.loads((tmp_path / "run" / "timeline.json")
+                              .read_text())
+        assert document == {"schema": 1, "series": timeline.export()}
+        assert RunBundle.load(path).timeline_series() == timeline.export()
 
     def test_export_keys_are_sorted(self):
         timeline = Timeline(clock=SimClock())
@@ -161,34 +160,40 @@ class TestExports:
 
 
 class TestSchemaVersioning:
-    def test_unknown_schema_is_rejected_with_the_version(self, tmp_path):
+    """The timeline decoder, fed the bytes a bundle member could hold:
+    a bundle only ever writes schema 1, so other schemas go to
+    :func:`parse_timeline_document` directly."""
+
+    def test_unknown_schema_is_rejected_with_the_version(self):
         from repro.sim.timeline import TimelineError
-        path = tmp_path / "future.json"
-        path.write_text(json.dumps({"schema": 99, "series": {}}))
         with pytest.raises(TimelineError,
                            match="unsupported timeline schema 99"):
-            read_timeline(path)
+            parse_timeline_document({"schema": 99, "series": {}},
+                                    source="future.json")
 
-    def test_schemaless_legacy_export_is_rejected(self, tmp_path):
+    def test_schemaless_legacy_export_is_rejected(self):
         from repro.sim.timeline import TimelineError
-        path = tmp_path / "legacy.json"
-        path.write_text(json.dumps({"a": [[0.0, 1.0]]}))
         with pytest.raises(TimelineError, match="unsupported timeline "
                                                 "schema None"):
-            read_timeline(path)
+            parse_timeline_document({"a": [[0.0, 1.0]]},
+                                    source="legacy.json")
 
-    def test_non_object_document_is_rejected(self, tmp_path):
+    def test_non_object_document_is_rejected(self):
         from repro.sim.timeline import TimelineError
-        path = tmp_path / "list.json"
-        path.write_text(json.dumps([1, 2, 3]))
         with pytest.raises(TimelineError, match="list.json: expected dict, "
                                                 "got list"):
-            read_timeline(path)
+            parse_timeline_document([1, 2, 3], source="list.json")
 
-    def test_meta_rides_along(self, tmp_path):
-        from repro.sim.timeline import parse_timeline_document
-        path = tmp_path / "tl.json"
-        write_timeline(path, {"a": [[0.0, 1.0]]}, meta={"seed": 7})
-        document = json.loads(path.read_text())
-        assert document["meta"] == {"seed": 7}
-        assert parse_timeline_document(document) == {"a": [[0.0, 1.0]]}
+    def test_hostile_series_in_a_bundle_name_the_member(self, tmp_path):
+        from repro.sim.timeline import TimelineError
+        path = _bundle(tmp_path / "run", {"a": "x"})
+        with pytest.raises(TimelineError, match="run/timeline.json: "
+                                                "series.a: expected list"):
+            RunBundle.load(path).timeline_series()
+
+
+def _bundle(path, timeline):
+    """A migrate bundle holding ``timeline`` as its only plane."""
+    return write_bundle(str(path), kind="migrate",
+                        fingerprint=collect_fingerprint("migrate"),
+                        timeline=timeline)

@@ -142,12 +142,12 @@ class TestTraceExport:
 
         from repro.core.migration.migration import STAGES
 
-        path = tmp_path / "trace.json"
+        bundle = tmp_path / "run"
         assert main(["migrate", "--app", "WhatsApp",
-                     "--trace-out", str(path)]) == 0
+                     "--bundle-out", str(bundle)]) == 0
         out = capsys.readouterr().out
-        assert f"wrote Chrome trace to {path}" in out
-        doc = json.loads(path.read_text())
+        assert f"wrote run bundle to {bundle}" in out
+        doc = json.loads((bundle / "trace.json").read_text())
         events = doc["traceEvents"]
         [migration] = [e for e in events if e["cat"] == "migration"]
         stages = [e for e in events if e["cat"] == "stage"]
@@ -186,11 +186,11 @@ class TestTraceExport:
     def test_trace_written_on_fault_too(self, capsys, tmp_path):
         import json
 
-        path = tmp_path / "faulted.json"
+        bundle = tmp_path / "faulted"
         assert main(["migrate", "--app", "WhatsApp",
                      "--drop-link-after-bytes", "1000000",
-                     "--trace-out", str(path)]) == 1
-        doc = json.loads(path.read_text())
+                     "--bundle-out", str(bundle)]) == 1
+        doc = json.loads((bundle / "trace.json").read_text())
         [migration] = [e for e in doc["traceEvents"]
                        if e["cat"] == "migration"]
         assert migration["args"]["faulted_stage"] == "transfer"
@@ -204,10 +204,10 @@ class TestTraceExport:
         ("C") and the event log's instants ("i")."""
         import json
 
-        path = tmp_path / "trace.json"
+        bundle = tmp_path / "run"
         assert main(["migrate", "--app", "WhatsApp",
-                     "--trace-out", str(path)]) == 0
-        with open(path, "r", encoding="utf-8") as handle:
+                     "--bundle-out", str(bundle)]) == 0
+        with open(bundle / "trace.json", "r", encoding="utf-8") as handle:
             doc = json.load(handle)
         assert doc["displayTimeUnit"] == "ms"
         events = doc["traceEvents"]
@@ -232,10 +232,10 @@ class TestTraceExport:
     def test_trace_instants_interleave_with_spans(self, tmp_path):
         import json
 
-        path = tmp_path / "trace.json"
+        bundle = tmp_path / "run"
         assert main(["migrate", "--app", "WhatsApp",
-                     "--trace-out", str(path)]) == 0
-        doc = json.loads(path.read_text())
+                     "--bundle-out", str(bundle)]) == 0
+        doc = json.loads((bundle / "trace.json").read_text())
         events = doc["traceEvents"]
         [migration] = [e for e in events if e["cat"] == "migration"]
         instants = [e for e in events if e["ph"] == "i"]
@@ -249,14 +249,14 @@ class TestTraceExport:
 
 class TestEventsExport:
     def test_migrate_events_out(self, capsys, tmp_path):
-        from repro.sim.events import read_jsonl
+        from repro.sim.bundle import RunBundle
 
-        path = tmp_path / "events.jsonl"
+        path = tmp_path / "run"
         assert main(["migrate", "--app", "WhatsApp",
-                     "--events-out", str(path)]) == 0
+                     "--bundle-out", str(path)]) == 0
         out = capsys.readouterr().out
-        assert f"wrote" in out and str(path) in out
-        events = read_jsonl(str(path))
+        assert f"wrote run bundle to {path}" in out
+        events = RunBundle.load(str(path)).events()
         assert events
         kinds = [e["kind"] for e in events]
         assert "migration.start" in kinds and "migration.done" in kinds
@@ -266,23 +266,23 @@ class TestEventsExport:
         assert keys == sorted(keys)
 
     def test_migrate_events_out_on_fault(self, capsys, tmp_path):
-        from repro.sim.events import read_jsonl
+        from repro.sim.bundle import RunBundle
 
-        path = tmp_path / "events.jsonl"
+        path = tmp_path / "run"
         assert main(["migrate", "--app", "WhatsApp",
                      "--drop-link-after-bytes", "1000000",
-                     "--events-out", str(path)]) == 1
-        kinds = [e["kind"] for e in read_jsonl(str(path))]
+                     "--bundle-out", str(path)]) == 1
+        kinds = [e["kind"] for e in RunBundle.load(str(path)).events()]
         assert "link.fault" in kinds
         assert "stage.fault" in kinds
         assert "migration.rolled_back" in kinds
 
     def test_sweep_events_out(self, capsys, tmp_path):
-        from repro.sim.events import read_jsonl
+        from repro.sim.bundle import RunBundle
 
-        path = tmp_path / "sweep_events.jsonl"
-        assert main(["sweep", "--events-out", str(path)]) == 0
-        events = read_jsonl(str(path))
+        path = tmp_path / "sweep"
+        assert main(["sweep", "--bundle-out", str(path)]) == 0
+        events = RunBundle.load(str(path)).events()
         assert events
         assert all("pair" in e for e in events)
         assert len({e["pair"] for e in events}) == 4
@@ -324,28 +324,25 @@ class TestScenario:
         assert "REJECTED" in out and "already hosting" in out
 
     def test_telemetry_exports_and_session_explain(self, capsys, tmp_path):
-        import json
+        from repro.sim.bundle import RunBundle
 
-        from repro.sim.events import read_jsonl
-
-        events = tmp_path / "scenario_events.jsonl"
-        metrics = tmp_path / "scenario_metrics.json"
-        assert main(["scenario", "--events-out", str(events),
-                     "--metrics-out", str(metrics)]) == 0
-        out = capsys.readouterr().out
-        document = json.loads(metrics.read_text())
+        bundle = tmp_path / "scenario"
+        assert main(["scenario", "--bundle-out", str(bundle)]) == 0
+        capsys.readouterr()
+        loaded = RunBundle.load(str(bundle))
+        document = loaded.metrics_document()
         assert document["scenario"]["admission"] == "queue"
         assert len(document["scenario"]["sessions"]) == 2
         assert all(row["status"] == "migrated"
                    for row in document["scenario"]["sessions"])
         labels = [row["session"]
                   for row in document["scenario"]["sessions"]]
-        stream = read_jsonl(str(events))
+        stream = loaded.events()
         assert {e["attrs"].get("session") for e in stream
                 if e["kind"] == "migration.start"} == set(labels)
         # explain segments the interleaved log by session label.
         for label in labels:
-            assert main(["explain", str(events),
+            assert main(["explain", str(bundle),
                          "--session", label]) == 0
             explained = capsys.readouterr().out
             assert f"session={label}" in explained
@@ -409,19 +406,19 @@ class TestHostileInputs:
          "attrs": {"package": "com.example"}},
     ]
 
-    def _bundle(self, path, kind="migrate", metrics=None):
+    def _bundle(self, path, kind="migrate", metrics=None, events=None):
         from repro.sim.bundle import collect_fingerprint, write_bundle
         return write_bundle(str(path), kind=kind,
                             fingerprint=collect_fingerprint(kind),
                             metrics=metrics or {"migrations": [3]},
-                            events=self.EVENTS)
+                            events=self.EVENTS if events is None else events)
 
     def test_explain_non_object_event_line(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        path.write_text('{"seq": 1, "kind": "x"}\n3\n')
-        with pytest.raises(SystemExit, match=f"{path}:2: expected dict, "
-                                             f"got int"):
-            main(["explain", str(path)])
+        path = self._bundle(tmp_path / "run",
+                            events=[{"seq": 1, "kind": "x"}, 3])
+        with pytest.raises(SystemExit, match=f"{path}/events.jsonl:2: "
+                                             f"expected dict, got int"):
+            main(["explain", path])
 
     def test_explain_bundle_with_hostile_rows(self, tmp_path):
         bundle = self._bundle(tmp_path / "run")
@@ -431,14 +428,10 @@ class TestHostileInputs:
             main(["explain", bundle])
 
     def test_explain_non_object_metrics_file(self, tmp_path):
-        from repro.sim.events import write_jsonl
-        events = tmp_path / "events.jsonl"
-        write_jsonl(str(events), self.EVENTS)
-        metrics = tmp_path / "metrics.json"
-        metrics.write_text("[1]\n")
-        with pytest.raises(SystemExit, match="metrics.json': metrics "
-                                             "document: expected dict"):
-            main(["explain", str(events), "--metrics", str(metrics)])
+        path = self._bundle(tmp_path / "run", metrics=[1])
+        with pytest.raises(SystemExit, match=f"{path}/metrics.json: "
+                                             f"expected dict, got list"):
+            main(["explain", path])
 
     def test_diff_with_hostile_rows(self, tmp_path):
         a = self._bundle(tmp_path / "a")
@@ -467,11 +460,11 @@ class TestHostileInputs:
             event["attrs"]["session"] = [1]
         else:
             event[field] = [1]
-        path = tmp_path / "events.jsonl"
-        path.write_text(json.dumps(event) + "\n")
-        with pytest.raises(SystemExit, match=f"{path}:1: {field}: expected "
-                                             f"str, got list"):
-            main(["explain", str(path)] + command)
+        path = self._bundle(tmp_path / "run", events=[event])
+        with pytest.raises(SystemExit, match=f"{path}/events.jsonl:1: "
+                                             f"{field}: expected str, "
+                                             f"got list"):
+            main(["explain", path] + command)
 
     @pytest.mark.parametrize("bundled", [True, False],
                              ids=["bundle", "full"])
@@ -505,12 +498,12 @@ class TestHostileInputs:
     @pytest.mark.parametrize("command", [[], ["--why", "home/x@1"]],
                              ids=["explain", "why"])
     def test_explain_event_with_non_object_attrs(self, tmp_path, command):
-        path = tmp_path / "events.jsonl"
-        path.write_text('{"seq": 1, "kind": "x"}\n'
-                        '{"seq": 2, "kind": "x", "attrs": []}\n')
-        with pytest.raises(SystemExit, match=f"{path}:2: attrs: expected "
-                                             f"dict, got list"):
-            main(["explain", str(path)] + command)
+        path = self._bundle(tmp_path / "run", events=[
+            {"seq": 1, "kind": "x"}, {"seq": 2, "kind": "x", "attrs": []}])
+        with pytest.raises(SystemExit, match=f"{path}/events.jsonl:2: "
+                                             f"attrs: expected dict, "
+                                             f"got list"):
+            main(["explain", path] + command)
 
     def test_diff_event_with_non_object_attrs(self, tmp_path):
         from repro.sim.bundle import collect_fingerprint, write_bundle
