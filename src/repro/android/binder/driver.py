@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.android.kernel.process import Process
 from repro.android.binder.parcel import Parcel
-from repro.sim.metrics import TIME_BUCKETS_S
+from repro.sim.metrics import TIME_BUCKETS_S, HeldSeries
 from repro.sim.telemetry import Telemetry
 
 
@@ -94,8 +94,17 @@ class BinderDriver:
         #: The device's planes (null ones standalone), bound once so
         #: :meth:`transact` adds no attribute hop per call.
         telemetry = telemetry or Telemetry.null()
-        self.metrics = telemetry.metrics
         self.events = telemetry.events
+        metrics = telemetry.metrics
+        #: The transaction count, parcel bytes and dispatch latency
+        #: series by (interface, caller package), looked up at the
+        #: pair's first transaction.
+        self._series = HeldSeries(lambda key: (
+            metrics.counter("binder", "transactions",
+                            interface=key[0], app=key[1]),
+            metrics.counter("binder", "parcel_bytes", app=key[1]),
+            metrics.histogram("binder", "transact_seconds",
+                              bounds=TIME_BUCKETS_S, interface=key[0])))
         kernel.binder = self
 
     # -- state bookkeeping ---------------------------------------------------
@@ -206,13 +215,12 @@ class BinderDriver:
         state.buffer_bytes = max(state.buffer_bytes, parcel.size_bytes())
         self.total_transactions += 1
         txn_id = self.total_transactions
-        metrics = self.metrics
         events = self.events
         interface = node.label
-        metrics.counter("binder", "transactions",
-                        interface=interface, app=caller.package).inc()
-        metrics.counter("binder", "parcel_bytes",
-                        app=caller.package).inc(parcel.size_bytes())
+        transactions, parcel_bytes, seconds = \
+            self._series[interface, caller.package]
+        transactions.inc()
+        parcel_bytes.inc(parcel.size_bytes())
         dispatch_start = self.kernel.clock.now
         if self.transaction_cost:
             self.kernel.clock.advance(self.transaction_cost)
@@ -239,10 +247,7 @@ class BinderDriver:
             # Dispatch latency on the virtual clock: the fixed driver
             # cost plus whatever the service handler charged (e.g. the
             # recorder's enqueue cost on decorated methods).
-            metrics.histogram(
-                "binder", "transact_seconds", bounds=TIME_BUCKETS_S,
-                interface=interface,
-            ).observe(self.kernel.clock.now - dispatch_start)
+            seconds.observe(self.kernel.clock.now - dispatch_start)
 
     def release_node(self, node: BinderNode) -> None:
         """Kill one node while its owner lives on.

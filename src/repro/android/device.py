@@ -55,6 +55,7 @@ from repro.android.storage import (
 )
 from repro.core.record import CallLog, Recorder
 from repro.sim import SimClock, Tracer, units
+from repro.sim.metrics import HeldSeries
 from repro.sim.rng import RngFactory
 from repro.sim.telemetry import Telemetry
 from repro.sim.timeline import Timeline
@@ -180,6 +181,11 @@ class Device:
         #: Content-addressed chunk cache for pipelined transfers;
         #: persists across migrations so repeat hops transfer less.
         self.chunk_store = ChunkStore(telemetry=self.telemetry)
+        #: ``cria/restore_sub_ops`` series by (package, restore step),
+        #: each looked up at its first restore step on this device.
+        metrics = self.metrics
+        self.restore_steps = HeldSeries(lambda key: metrics.counter(
+            "cria", "restore_sub_ops", app=key[0], step=key[1]))
 
     # -- boot --------------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.sim import units
 from repro.sim.clock import SimClock, TimerHandle
-from repro.sim.metrics import RATE_BUCKETS_MBPS
+from repro.sim.metrics import RATE_BUCKETS_MBPS, HeldSeries
 from repro.sim.rng import RngFactory
 from repro.sim.scheduler import Waiter
 from repro.sim.telemetry import Telemetry
@@ -116,6 +116,19 @@ class Link:
         #: flow gets a private (uncontended) medium.
         self.medium: Optional["Medium"] = None
 
+    @property
+    def telemetry(self) -> Telemetry:
+        return self._telemetry
+
+    @telemetry.setter
+    def telemetry(self, telemetry: Telemetry) -> None:
+        self._telemetry = telemetry
+        metrics = telemetry.metrics
+        #: ``link/*`` series by name, held for ``telemetry``'s registry.
+        self._series = HeldSeries(lambda name: (
+            metrics.histogram("link", name, bounds=RATE_BUCKETS_MBPS)
+            if name == "effective_mbps" else metrics.counter("link", name)))
+
     def _deliver(self, payload_bytes: int, seconds: float,
                  fault: bool = False):
         """Account and emit one completed delivery.
@@ -130,10 +143,9 @@ class Link:
         self.transfers += 1
         if fault:
             self.faulted = True
-            metrics = self.telemetry.metrics
-            metrics.counter("link", "bytes_total").inc(payload_bytes)
-            metrics.counter("link", "transfers").inc()
-            metrics.counter("link", "faults").inc()
+            self._series["bytes_total"].inc(payload_bytes)
+            self._series["transfers"].inc()
+            self._series["faults"].inc()
             self.telemetry.events.emit("link.fault", link=self.name,
                                        delivered_bytes=payload_bytes,
                                        seconds=round(seconds, 6))
@@ -167,13 +179,10 @@ class Link:
         timeline.sample("link/busy", value, **labels)
 
     def _account(self, payload_bytes: int, effective_mbps: float) -> None:
-        metrics = self.telemetry.metrics
-        metrics.counter("link", "bytes_total").inc(payload_bytes)
-        metrics.counter("link", "transfers").inc()
+        self._series["bytes_total"].inc(payload_bytes)
+        self._series["transfers"].inc()
         if effective_mbps > 0:
-            metrics.histogram(
-                "link", "effective_mbps",
-                bounds=RATE_BUCKETS_MBPS).observe(effective_mbps)
+            self._series["effective_mbps"].observe(effective_mbps)
         self.telemetry.events.emit("link.transfer", link=self.name,
                                    bytes=payload_bytes,
                                    mbps=round(effective_mbps, 3))
@@ -188,7 +197,7 @@ class Link:
         """
         if self.faulted and plan is None:
             self.retries += 1
-            self.telemetry.metrics.counter("link", "retries").inc()
+            self._series["retries"].inc()
             self.telemetry.events.emit("link.retry", link=self.name,
                                        retries=self.retries)
         self.fault_plan = plan

@@ -48,12 +48,12 @@ class RestoreFaultPlan:
 
 
 class _StepCounter:
-    def __init__(self, plan: Optional[RestoreFaultPlan], telemetry,
-                 package: str = "") -> None:
+    def __init__(self, plan: Optional[RestoreFaultPlan], device,
+                 package: str) -> None:
         self._plan = plan
-        self._metrics = telemetry.metrics
-        self._events = telemetry.events
+        self._events = device.events
         self._package = package
+        self._series = device.restore_steps
         self.steps = 0
 
     def tick(self, label: str) -> None:
@@ -66,8 +66,7 @@ class _StepCounter:
                 f"injected restore fault after {self.steps} steps "
                 f"(before {label})")
         self.steps += 1
-        self._metrics.counter("cria", "restore_sub_ops",
-                              app=self._package, step=label).inc()
+        self._series[self._package, label].inc()
         self._events.emit("cria.restore_step", app=self._package,
                           step=label, n=self.steps)
 
@@ -114,7 +113,7 @@ def restore_app(device, image: CheckpointImage,
     package = image.package
     _check_wrapper(device, image)
 
-    counter = _StepCounter(fault_plan, device.telemetry, package=package)
+    counter = _StepCounter(fault_plan, device, package)
     namespace = device.kernel.create_pid_namespace(f"flux:{package}")
 
     main_process = None

@@ -50,6 +50,9 @@ class Chunk:
     digest: str
     raw_bytes: int
     label: str = ""                 # "pid:region:offset", for diagnostics
+    #: Addressed by checkpoint time: no later split can hit it, so a
+    #: store counts its bytes but keeps no digest for it.
+    time_keyed: bool = False
 
     @property
     def wire_bytes(self) -> int:
@@ -84,7 +87,8 @@ def chunk_image(image: CheckpointImage,
     # keyed by checkpoint time — descriptors change with live state.
     chunks.append(Chunk(
         digest=_digest("descriptors", image.package, image.checkpoint_time),
-        raw_bytes=image.descriptor_bytes(), label="descriptors"))
+        raw_bytes=image.descriptor_bytes(), label="descriptors",
+        time_keyed=True))
 
     # Memory regions (CODE pages never travel: the APK was synced at
     # pairing — same rule as ProcessImage.anonymous_memory_bytes).
@@ -107,7 +111,7 @@ def chunk_image(image: CheckpointImage,
         chunks.append(Chunk(
             digest=_digest("record-log", image.package,
                            image.checkpoint_time, log_bytes),
-            raw_bytes=log_bytes, label="record-log"))
+            raw_bytes=log_bytes, label="record-log", time_keyed=True))
     return chunks
 
 
@@ -117,14 +121,17 @@ class ChunkStore:
     Persists for the life of the device (across migrations), which is
     what makes ring tests and repeat migrations cheap: the second
     transfer of an unchanged heap region is a digest lookup, not a wire
-    payload.  The store is a digest set plus the raw bytes it covers;
-    hits and misses are counted only by the ``chunks/store_*`` metrics.
+    payload.  The store is a digest set plus the raw bytes it has
+    taken in; a time-keyed chunk adds its bytes but no digest.  Hits
+    and misses are counted only by the ``chunks/store_*`` metrics.
     """
 
     def __init__(self, telemetry: Optional[Telemetry] = None) -> None:
         self._digests: Set[str] = set()
         self.bytes_stored = 0
         self.metrics = (telemetry or Telemetry.null()).metrics
+        #: The ``chunks/store_bytes`` gauge, looked up at its first set.
+        self._store_bytes = None
 
     def __len__(self) -> int:
         return len(self._digests)
@@ -141,13 +148,16 @@ class ChunkStore:
         """
         stored = False
         for chunk in chunks:
-            if chunk.digest in self._digests:
-                continue
-            self._digests.add(chunk.digest)
+            if not chunk.time_keyed:
+                if chunk.digest in self._digests:
+                    continue
+                self._digests.add(chunk.digest)
             self.bytes_stored += chunk.raw_bytes
             stored = True
         if stored:
-            self.metrics.gauge("chunks", "store_bytes").set(self.bytes_stored)
+            if self._store_bytes is None:
+                self._store_bytes = self.metrics.gauge("chunks", "store_bytes")
+            self._store_bytes.set(self.bytes_stored)
 
     def split(self, chunks: Iterable[Chunk]
               ) -> Tuple[List[Chunk], List[Chunk]]:

@@ -15,6 +15,7 @@ from typing import Any, Dict, Optional
 from repro.android.aidl.registry import InterfaceRegistry
 from repro.core.record.log import CallLog, CallRecord
 from repro.core.record.rules import apply_drop_rules
+from repro.sim.metrics import HeldSeries
 from repro.sim.telemetry import Telemetry
 
 
@@ -58,12 +59,14 @@ class Recorder:
     def log(self) -> CallLog:
         return self._log
 
-    def on_call(self, app: str, descriptor: str, method: str,
-                args: Dict[str, Any], result: Any) -> Optional[CallRecord]:
+    def on_call(self, app_recorder: "AppRecorder", descriptor: str,
+                method: str, args: Dict[str, Any],
+                result: Any) -> Optional[CallRecord]:
         if not self.enabled:
             return None
+        app, series = app_recorder.package, app_recorder.series
         self.calls_seen += 1
-        self.metrics.counter("record", "calls_seen", app=app).inc()
+        series["calls_seen"].inc()
         meta = self._registry.meta(descriptor).method(method)
         if not meta.recorded or meta.decoration is None:
             raise RecorderError(
@@ -86,8 +89,7 @@ class Recorder:
                                  removed=outcome.removed_count)
             if outcome.suppress_current:
                 self.calls_suppressed += 1
-                self.metrics.counter("record", "calls_suppressed",
-                                     app=app).inc()
+                series["calls_suppressed"].inc()
                 self.events.emit("record.suppress", app=app,
                                  interface=descriptor, method=method)
                 return None
@@ -95,9 +97,8 @@ class Recorder:
                                   interface=descriptor, method=method,
                                   args=args, result=result)
         self.calls_recorded += 1
-        self.metrics.counter("record", "calls_recorded", app=app).inc()
-        self.metrics.counter("record", "log_bytes",
-                             app=app).inc(record.estimated_size())
+        series["calls_recorded"].inc()
+        series["log_bytes"].inc(record.estimated_size())
         self.events.emit("record.append", app=app, interface=descriptor,
                          method=method)
         return record
@@ -117,8 +118,12 @@ class AppRecorder:
     def __init__(self, recorder: Recorder, package: str) -> None:
         self._recorder = recorder
         self.package = package
+        metrics = recorder.metrics
+        #: The ``record/*`` series labelled by this app alone, by name,
+        #: each looked up at its first use.
+        self.series = HeldSeries(
+            lambda name: metrics.counter("record", name, app=package))
 
     def on_call(self, descriptor: str, method: str, args: Dict[str, Any],
                 result: Any) -> Optional[CallRecord]:
-        return self._recorder.on_call(self.package, descriptor, method,
-                                      args, result)
+        return self._recorder.on_call(self, descriptor, method, args, result)

@@ -4,9 +4,9 @@ The span tree in :mod:`repro.sim.trace` answers "where did the time
 go?"; this registry answers "how much work happened?" — how many Binder
 transactions were interposed, record-log calls pruned, chunks served
 from cache, restore sub-operations replayed.  Every metric is keyed by
-``(subsystem, name, labels)``, exported as the flat key
-``series_key("subsystem/name", labels)`` of :mod:`repro.sim.timeline`,
-and is one of three types:
+its series key ``series_key("subsystem/name", labels)`` of
+:mod:`repro.sim.timeline`, the key its snapshot entry carries, and is
+one of three types:
 
 * :class:`Counter` — monotonically increasing integer/float total.
 * :class:`Gauge` — a point-in-time level (chunk-store occupancy).
@@ -27,12 +27,19 @@ Determinism contract (this is what lets metrics stay always-on):
 
 A registry built with ``enabled=False`` hands out shared null metrics
 whose mutators are no-ops — instrumented code never needs an ``if``.
+
+A lookup builds the key string, so a hot call site whose labels are
+fixed for an object's life holds the metric on that object in a
+:class:`HeldSeries`, looked up at its first use.  The registry hands
+out one object per key for its life, so a held metric and a later
+lookup are the same object.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple)
 
 from repro.sim.timeline import (SampleTrack, chrome_counter_events,
                                 series_key, split_series_key)
@@ -57,39 +64,25 @@ RATE_BUCKETS_MBPS: Tuple[float, ...] = (
     1, 5, 10, 20, 40, 60, 80, 100, 150, 200)
 
 
-LabelItems = Tuple[Tuple[str, str], ...]
-
-
-def _canonical_labels(labels: Mapping[str, Any]) -> LabelItems:
-    items = [(k if type(k) is str else str(k),
-              v if type(v) is str else str(v))
-             for k, v in labels.items()]
-    items.sort()
-    return tuple(items)
-
-
 class _Metric:
     """Shared identity plumbing; subclasses add the typed state.
 
-    With a ``clock``, every mutation appends ``(clock.now, value)`` to
-    the metric's own :class:`~repro.sim.timeline.SampleTrack`, where an
-    int total stays an int.  ``track`` is ``None`` until the first
-    sample, so a lookup builds no track, and stays ``None`` without a
-    clock.
+    A metric is its series ``key`` (the registry's key too), its typed
+    value and its sample track.  With a ``clock``, every mutation
+    appends ``(clock.now, value)`` to the metric's own
+    :class:`~repro.sim.timeline.SampleTrack`, where an int total stays
+    an int.  ``track`` is ``None`` until the first sample, so a lookup
+    builds no track, and stays ``None`` without a clock.
     """
 
-    __slots__ = ("_clock", "track", "subsystem", "name", "labels", "key")
+    __slots__ = ("_clock", "track", "key")
 
     kind = "?"
 
-    def __init__(self, clock, subsystem: str, name: str,
-                 labels: LabelItems) -> None:
+    def __init__(self, clock, key: str) -> None:
         self._clock = clock
         self.track: Optional[SampleTrack] = None
-        self.subsystem = subsystem
-        self.name = name
-        self.labels = labels
-        self.key = series_key(f"{subsystem}/{name}", labels)
+        self.key = key
 
     def _sample(self, value: float) -> None:
         track = self.track
@@ -107,8 +100,8 @@ class Counter(_Metric):
 
     kind = "counter"
 
-    def __init__(self, clock, subsystem, name, labels) -> None:
-        super().__init__(clock, subsystem, name, labels)
+    def __init__(self, clock, key: str) -> None:
+        super().__init__(clock, key)
         self.value = 0
 
     def inc(self, amount: float = 1) -> None:
@@ -126,8 +119,8 @@ class Gauge(_Metric):
 
     kind = "gauge"
 
-    def __init__(self, clock, subsystem, name, labels) -> None:
-        super().__init__(clock, subsystem, name, labels)
+    def __init__(self, clock, key: str) -> None:
+        super().__init__(clock, key)
         self.value = 0.0
 
     def set(self, value: float) -> None:
@@ -151,13 +144,12 @@ class Histogram(_Metric):
 
     kind = "histogram"
 
-    def __init__(self, clock, subsystem, name, labels,
-                 bounds: Tuple[float, ...]) -> None:
-        super().__init__(clock, subsystem, name, labels)
+    def __init__(self, clock, key: str, bounds: Tuple[float, ...]) -> None:
+        super().__init__(clock, key)
         if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise MetricsError(
-                f"histogram {series_key(f'{subsystem}/{name}', labels)} needs "
-                f"strictly increasing bounds, got {bounds!r}")
+                f"histogram {key} needs strictly increasing bounds, "
+                f"got {bounds!r}")
         self.bounds = tuple(float(b) for b in bounds)
         self.counts = [0] * (len(self.bounds) + 1)
         self.sum = 0.0
@@ -212,21 +204,21 @@ class MetricsRegistry:
     def __init__(self, clock=None, enabled: bool = True) -> None:
         self._clock = clock
         self.enabled = enabled
-        self._metrics: Dict[Tuple[str, str, LabelItems], _Metric] = {}
-        self._null_counter = _NullCounter(None, "null", "counter", ())
-        self._null_gauge = _NullGauge(None, "null", "gauge", ())
-        self._null_histogram = _NullHistogram(None, "null", "histogram", (),
-                                              (1.0,))
+        #: Every series, by its key: ``series_key("subsystem/name",
+        #: labels)``, the key its snapshot entry carries.
+        self._metrics: Dict[str, _Metric] = {}
+        self._null_counter = _NullCounter(None, "null/counter")
+        self._null_gauge = _NullGauge(None, "null/gauge")
+        self._null_histogram = _NullHistogram(None, "null/histogram", (1.0,))
 
     # -- metric lookup / creation --------------------------------------------
 
     def _get(self, cls, subsystem: str, name: str,
              labels: Mapping[str, Any], **extra) -> _Metric:
-        key = (subsystem, name, _canonical_labels(labels))
+        key = series_key(f"{subsystem}/{name}", labels)
         metric = self._metrics.get(key)
         if metric is None:
-            metric = cls(self._clock, subsystem, name, key[2], **extra)
-            self._metrics[key] = metric
+            metric = self._metrics[key] = cls(self._clock, key, **extra)
             return metric
         if not isinstance(metric, cls):
             raise MetricsError(
@@ -299,6 +291,22 @@ class MetricsRegistry:
             "gauges": dict(sorted(gauges.items())),
             "histograms": dict(sorted(histograms.items())),
         }
+
+
+class HeldSeries(dict):
+    """Metrics one object holds, by key: ``lookup(key)`` runs at a
+    key's first use, and the metric it returns stays held for the
+    holder's life."""
+
+    __slots__ = ("_lookup",)
+
+    def __init__(self, lookup: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self._lookup = lookup
+
+    def __missing__(self, key):
+        metric = self[key] = self._lookup(key)
+        return metric
 
 
 def empty_snapshot() -> Dict[str, Any]:

@@ -53,11 +53,11 @@ class TimelineError(Exception):
 
 
 def series_key(name: str, labels: Mapping[str, Any] = ()) -> str:
-    """Canonical flat key: ``name{k=v,...}`` with labels sorted."""
+    """Canonical flat key: ``name{k=v,...}`` with labels sorted by name."""
     if not labels:
         return name
-    items = sorted((str(k), str(v)) for k, v in dict(labels).items())
-    return name + "{" + ",".join(f"{k}={v}" for k, v in items) + "}"
+    return name + "{" + ",".join([f"{k!s}={v!s}"
+                                  for k, v in sorted(labels.items())]) + "}"
 
 
 def split_series_key(key: str) -> Tuple[str, Dict[str, str]]:

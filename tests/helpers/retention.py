@@ -8,7 +8,10 @@ paper device pairs, every migratable app) under ``tracemalloc`` and
 reports the bytes still allocated after rounds ``FIRST``..``LAST`` that
 were not allocated before them, per migration in that window, grouped
 by the file that allocated them.  Telemetry planes are off unless
-``--telemetry`` is given (perfbench's ``handoff-quiet`` and ``handoff``).
+``--telemetry`` is given (perfbench's ``handoff-quiet`` and ``handoff``);
+with them on, the report also counts the metric series the window
+created per migration, by series name, so a series added on every
+migration shows up as a number.
 
 Tracing starts before the worlds are built, so state a migration only
 replaces (an app's live heap, moved from one device to the other and
@@ -31,8 +34,9 @@ import hashlib
 import os
 import sys
 import tracemalloc
-from typing import Dict
+from typing import Dict, Set, Tuple
 
+from repro.sim.timeline import split_series_key
 from tests.helpers.host_cost import (ROOT, perfbench_telemetry,
                                      perfbench_workloads)
 
@@ -55,6 +59,7 @@ def measure(seed: int = 0, quiet: bool = True,
             orders = workloads.handoff_orders(seed, last - 1)
             workloads.run_rounds(worlds, orders[:first], workloads.Window(),
                                  [hashlib.sha256()])
+            series_before = _series(worlds)
             gc.collect()
             before = tracemalloc.take_snapshot()
             window = workloads.Window()
@@ -66,12 +71,31 @@ def measure(seed: int = 0, quiet: bool = True,
         tracemalloc.stop()
     migrations = window.ops
     by_file = _by_file(after, before, migrations)
+    new_series: Dict[str, float] = {}
+    for _, key in _series(worlds) - series_before:
+        name = split_series_key(key)[0]
+        new_series[name] = new_series.get(name, 0) + 1 / migrations
     return {
         "migrations": migrations,
         "failed": window.failed,
         "kb_per_migration": sum(by_file.values()),
         "by_file": by_file,
+        "series_per_migration": sum(new_series.values()),
+        "series_by_name": dict(sorted(new_series.items(),
+                                      key=lambda item: -item[1])),
     }
+
+
+def _series(worlds) -> Set[Tuple[int, str]]:
+    """(device index, series key) of every metric series the worlds'
+    devices hold."""
+    keys = set()
+    devices = [device for world in worlds for device in world.devices]
+    for index, device in enumerate(devices):
+        snapshot = device.metrics.snapshot()
+        for section in ("counters", "gauges", "histograms"):
+            keys.update((index, key) for key in snapshot[section])
+    return keys
 
 
 def _by_file(after, before, per: int) -> Dict[str, float]:
@@ -133,6 +157,11 @@ def format_report(result: Dict, top: int = 12) -> str:
              f"({result['failed']} failed)"]
     for name, kb in list(result["by_file"].items())[:top]:
         lines.append(f"  {kb:7.3f} kB  {name}")
+    if result["series_per_migration"]:
+        lines.append(f"{result['series_per_migration']:.2f} metric series "
+                     "created per migration")
+        for name, count in list(result["series_by_name"].items())[:top]:
+            lines.append(f"  {count:7.3f}  {name}")
     return "\n".join(lines)
 
 

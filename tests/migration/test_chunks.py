@@ -200,6 +200,18 @@ class TestChunkStore:
         assert len(store) == 1
         assert store.bytes_stored == 100
 
+    def test_time_keyed_chunks_count_bytes_but_keep_no_digest(self, image):
+        chunks = chunk_image(image)
+        timed = [c for c in chunks if c.time_keyed]
+        assert {c.label for c in timed} <= {"descriptors", "record-log"}
+        assert chunks[0] in timed
+        store = ChunkStore()
+        store.add_many(chunks)
+        assert store.bytes_stored == sum(c.raw_bytes for c in chunks)
+        assert len(store) == len(chunks) - len(timed)
+        cached, missing = store.split(chunks)
+        assert missing == timed and len(cached) == len(store)
+
     def test_clear(self):
         store = ChunkStore()
         store.add_many(self._chunk(i) for i in range(5))
@@ -218,10 +230,13 @@ class TestChunkStore:
         monkeypatch.setattr(metrics, "gauge",
                             lambda *key: lookups.append(key) or gauge(*key))
         store.add_many(self._chunk(i) for i in range(4))
+        clock.advance(0.5)
         store.add_many([self._chunk(2), self._chunk(3)])   # nothing new
-        clock.advance(1.0)
+        clock.advance(0.5)
         store.add_many([self._chunk(4)])
-        assert lookups == [("chunks", "store_bytes")] * 2
+        # Looked up at the first set and held: a set at 0.5 s would
+        # have left a (500000.0, 400) sample.
+        assert lookups == [("chunks", "store_bytes")]
         assert store.bytes_stored == 500
         assert metrics.snapshot()["gauges"] == {"chunks/store_bytes": 500}
         assert [(e["ts"], e["args"]["value"])

@@ -66,6 +66,53 @@ class TestKeys:
         assert a is b
 
 
+#: Label dicts with str and int values; ``str`` of a value is what a
+#: series key holds, so ``1`` and ``"1"`` name the same series.
+_LABELS = st.dictionaries(_LABEL_NAMES, st.one_of(_WORDS, st.integers()),
+                          max_size=4)
+_KINDS = {"counter": "counters", "gauge": "gauges",
+          "histogram": "histograms"}
+
+
+def _as_key_labels(labels):
+    return {name: str(value) for name, value in labels.items()}
+
+
+class TestSeriesIdentity:
+    """One metric object per series key, for the registry's life."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(subsystem=_WORDS, name=_WORDS, labels=_LABELS, other=_LABELS,
+           kind=st.sampled_from(sorted(_KINDS)), data=st.data())
+    def test_a_series_is_one_object(self, subsystem, name, labels, other,
+                                    kind, data):
+        registry = MetricsRegistry(clock=SimClock())
+        lookup = getattr(registry, kind)
+        held = lookup(subsystem, name, **labels)
+        assert held.key == series_key(f"{subsystem}/{name}", labels)
+        assert list(registry.snapshot()[_KINDS[kind]]) == [held.key]
+
+        other_metric = lookup(subsystem, name, **other)
+        if _as_key_labels(other) == _as_key_labels(labels):
+            assert other_metric is held
+        else:
+            assert other_metric is not held
+            assert other_metric.key != held.key
+
+        # A later lookup, in any keyword order, is the held object.
+        shuffled = data.draw(st.permutations(sorted(labels.items())))
+        assert lookup(subsystem, name, **dict(shuffled)) is held
+
+        for wrong in sorted(set(_KINDS) - {kind}):
+            with pytest.raises(MetricsError):
+                getattr(registry, wrong)(subsystem, name, **labels)
+        if kind == "histogram":
+            with pytest.raises(MetricsError):
+                registry.histogram(subsystem, name, bounds=RATE_BUCKETS_MBPS,
+                                   **labels)
+        assert lookup(subsystem, name, **labels) is held
+
+
 class TestTypes:
     def test_counter_monotonic(self):
         registry = MetricsRegistry()
