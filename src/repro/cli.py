@@ -153,7 +153,7 @@ def _write_migrate_outputs(args, home, guest, report) -> None:
         metrics=_migrate_metrics_document(metrics, report),
         events=events,
         timeline=timeline,
-        trace=home.tracer.chrome_trace(metrics=home.metrics, events=events))
+        trace=home.tracer.chrome_trace(timeline=timeline, events=events))
 
 
 def cmd_migrate(args) -> int:

@@ -143,8 +143,8 @@ class ChunkStore:
         """Record each chunk as present.
 
         The ``store_bytes`` gauge is set once, after the batch, and only
-        if the batch stored a new chunk: a batch runs at one instant, so
-        its last value is the only sample the series keeps anyway.
+        if the batch stored a new chunk: a gauge keeps only its last
+        value.
         """
         stored = False
         for chunk in chunks:

@@ -15,10 +15,12 @@ one of three types:
 
 Determinism contract (this is what lets metrics stay always-on):
 
-* The registry **never advances the clock and never draws from the
-  RNG** — reading ``clock.now`` for timeline samples is the only clock
-  interaction.  Enabling or disabling metrics cannot perturb a
-  simulation; the default sweep stays byte-identical either way.
+* The registry **never reads the clock and never draws from the
+  RNG**: a metric keeps its current value, not a history, so enabling
+  or disabling metrics cannot perturb a simulation and the default
+  sweep stays byte-identical either way.  "What did the world look
+  like over time?" is the timeline plane's question
+  (:mod:`repro.sim.timeline`).
 * Snapshots are emitted with **sorted keys**, so two runs of the same
   simulation produce identical JSON documents.
 * Snapshots **merge associatively** (counters and histogram buckets
@@ -41,8 +43,7 @@ from bisect import bisect_left
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Tuple)
 
-from repro.sim.timeline import (SampleTrack, chrome_counter_events,
-                                series_key, split_series_key)
+from repro.sim.timeline import series_key, split_series_key
 
 
 class MetricsError(Exception):
@@ -65,32 +66,18 @@ RATE_BUCKETS_MBPS: Tuple[float, ...] = (
 
 
 class _Metric:
-    """Shared identity plumbing; subclasses add the typed state.
+    """Shared identity plumbing; subclasses add the typed value.
 
-    A metric is its series ``key`` (the registry's key too), its typed
-    value and its sample track.  With a ``clock``, every mutation
-    appends ``(clock.now, value)`` to the metric's own
-    :class:`~repro.sim.timeline.SampleTrack`, where an int total stays
-    an int.  ``track`` is ``None`` until the first sample, so a lookup
-    builds no track, and stays ``None`` without a clock.
+    A metric is its series ``key`` (the registry's key too) and its
+    typed value: the current total, level or histogram state.
     """
 
-    __slots__ = ("_clock", "track", "key")
+    __slots__ = ("key",)
 
     kind = "?"
 
-    def __init__(self, clock, key: str) -> None:
-        self._clock = clock
-        self.track: Optional[SampleTrack] = None
+    def __init__(self, key: str) -> None:
         self.key = key
-
-    def _sample(self, value: float) -> None:
-        track = self.track
-        if track is None:
-            if self._clock is None:
-                return
-            track = self.track = SampleTrack()
-        track.append(self._clock.now, value)
 
 
 class Counter(_Metric):
@@ -100,8 +87,8 @@ class Counter(_Metric):
 
     kind = "counter"
 
-    def __init__(self, clock, key: str) -> None:
-        super().__init__(clock, key)
+    def __init__(self, key: str) -> None:
+        super().__init__(key)
         self.value = 0
 
     def inc(self, amount: float = 1) -> None:
@@ -109,7 +96,6 @@ class Counter(_Metric):
             raise MetricsError(
                 f"counter {self.key} cannot decrease (inc {amount!r})")
         self.value += amount
-        self._sample(self.value)
 
 
 class Gauge(_Metric):
@@ -119,13 +105,12 @@ class Gauge(_Metric):
 
     kind = "gauge"
 
-    def __init__(self, clock, key: str) -> None:
-        super().__init__(clock, key)
+    def __init__(self, key: str) -> None:
+        super().__init__(key)
         self.value = 0.0
 
     def set(self, value: float) -> None:
         self.value = value
-        self._sample(self.value)
 
     def add(self, delta: float) -> None:
         self.set(self.value + delta)
@@ -144,8 +129,8 @@ class Histogram(_Metric):
 
     kind = "histogram"
 
-    def __init__(self, clock, key: str, bounds: Tuple[float, ...]) -> None:
-        super().__init__(clock, key)
+    def __init__(self, key: str, bounds: Tuple[float, ...]) -> None:
+        super().__init__(key)
         if not bounds or any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise MetricsError(
                 f"histogram {key} needs strictly increasing bounds, "
@@ -163,7 +148,6 @@ class Histogram(_Metric):
         self.count += 1
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
-        self._sample(self.count)
 
     @property
     def mean(self) -> float:
@@ -194,22 +178,18 @@ class _NullHistogram(Histogram):
 class MetricsRegistry:
     """Typed metric store living alongside a :class:`~repro.sim.Tracer`.
 
-    ``clock`` (optional) enables *timeline samples*: the registry hands
-    it to every metric it builds, and each mutation records
-    ``(clock.now, value)`` on the metric's own track — coalesced per
-    distinct timestamp — which exports as Chrome-trace counter
-    ("C"-phase) tracks.  The clock is only ever read, never advanced.
+    Each series holds only its current value, so the registry takes no
+    clock.
     """
 
-    def __init__(self, clock=None, enabled: bool = True) -> None:
-        self._clock = clock
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         #: Every series, by its key: ``series_key("subsystem/name",
         #: labels)``, the key its snapshot entry carries.
         self._metrics: Dict[str, _Metric] = {}
-        self._null_counter = _NullCounter(None, "null/counter")
-        self._null_gauge = _NullGauge(None, "null/gauge")
-        self._null_histogram = _NullHistogram(None, "null/histogram", (1.0,))
+        self._null_counter = _NullCounter("null/counter")
+        self._null_gauge = _NullGauge("null/gauge")
+        self._null_histogram = _NullHistogram("null/histogram", (1.0,))
 
     # -- metric lookup / creation --------------------------------------------
 
@@ -218,7 +198,7 @@ class MetricsRegistry:
         key = series_key(f"{subsystem}/{name}", labels)
         metric = self._metrics.get(key)
         if metric is None:
-            metric = self._metrics[key] = cls(self._clock, key, **extra)
+            metric = self._metrics[key] = cls(key, **extra)
             return metric
         if not isinstance(metric, cls):
             raise MetricsError(
@@ -250,20 +230,6 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._metrics)
-
-    # -- timeline samples -----------------------------------------------------
-
-    def chrome_counter_events(self) -> List[Dict[str, Any]]:
-        """Timeline samples as Chrome-trace counter ("C"-phase) events.
-
-        One counter track per metric key; values are the running totals
-        (counters), levels (gauges) or observation counts (histograms)
-        at each distinct virtual timestamp.
-        """
-        return chrome_counter_events(
-            {metric.key: metric.track.pairs()
-             for metric in self._metrics.values() if metric.track},
-            cat="metric")
 
     # -- snapshots ------------------------------------------------------------
 

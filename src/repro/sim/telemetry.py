@@ -76,7 +76,7 @@ class Telemetry:
         if timeline is None:
             timeline = Timeline(clock=clock, enabled=_on(TIMELINE_ENV))
         return cls(
-            MetricsRegistry(clock=clock, enabled=_on(METRICS_ENV)),
+            MetricsRegistry(enabled=_on(METRICS_ENV)),
             FlightRecorder(clock=clock, device=name,
                            capacity=_events_capacity(), tracer=tracer,
                            enabled=_on(EVENTS_ENV)),

@@ -26,8 +26,11 @@ This module owns the flat key grammar of every telemetry plane:
 :func:`series_key` writes ``name{label=value,...}`` with sorted labels
 and :func:`split_series_key` reads it back.  Timeline series use it
 directly; metrics keys are ``series_key("subsystem/name", labels)``.
-It also owns :class:`SampleTrack`, the typed-column store that timeline
-series and metric counter tracks both keep their samples in.
+It also owns :class:`SampleTrack`, the float column each timeline
+series keeps its samples in.  This is the one time-series plane: a
+metric keeps only its current value, and the Chrome traces of
+``migrate`` and ``scenario`` draw their counter tracks from here
+(:func:`chrome_counter_events`).
 
 Worlds with private clocks (sweep pairs, fleet sites) never merge by
 time.  :func:`labeled_timelines` folds each world's label (``pair=``,
@@ -73,41 +76,22 @@ def split_series_key(key: str) -> Tuple[str, Dict[str, str]]:
     return base, labels
 
 
-#: Ints of at most this magnitude survive a round trip through a double.
-_EXACT_INT = 1 << 53
-
-
 class SampleTrack:
-    """``(time, value)`` samples, flat ``[t0, v0, t1, v1, ...]`` in one
-    ``array('d')``.
+    """``(time, value)`` float samples, flat ``[t0, v0, t1, v1, ...]``
+    in one ``array('d')``, 16 bytes per sample.
 
     A sample at the track's last timestamp replaces that sample's value
     (last write wins), so an instant's flurry of edges keeps one point.
-    The timeline and the metrics registry's counter tracks both store
-    their samples here, 16 bytes per sample.  Values read back with the
-    type they were written with: a track whose values are all floats,
-    or all ints a double holds exactly, stays in the array; a value of
-    any other type moves the track to a plain list, boxed, where each
-    value keeps its own type.
     """
 
-    __slots__ = ("_flat", "_type", "_last")
+    __slots__ = ("_flat", "_last")
 
     def __init__(self) -> None:
-        self._flat: Any = array("d")
-        #: ``int`` or ``float`` while in the array (``None`` while
-        #: empty), ``list`` once boxed.
-        self._type: Any = None
+        self._flat = array("d")
         #: The last sample's time.
         self._last: Optional[float] = None
 
-    def append(self, time: float, value: Any) -> None:
-        kind = type(value)
-        if kind is not self._type:
-            if self._type is not list:
-                self._retype(kind, value)
-        elif kind is int and not -_EXACT_INT <= value <= _EXACT_INT:
-            self._retype(list, value)
+    def append(self, time: float, value: float) -> None:
         if time == self._last:
             self._flat[-1] = value
         else:
@@ -115,25 +99,13 @@ class SampleTrack:
             self._flat.append(time)
             self._flat.append(value)
 
-    def _retype(self, kind: type, value: Any) -> None:
-        if self._type is None and (kind is float or kind is int
-                                   and -_EXACT_INT <= value <= _EXACT_INT):
-            self._type = kind
-            return
-        boxed = self._flat.tolist()
-        if self._type is int:
-            boxed[1::2] = map(int, boxed[1::2])
-        self._flat, self._type = boxed, list
-
     def __len__(self) -> int:
         return len(self._flat) // 2
 
-    def pairs(self) -> Iterator[Tuple[float, Any]]:
+    def pairs(self) -> Iterator[Tuple[float, float]]:
         """The ``(time, value)`` samples, in order."""
         flat = self._flat
-        values = flat[1::2]
-        return zip(flat[::2], map(int, values) if self._type is int
-                   else values)
+        return zip(flat[::2], flat[1::2])
 
 
 class Timeline:
@@ -215,17 +187,16 @@ def labeled_timelines(key: str,
     return {series: flat[series] for series in sorted(flat)}
 
 
-def chrome_counter_events(export: Mapping[str, Any], cat: str = "timeline"
+def chrome_counter_events(export: Mapping[str, Any]
                           ) -> List[Dict[str, Any]]:
-    """``(time, value)`` series as Chrome-trace counter ("C"-phase)
-    tracks, one per key; the timeline and the metrics registry (``cat``
-    "metric") both render here, so both planes sit side by side in
+    """A timeline export as Chrome-trace counter ("C"-phase) tracks, one
+    per series key, so a trace shows the timeline beside its spans in
     Perfetto."""
     events: List[Dict[str, Any]] = []
     for key in sorted(export):
         for time, value in export[key]:
             events.append({
-                "name": key, "cat": cat, "ph": "C",
+                "name": key, "cat": "timeline", "ph": "C",
                 "pid": 1, "tid": 1,
                 "ts": round(time * 1e6, 3),
                 "args": {"value": value},

@@ -22,6 +22,8 @@ import contextlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.sim.timeline import chrome_counter_events
+
 
 @dataclass(slots=True)
 class Span:
@@ -234,7 +236,7 @@ class Tracer:
 
     # -- Chrome-trace export -----------------------------------------------------
 
-    def chrome_trace(self, metrics=None, events=None) -> Dict[str, Any]:
+    def chrome_trace(self, timeline=None, events=None) -> Dict[str, Any]:
         """The span tree as a Chrome-trace ("traceEvents") dict.
 
         Complete ("ph": "X") events with microsecond timestamps; the
@@ -245,9 +247,10 @@ class Tracer:
         malformed/invisible event and the reader can tell it never
         finished.
 
-        ``metrics`` (a :class:`repro.sim.metrics.MetricsRegistry`)
-        additionally appends the registry's timeline samples as counter
-        ("C"-phase) tracks.  ``events`` (a
+        ``timeline`` (a timeline export, such as the merged one
+        :func:`repro.sim.telemetry.export` returns) additionally
+        appends its series as counter ("C"-phase) tracks through
+        :func:`repro.sim.timeline.chrome_counter_events`.  ``events`` (a
         :class:`repro.sim.events.FlightRecorder`, or a list of exported
         event dicts) interleaves the causal event log as instant
         ("i"-phase, thread-scoped) markers, so the viewer shows each
@@ -279,8 +282,8 @@ class Tracer:
                 if args:
                     event["args"] = args
                 trace_events.append(event)
-        if metrics is not None:
-            trace_events.extend(metrics.chrome_counter_events())
+        if timeline is not None:
+            trace_events.extend(chrome_counter_events(timeline))
         if events is not None:
             trace_events.extend(chrome_instant_events(events))
         return {"traceEvents": trace_events, "displayTimeUnit": "ms"}

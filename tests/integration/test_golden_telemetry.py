@@ -23,7 +23,9 @@ TELEMETRY_ENV = ("FLUX_METRICS", "FLUX_EVENTS", "FLUX_EVENTS_CAP",
 #: The three plain runs, pinned member by member.  Their ``events``
 #: digests are those of the per-plane files the CLI wrote before the
 #: run bundle became its only export; the other members equal what
-#: ``--bundle-out`` wrote then.
+#: ``--bundle-out`` wrote then, except ``migrate``'s ``trace.json``
+#: (and the faulted run's below): its counter ("C") events are the
+#: timeline's series since metrics stopped keeping sample tracks.
 MIGRATE = (["migrate", "--app", "Candy Crush"], 0, {
     "events.jsonl": "29cee2f057b4278c418caef192bc50fa"
                     "d5def09617a0004c48dd01118129f6f2",
@@ -31,8 +33,8 @@ MIGRATE = (["migrate", "--app", "Candy Crush"], 0, {
                     "b97fba0997b1178794536799c0c89d0e",
     "timeline.json": "18c8b47c09a7100bd2fc7352d1227f4e"
                      "2fded9c028a6afafefb95d5e55a051be",
-    "trace.json": "90983d1b054dcaa4f4a7d5045702277b"
-                  "9b4fa2ee42b225b9c6f3b2fb0d8bc4a0",
+    "trace.json": "7ff0270da70dfef4cb9ce2c442539110"
+                  "4ec4b9331fd0c7f88ede78b428b2c1c1",
 })
 
 SCENARIO = (["scenario"], 0, {
@@ -89,8 +91,8 @@ FAULTED_MIGRATE = (["migrate", "--app", "Candy Crush",
                     "c51db469e8d0e543fb31b6ccdcdab54b",
     "timeline.json": "b252c02e51ddf4708e1b88ec296f9399"
                      "50f876733f9a5990a25d8827291f7e97",
-    "trace.json": "d14cf52efd36baef9e2b222a888728e3"
-                  "bc977fb3ee85ba85a3270065eea3e73e",
+    "trace.json": "8b9f4b744c2c91b6cb0e53b88b78cfc0"
+                  "5255dd2c7ec5ce60208344a2cc71c467",
 })
 
 SWEEP_BUNDLE = (["sweep"], 0, {

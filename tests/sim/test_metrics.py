@@ -1,10 +1,9 @@
-"""The metrics registry: typing, keys, merging, timeline export."""
+"""The metrics registry: typing, keys, merging."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import SimClock
 from repro.sim.metrics import (
     RATE_BUCKETS_MBPS,
     TIME_BUCKETS_S,
@@ -86,7 +85,7 @@ class TestSeriesIdentity:
            kind=st.sampled_from(sorted(_KINDS)), data=st.data())
     def test_a_series_is_one_object(self, subsystem, name, labels, other,
                                     kind, data):
-        registry = MetricsRegistry(clock=SimClock())
+        registry = MetricsRegistry()
         lookup = getattr(registry, kind)
         held = lookup(subsystem, name, **labels)
         assert held.key == series_key(f"{subsystem}/{name}", labels)
@@ -173,27 +172,6 @@ class TestNullRegistry:
         registry.histogram("s", "h").observe(1.0)
         assert len(registry) == 0
         assert registry.snapshot() == empty_snapshot()
-
-
-class TestTimeline:
-    def test_samples_coalesce_per_timestamp(self):
-        clock = SimClock()
-        registry = MetricsRegistry(clock=clock)
-        counter = registry.counter("s", "n")
-        counter.inc()
-        counter.inc()            # same virtual instant: last value wins
-        clock.advance(1.0)
-        counter.inc()
-        [event_a, event_b] = registry.chrome_counter_events()
-        assert event_a["ph"] == "C" and event_a["cat"] == "metric"
-        assert event_a["args"]["value"] == 2
-        assert event_b["ts"] == pytest.approx(1_000_000)
-        assert event_b["args"]["value"] == 3
-
-    def test_no_clock_no_samples(self):
-        registry = MetricsRegistry()
-        registry.counter("s", "n").inc()
-        assert registry.chrome_counter_events() == []
 
 
 class TestSnapshots:

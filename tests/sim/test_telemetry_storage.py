@@ -1,14 +1,14 @@
 """Telemetry storage: typed columns, the same shapes when read.
 
-The flight recorder keeps its events in typed columns, and the counter
-tracks and timeline keep flat ``[t0, v0, t1, v1, ...]`` sample tracks
-(DESIGN.md, "Telemetry storage").  The first half checks that reads
+The flight recorder keeps its events in typed columns, and the
+timeline keeps flat ``[t0, v0, t1, v1, ...]`` sample tracks (DESIGN.md,
+"Telemetry storage").  The first half checks that reads
 still see what the object-per-event stores showed: position-derived
 ``seq`` across eviction and ``clear()``, context-label precedence and
 key order, and same-timestamp coalescing.  The second half is a memory
 ratchet: a record type that grows back toward an object per event
 shows up here, and so does an exported event log that holds one, and
-a metric series that again keeps more than its key, value and track.
+a metric series that again keeps more than its key and value.
 """
 
 import gc
@@ -39,19 +39,21 @@ EVENT_BYTES_BOUND = 80
 #: its columns.
 RESULT_EVENT_BYTES_BOUND = 118
 
-#: Retained bytes per counter sample at distinct timestamps.  Measured
-#: on CPython 3.11: 118 with a ``(t, v)`` tuple per sample, 72 in a flat
-#: list, 17 in a flat ``array('d')``.
+#: Retained bytes per timeline sample of one series at distinct
+#: timestamps.  Measured on CPython 3.11: 118 with a ``(t, v)`` tuple
+#: per sample, 72 in a flat list, 17 in a flat ``array('d')`` (16.8;
+#: 17.2 on 3.10).
 SAMPLE_BYTES_BOUND = 18
 
 #: Retained bytes per metric series: a counter with two labels (one a
-#: distinct app name), on a registry with a clock, incremented once, so
-#: the bytes include its key, its one-sample track and its registry
-#: entry.  Measured: 701 (CPython 3.10/3.11) and 685 (3.12/3.13) when
-#: the registry was keyed by a ``(subsystem, name, labels)`` tuple and
-#: the metric kept the sorted label pairs; 379 (3.10), 370 (3.11) and
-#: 362 (3.12/3.13) keyed by the series key string alone.
-SERIES_BYTES_BOUND = 400
+#: distinct app name), incremented once, so the bytes are its key, its
+#: value and its registry entry.  Measured: 701 (CPython 3.10/3.11) and
+#: 685 (3.12/3.13) when the registry was keyed by a ``(subsystem, name,
+#: labels)`` tuple and the metric kept the sorted label pairs; 379
+#: (3.10), 370 (3.11) and 362 (3.12/3.13) keyed by the series key
+#: string, with a sample track per series; 195 (3.10), 186 (3.11) and
+#: 178 (3.12/3.13) with the value alone.
+SERIES_BYTES_BOUND = 200
 
 N = 10_000
 
@@ -120,46 +122,12 @@ class TestAttrs:
 class TestSeries:
     def test_same_timestamp_coalesces_last_wins(self):
         track = SampleTrack()
-        track.append(0.0, 1)
-        track.append(0.0, 2)
-        track.append(1.0, 3)
-        track.append(1.0, 4)
+        track.append(0.0, 1.0)
+        track.append(0.0, 2.0)
+        track.append(1.0, 3.0)
+        track.append(1.0, 4.0)
         assert len(track) == 2
-        assert list(track.pairs()) == [(0.0, 2), (1.0, 4)]
-
-    def test_values_read_back_with_the_type_written(self):
-        track = SampleTrack()
-        for time, value in ((0.0, 1), (1.0, 2.5), (2.0, 3), (3.0, True),
-                            (4.0, 1 << 60), (4.0, 7)):
-            track.append(time, value)
-        pairs = list(track.pairs())
-        assert pairs == [(0.0, 1), (1.0, 2.5), (2.0, 3), (3.0, True),
-                         (4.0, 7)]
-        assert [type(v) for _, v in pairs] == [int, float, int, bool, int]
-        big = SampleTrack()
-        big.append(0.0, 1 << 60)
-        big.append(1.0, (1 << 60) + 1)
-        assert [v for _, v in big.pairs()] == [1 << 60, (1 << 60) + 1]
-
-    def test_int_and_float_tracks_read_back_exactly(self):
-        ints, floats = SampleTrack(), SampleTrack()
-        for i in range(3):
-            ints.append(float(i), i)
-            floats.append(float(i), i / 2)
-        assert [type(v) for _, v in ints.pairs()] == [int] * 3
-        assert list(floats.pairs()) == [(0.0, 0.0), (1.0, 0.5), (2.0, 1.0)]
-
-    def test_counter_samples_at_one_instant_coalesce(self):
-        clock = SimClock()
-        registry = MetricsRegistry(clock=clock)
-        counter = registry.counter("s", "n")
-        for _ in range(5):
-            counter.inc()
-        clock.advance(1.0)
-        counter.inc()
-        values = [(e["ts"], e["args"]["value"])
-                  for e in registry.chrome_counter_events()]
-        assert values == [(0.0, 5), (1_000_000.0, 6)]
+        assert list(track.pairs()) == [(0.0, 2.0), (1.0, 4.0)]
 
     def test_timeline_series_reads_pairs(self):
         clock = SimClock()
@@ -245,24 +213,21 @@ def test_counter_sample_bytes_ratchet():
     clock = SimClock()
 
     def build():
-        registry = MetricsRegistry(clock=clock)
-        registry.counter("binder", "transactions").inc()
-        return registry
+        timeline = Timeline(clock=clock)
+        timeline.sample("link/busy", 1, link="a->b")
+        return timeline
 
-    def fill(registry):
-        counter = registry.counter("binder", "transactions")
-        for _ in range(N):
+    def fill(timeline):
+        for i in range(N):
             clock.advance(0.001)
-            counter.inc()
-        return registry
+            timeline.sample("link/busy", i, link="a->b")
+        return timeline
 
     per_sample = _retained_bytes(build, fill)
     assert per_sample <= SAMPLE_BYTES_BOUND, per_sample
 
 
 def test_series_bytes_ratchet():
-    clock = SimClock()
-
     def fill(registry):
         for i in range(N):
             registry.counter("binder", "transactions",
@@ -270,7 +235,7 @@ def test_series_bytes_ratchet():
                              app=f"com.example.app{i}").inc()
         return registry
 
-    per_series = _retained_bytes(lambda: MetricsRegistry(clock=clock), fill)
+    per_series = _retained_bytes(MetricsRegistry, fill)
     assert per_series <= SERIES_BYTES_BOUND, per_series
 
 

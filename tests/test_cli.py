@@ -229,6 +229,33 @@ class TestTraceExport:
                 assert "seq" in event["args"]
                 assert "device" in event["args"]
 
+    @pytest.mark.parametrize("fault", [[], ["--drop-link-after-bytes",
+                                            "1000000"]],
+                             ids=["plain", "link-fault"])
+    def test_trace_counters_are_the_timeline_series(self, fault, tmp_path):
+        """Every counter ("C") event of ``trace.json`` is a sample of a
+        ``timeline.json`` series: its name is the series key, its ``ts``
+        and value that series' ``(t * 1e6, value)``."""
+        import json
+
+        bundle = tmp_path / "run"
+        main(["migrate", "--app", "WhatsApp", *fault,
+              "--bundle-out", str(bundle)])
+        events = json.loads((bundle / "trace.json").read_text())[
+            "traceEvents"]
+        series = json.loads((bundle / "timeline.json").read_text())[
+            "series"]
+        counters = {}
+        for event in events:
+            if event["ph"] == "C":
+                assert event["name"] in series, event["name"]
+                counters.setdefault(event["name"], []).append(
+                    (event["ts"], event["args"]["value"]))
+        assert counters
+        assert counters == {
+            key: [(round(t * 1e6, 3), value) for t, value in samples]
+            for key, samples in series.items()}
+
     def test_trace_instants_interleave_with_spans(self, tmp_path):
         import json
 
